@@ -75,7 +75,6 @@ from .simgen import (
 )
 from .variance import (
     MomentMatrixA,
-    VARIANCE_METHOD_IDS,
     asymptotic_psi,
     moment_matrix_a,
     var_hat_naive_gaussian,

@@ -26,6 +26,7 @@ from .harness import (
 )
 from .model import CovariateModel, LabeledDataset, whiten
 from .simgen import ScenarioConfig
+from .zeroboost import INITIAL_IDS
 
 _SCENARIO_KEYS = ("n", "p", "tau2", "tau2_b", "sigma2", "b_size", "reps", "seed", "x_dist")
 
@@ -145,7 +146,14 @@ def _parse_estimators(raw: str, empirical: bool) -> list[str]:
     return ids
 
 
-def _options_from_args(args) -> HarnessOptions:
+def _options_from_args(args, estimators: list[str]) -> HarnessOptions:
+    if "empirical" in estimators:
+        if args.initial not in INITIAL_IDS:
+            raise _ConfigError(
+                f"unknown --initial {args.initial!r}; expected one of {list(INITIAL_IDS)}"
+            )
+        if args.boot < 2:
+            raise _ConfigError(f"--boot must be at least 2, got {args.boot}")
     return HarnessOptions(
         select_split=args.select_split,
         select_split_fraction=args.select_split_fraction,
@@ -160,7 +168,7 @@ def _options_from_args(args) -> HarnessOptions:
 def _cmd_simulate(args) -> int:
     cfg = _scenario_from_args(args)
     estimators = _parse_estimators(args.estimators, args.empirical)
-    options = _options_from_args(args)
+    options = _options_from_args(args, estimators)
     records = run_scenario(cfg, estimators, options)
     write_records_csv(args.records_out, records)
     # Summarize the values as written (6 significant digits), so re-running
@@ -242,7 +250,7 @@ def _cmd_estimate(args) -> int:
             "the oracle estimator needs the true coefficients and is only "
             "available in simulations"
         )
-    options = _options_from_args(args)
+    options = _options_from_args(args, estimators)
     if args.raw_x:
         x = whiten(x, model)
     ds = LabeledDataset(x=x, y=y, whitened=True)

@@ -199,10 +199,9 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class CoefficientVector:
-    """A coefficient vector beta; oracle-only when not estimable from data."""
+    """A coefficient vector beta."""
 
     beta: np.ndarray
-    oracle_only: bool = True
 
     def __post_init__(self):
         b = np.atleast_1d(np.asarray(self.beta, dtype=np.float64))

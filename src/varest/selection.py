@@ -44,7 +44,6 @@ class SelectionResult:
     selected: tuple
     threshold_value: float
     gaps: np.ndarray
-    split_used: bool = False
 
     def __post_init__(self):
         self.gaps.setflags(write=False)

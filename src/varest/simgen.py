@@ -114,7 +114,7 @@ def build_beta(cfg: ScenarioConfig) -> CoefficientVector:
     weak = math.sqrt((cfg.tau2 - cfg.tau2_b) / (cfg.p - cfg.b_size))
     beta = np.full(cfg.p, weak)
     beta[: cfg.b_size] = strong
-    return CoefficientVector(beta=beta, oracle_only=True)
+    return CoefficientVector(beta=beta)
 
 
 def _draw_x(rng: np.random.Generator, n: int, p: int, x_dist: str) -> np.ndarray:

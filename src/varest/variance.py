@@ -43,7 +43,6 @@ from .model import CoefficientVector, CovariateModel, WMatrix
 
 __all__ = [
     "MomentMatrixA",
-    "VARIANCE_METHOD_IDS",
     "asymptotic_psi",
     "moment_matrix_a",
     "var_hat_naive_gaussian",
@@ -58,15 +57,12 @@ __all__ = [
     "var_tilde_t_gamma",
 ]
 
-VARIANCE_METHOD_IDS = ("theory", "gaussian-plugin", "tilde")
-
 
 @dataclass(frozen=True)
 class MomentMatrixA:
     """The second-moment matrix ``A[j, j'] = E(W_j W_j')`` of a W row."""
 
     a: np.ndarray
-    derivation: str  # "analytic-independent-columns" or "provided"
 
     def __post_init__(self):
         self.a.setflags(write=False)
@@ -98,7 +94,7 @@ def moment_matrix_a(
     sigma_y2 = beta.tau2 + sigma2
     a = 2.0 * np.outer(b, b)
     np.fill_diagonal(a, sigma_y2 + b * b * (model.fourth_moments - 1.0))
-    return MomentMatrixA(a=a, derivation="analytic-independent-columns")
+    return MomentMatrixA(a=a)
 
 
 def _eq5(n: int, beta_quad_centered: float, frob_centered: float) -> float:

@@ -12,13 +12,34 @@ approximates that covariance from bootstrap resamples:
    known analytically from the covariate model;
 4. return ``initial - c * g_n`` (both full-data values).
 
-Per-resample RNG streams derive from ``(seed, resample index)``, so the
-result is bitwise identical whether resamples run serially or in parallel.
+Resample b draws its row indices from its own stream,
+``SeedSequence((seed, b))``.  The ``naive`` initial is a count-weighted
+quadratic form, so it only needs each resample's count vector
+``m_b[i] = #{k : idx_b[k] = i}``, stacked into a count matrix ``M`` (Efron
+1979; the count-weight form follows Chamandy et al. 2012), and its resampled
+values come out of matrix products: with ``W = X o Y``, ``r = rowsq(W)``, ``g`` the
+per-row zero-estimator and ``C = M W``,
+
+* ``naive*_b = (||C_b||^2 - (M r)_b) / (n (n - 1))``
+* ``g_n*_b   = (M g)_b / n``.
+
+``M`` is built a block of resamples at a time, so memory stays bounded for
+tall data; no B x n x p array is ever built.
+
+This is the library estimator applied to the resampled rows, with the
+same-row pairs of a resample counted as distinct pairs, as the literal
+rebuild counts them: the ``(M r)_b`` term removes only the ``i1 = i2``
+diagonal, leaving ``sum_k m_k (m_k - 1) ||W_k||^2``.  That term inflates the
+fitted coefficient at p of the order of n (acceptance criterion 11); its
+mend replaces ``M r`` with ``(M o M) r`` over the distinct-row pair count.
+
+Every other initial (``dicker``, ``single``, ``full``, ``selection`` and
+user callables) keeps the generic path: each resample is rebuilt as a
+dataset and the initial is called on it, serially.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -37,7 +58,7 @@ from .estimators import (
 from .model import CovariateModel, LabeledDataset, build_w, sample_variance_y
 from .selection import t_gamma
 
-__all__ = ["BootstrapConfig", "empirical_estimator", "resolve_initial"]
+__all__ = ["BootstrapConfig", "INITIAL_IDS", "empirical_estimator", "resolve_initial"]
 
 InitialEstimator = Callable[[LabeledDataset, CovariateModel], float]
 
@@ -71,6 +92,18 @@ _INITIALS: dict[str, InitialEstimator] = {
     "full": _full,
 }
 
+# Identifiers accepted for the initial estimator (the CLI's --initial).
+INITIAL_IDS = tuple(_INITIALS)
+
+
+def _rowsq(a: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, a)
+
+
+# Elements of the count matrix held at once: about 32 MB of float64 however
+# tall the data, while n = 400, B = 200 still runs as one block.
+_BLOCK_ELEMS = 1 << 22
+
 
 def resolve_initial(initial: Union[str, InitialEstimator]) -> InitialEstimator:
     """Map an estimator identifier to a function; callables pass through."""
@@ -98,19 +131,67 @@ class BootstrapConfig:
             raise ValueError("empirical covariance needs n_boot >= 2")
 
 
+def _resample_rows(n: int, cfg: BootstrapConfig, b: int) -> np.ndarray:
+    """Row indices of resample b, drawn from its own ``SeedSequence((seed, b))``."""
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, b)))
+    return rng.integers(0, n, size=n)
+
+
+def _naive_stars(
+    ds: LabeledDataset, cfg: BootstrapConfig, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``naive*`` and ``g_n*`` of every resample, from blocks of the count matrix."""
+    n = ds.n
+    w = ds.x * ds.y[:, None]
+    r = _rowsq(w)
+    per_block = max(1, min(cfg.n_boot, _BLOCK_ELEMS // n))
+    counts = np.empty((per_block, n))
+    tau_stars = np.empty(cfg.n_boot)
+    g_stars = np.empty(cfg.n_boot)
+    for start in range(0, cfg.n_boot, per_block):
+        block = counts[: min(per_block, cfg.n_boot - start)]
+        for k in range(len(block)):
+            block[k] = np.bincount(_resample_rows(n, cfg, start + k), minlength=n)
+        stop = start + len(block)
+        tau_stars[start:stop] = (_rowsq(block @ w) - block @ r) / (n * (n - 1))
+        g_stars[start:stop] = block @ g / n
+    return tau_stars, g_stars
+
+
+def _rebuilt_stars(
+    ds: LabeledDataset,
+    model: CovariateModel,
+    cfg: BootstrapConfig,
+    initial: InitialEstimator,
+    g: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The initial and ``g_n`` on every resample, each rebuilt as a dataset."""
+    tau_stars = np.empty(cfg.n_boot)
+    g_stars = np.empty(cfg.n_boot)
+    for b in range(cfg.n_boot):
+        rows = _resample_rows(ds.n, cfg, b)
+        resampled = LabeledDataset(ds.x[rows], ds.y[rows], whitened=ds.whitened)
+        try:
+            tau_stars[b] = initial(resampled, model)
+        except Exception as exc:  # noqa: BLE001 - attributed and re-raised
+            raise InitialEstimatorFailure(b, exc) from exc
+        g_stars[b] = np.mean(g[rows])
+    return tau_stars, g_stars
+
+
 def empirical_estimator(
     ds: LabeledDataset,
     model: CovariateModel,
     cfg: BootstrapConfig,
-    *,
-    workers: int = 1,
 ) -> EstimateReport:
     """Run the bootstrap-coefficient correction around an initial estimator.
 
+    The ``naive`` initial is evaluated on all resamples from the count matrix
+    (see the module docstring); other initials, callables included, are
+    called on each rebuilt resample in index order, and a failure there
+    raises :class:`InitialEstimatorFailure` carrying the resample index.
     Returns a report with ``aux`` recording the fitted coefficient, the
-    bootstrap count, and the initial estimator's id.  Resamples may run on
-    ``workers`` threads; the combination is by resample index, so the result
-    does not depend on execution order.
+    bootstrap count, and the initial estimator's id.
     """
     initial = resolve_initial(cfg.initial_estimator)
     initial_id = cfg.initial_estimator if isinstance(cfg.initial_estimator, str) else "custom"
@@ -118,25 +199,11 @@ def empirical_estimator(
     tau2_init = initial(ds, model)
     n = ds.n
 
-    def one_resample(b: int) -> tuple[float, float]:
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, b)))
-        idx = rng.integers(0, n, size=n)
-        resampled = LabeledDataset(ds.x[idx], ds.y[idx], whitened=ds.whitened)
-        try:
-            tau2_b = initial(resampled, model)
-        except Exception as exc:  # noqa: BLE001 - attributed and re-raised
-            raise InitialEstimatorFailure(b, exc) from exc
-        g_n_b = float(np.mean(single.g_per_obs[idx]))
-        return tau2_b, g_n_b
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(one_resample, range(cfg.n_boot)))
+    if initial_id == "naive":
+        tau_stars, g_stars = _naive_stars(ds, cfg, single.g_per_obs)
     else:
-        pairs = [one_resample(b) for b in range(cfg.n_boot)]
+        tau_stars, g_stars = _rebuilt_stars(ds, model, cfg, initial, single.g_per_obs)
 
-    tau_stars = np.array([t for t, _ in pairs])
-    g_stars = np.array([g for _, g in pairs])
     cov = float(np.cov(tau_stars, g_stars, ddof=1)[0, 1])
     var_g_n = single.var_g / n
     c_tilde = cov / var_g_n

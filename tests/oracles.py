@@ -158,3 +158,29 @@ def gap_select_loop(beta2):
             best_gap, best_pos = gap, k
     threshold = svals[best_pos]
     return sorted(j for j in range(p) if beta2[j] > threshold), threshold
+
+
+def empirical_loop(ds, model, cfg):
+    """The bootstrap-coefficient estimator evaluated literally.
+
+    Each resample is rebuilt as a dataset from its ``SeedSequence((seed, b))``
+    row indices and the initial estimator is called on it.  Returns
+    ``(tau2, c_tilde)``.
+    """
+    from varest.estimators import build_single_zero
+    from varest.model import LabeledDataset
+    from varest.zeroboost import resolve_initial
+
+    initial = resolve_initial(cfg.initial_estimator)
+    single = build_single_zero(ds, model)
+    n = ds.n
+    tau_stars = np.empty(cfg.n_boot)
+    g_stars = np.empty(cfg.n_boot)
+    for b in range(cfg.n_boot):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, b)))
+        idx = rng.integers(0, n, size=n)
+        resampled = LabeledDataset(ds.x[idx], ds.y[idx], whitened=ds.whitened)
+        tau_stars[b] = initial(resampled, model)
+        g_stars[b] = np.mean(single.g_per_obs[idx])
+    c_tilde = float(np.cov(tau_stars, g_stars, ddof=1)[0, 1]) / (single.var_g / n)
+    return initial(ds, model) - c_tilde * single.g_n, c_tilde

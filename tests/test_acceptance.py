@@ -460,16 +460,19 @@ def test_c11_bootstrap_non_degradation():
     # is the same-row-pair inflation described in the module docstring
     c_star = c_star_oracle(beta, build_single_zero(ds0, model), model)
     bcfg = BootstrapConfig(n_boot=200, seed=1000, initial_estimator="naive")
-    serial = empirical_estimator(ds0, model, bcfg, workers=1)
-    parallel = empirical_estimator(ds0, model, bcfg, workers=3)
-    deterministic = (serial.tau2 == parallel.tau2
-                     and serial.aux["c_tilde"] == parallel.aux["c_tilde"])
+    first = empirical_estimator(ds0, model, bcfg)
+    second = empirical_estimator(ds0, model, bcfg)
+    loop_tau2, loop_c = oracles.empirical_loop(ds0, model, bcfg)
+    deterministic = (first.tau2 == second.tau2
+                     and first.aux["c_tilde"] == second.aux["c_tilde"]
+                     and abs(first.tau2 - loop_tau2) <= 1e-12 * abs(loop_tau2)
+                     and abs(first.aux["c_tilde"] - loop_c) <= 1e-12 * abs(loop_c))
     ok = ratio <= 1.05 and deterministic
     elapsed = time.time() - t0
     assert report(11, "bootstrap non-degradation + determinism", ok,
                   f"SE ratio {ratio:.3f} <= 1.05 (mean c_tilde/c* "
-                  f"{c_tildes.mean() / c_star:.2f}); parallel bitwise "
-                  f"{'ok' if deterministic else 'MISMATCH'}, {elapsed:.0f}s")
+                  f"{c_tildes.mean() / c_star:.2f}); repeat bitwise and loop "
+                  f"1e-12 {'ok' if deterministic else 'MISMATCH'}, {elapsed:.0f}s")
 
 
 # ---------------------------------------------------------------------------

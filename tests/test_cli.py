@@ -108,6 +108,35 @@ class TestSimulate:
         assert rc == 2
 
 
+class TestEmpiricalFlags:
+    @staticmethod
+    def base_args(command, tmp_path, toy_dataset):
+        if command == "simulate":
+            return ["simulate", "--n", "10", "--p", "4", "--tau2", "1", "--tau2b", "0.2",
+                    "--b-size", "2", "--reps", "2", "--seed", "1",
+                    "--records-out", str(tmp_path / "r.csv"),
+                    "--summary-out", str(tmp_path / "s.csv")]
+        data, model = toy_dataset
+        return ["estimate", "--data", str(data), "--model", str(model)]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--initial", "bogus"], "--initial"),
+        (["--boot", "1"], "--boot"),
+    ], ids=["initial", "boot"])
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_bad_value_exits_2(self, tmp_path, toy_dataset, capsys, command, flags, message):
+        rc = run_cli(self.base_args(command, tmp_path, toy_dataset) + ["--empirical", *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_ignored_without_empirical(self, tmp_path, toy_dataset, command):
+        # the bootstrap flags only matter when the empirical estimator runs
+        args = self.base_args(command, tmp_path, toy_dataset)
+        assert run_cli(args + ["--initial", "bogus", "--boot", "1"]) == 0
+
+
 class TestEstimate:
     def test_naive_toy_value(self, toy_dataset, capsys):
         data, model = toy_dataset

@@ -5,7 +5,10 @@ from varest.errors import DegenerateZeroEstimator, InitialEstimatorFailure
 from varest.estimators import build_single_zero, c_star_oracle
 from varest.model import CoefficientVector, CovariateModel, LabeledDataset
 from varest.simgen import ScenarioConfig, build_beta, generate_dataset
+from varest import zeroboost
 from varest.zeroboost import BootstrapConfig, empirical_estimator, resolve_initial
+
+from oracles import empirical_loop
 
 GAUSS = CovariateModel.standard_gaussian
 
@@ -37,13 +40,18 @@ class TestEmpiricalEstimator:
         assert abs(report.tau2 - 0.7) < 1e-12
 
     def test_bitwise_deterministic_serial_vs_parallel(self):
+        # resamples no longer run on threads: two calls must agree bitwise,
+        # and both must agree with the literal per-resample loop
         ds = make_ds(2)
         model = GAUSS(12)
         cfg = BootstrapConfig(n_boot=40, seed=9, initial_estimator="naive")
-        serial = empirical_estimator(ds, model, cfg, workers=1)
-        parallel = empirical_estimator(ds, model, cfg, workers=4)
-        assert serial.tau2 == parallel.tau2
-        assert serial.aux["c_tilde"] == parallel.aux["c_tilde"]
+        first = empirical_estimator(ds, model, cfg)
+        second = empirical_estimator(ds, model, cfg)
+        assert first.tau2 == second.tau2
+        assert first.aux["c_tilde"] == second.aux["c_tilde"]
+        tau2, c_tilde = empirical_loop(ds, model, cfg)
+        assert first.tau2 == pytest.approx(tau2, rel=1e-12, abs=0)
+        assert first.aux["c_tilde"] == pytest.approx(c_tilde, rel=1e-12, abs=0)
 
     def test_requires_p_at_least_two(self):
         g = np.random.default_rng(0)
@@ -124,3 +132,62 @@ class TestEmpiricalEstimator:
         from varest.model import sample_variance_y
         assert report.tau2 + report.sigma2 == pytest.approx(
             sample_variance_y(ds.y), rel=1e-12)
+
+
+class TestCountForms:
+    """The count-matrix ``naive`` initial against the literal per-resample rebuild."""
+
+    @pytest.mark.parametrize("n, p", [(60, 12), (40, 40), (30, 70)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n_boot", [2, 40])
+    def test_matches_loop(self, n, p, seed, n_boot):
+        ds = make_ds(seed, n=n, p=p)
+        model = GAUSS(p)
+        cfg = BootstrapConfig(n_boot=n_boot, seed=seed + 3, initial_estimator="naive")
+        report = empirical_estimator(ds, model, cfg)
+        tau2, c_tilde = empirical_loop(ds, model, cfg)
+        assert report.tau2 == pytest.approx(tau2, rel=1e-12, abs=0)
+        assert report.aux["c_tilde"] == pytest.approx(c_tilde, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("per_block", [1, 3, 7])
+    def test_blocks_match_loop(self, monkeypatch, per_block):
+        # tall data builds the count matrix a block of resamples at a time;
+        # a ragged last block must not change the result
+        ds = make_ds(4, n=30, p=10)
+        model = GAUSS(10)
+        monkeypatch.setattr(zeroboost, "_BLOCK_ELEMS", per_block * ds.n)
+        cfg = BootstrapConfig(n_boot=20, seed=2, initial_estimator="naive")
+        report = empirical_estimator(ds, model, cfg)
+        tau2, c_tilde = empirical_loop(ds, model, cfg)
+        assert report.tau2 == pytest.approx(tau2, rel=1e-12, abs=0)
+        assert report.aux["c_tilde"] == pytest.approx(c_tilde, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("initial, per_resample", [
+        ("naive", False), ("dicker", True), ("single", True),
+        ("full", True), ("selection", True), ("custom", True),
+    ])
+    def test_which_initials_run_per_resample(self, monkeypatch, initial, per_resample):
+        # naive is called once, on the full data; every other initial is
+        # called once more per rebuilt resample
+        ds = make_ds(5, n=40, p=8)
+        model = GAUSS(8)
+        if initial == "custom":
+            named = lambda d, m: float(d.y[0] ** 2)  # noqa: E731
+        else:
+            named = resolve_initial(initial)
+        calls = []
+
+        def counted(d, m):
+            calls.append(d.n)
+            return named(d, m)
+
+        if initial == "custom":
+            initial = counted
+        else:
+            monkeypatch.setitem(zeroboost._INITIALS, initial, counted)
+        cfg = BootstrapConfig(n_boot=6, seed=1, initial_estimator=initial)
+        report = empirical_estimator(ds, model, cfg)
+        assert len(calls) == (1 + cfg.n_boot if per_resample else 1)
+        tau2, c_tilde = empirical_loop(ds, model, cfg)
+        assert report.tau2 == pytest.approx(tau2, rel=1e-12, abs=0)
+        assert report.aux["c_tilde"] == pytest.approx(c_tilde, rel=1e-12, abs=0)
