@@ -29,6 +29,7 @@ from .estimators import (
     EstimateReport,
     SingleZeroStat,
     build_single_zero,
+    c_hat_numerator,
     c_hat_star,
     c_star_oracle,
     dicker_tau2,
@@ -41,6 +42,7 @@ from .estimators import (
     t_oracle,
 )
 from .harness import (
+    DatasetStats,
     HarnessOptions,
     RepRecord,
     SummaryStats,

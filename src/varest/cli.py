@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DegenerateZeroEstimator, VarestError
 from .estimators import ESTIMATOR_IDS
 from .harness import (
+    DatasetStats,
     HarnessOptions,
     estimate,
     read_records_csv,
@@ -154,6 +155,12 @@ def _options_from_args(args, estimators: list[str]) -> HarnessOptions:
             )
         if args.boot < 2:
             raise _ConfigError(f"--boot must be at least 2, got {args.boot}")
+    if "selection" in estimators:
+        if args.select_split and not 0.0 < args.select_split_fraction < 1.0:
+            raise _ConfigError("--select-split-fraction must be in (0, 1), "
+                               f"got {args.select_split_fraction}")
+        if args.select_cap is not None and args.select_cap < 0:
+            raise _ConfigError(f"--select-cap must be nonnegative, got {args.select_cap}")
     return HarnessOptions(
         select_split=args.select_split,
         select_split_fraction=args.select_split_fraction,
@@ -258,12 +265,10 @@ def _cmd_estimate(args) -> int:
         ds = ds.center_y()
 
     rows = []
-    from .harness import _attach_variance  # variance attachment shared with the harness
-
+    stats = DatasetStats(ds, model)
     for eid in estimators:
         try:
-            report = estimate(ds, model, eid, options=options, boot_seed=0)
-            report = _attach_variance(report, ds, model, args.variance)
+            report = estimate(stats, eid, options=options, boot_seed=0)
             tau2, sigma2 = report.tau2, report.sigma2
             if args.clamp:
                 tau2, sigma2 = max(0.0, tau2), max(0.0, sigma2)

@@ -46,6 +46,7 @@ __all__ = [
     "EstimateReport",
     "SingleZeroStat",
     "build_single_zero",
+    "c_hat_numerator",
     "c_hat_star",
     "c_star_oracle",
     "dicker_tau2",
@@ -277,10 +278,10 @@ def c_hat_star(w: WMatrix, single: SingleZeroStat) -> float:
     """
     if w.n < 2:
         raise TooFewObservations("c_hat_star needs n >= 2")
-    return _chat_numerator(w, single) / single.var_g
+    return c_hat_numerator(w, single) / single.var_g
 
 
-def _chat_numerator(w: WMatrix, single: SingleZeroStat) -> float:
+def c_hat_numerator(w: WMatrix, single: SingleZeroStat) -> float:
     """The bracketed pair sum ``(2/(n(n-1))) sum_{i1 != i2} sum_j W S``."""
     s = w.w * single.g_per_obs[:, None]
     s_sums = ordered_col_sums(s)

@@ -1,10 +1,16 @@
-"""Monte Carlo driver: run a scenario across replications and summarize.
+"""Monte Carlo driver: one estimate dispatch, scenario runs and summaries.
+
+``estimate`` runs one estimator by id together with its variance estimate
+(``HarnessOptions.variance_method``).  It reads W, the Gram matrix, the
+single-zero statistic, ``sigma_Y^2`` and the naive variance estimates from
+one ``DatasetStats`` per dataset, so each is built at most once.
 
 ``run_scenario`` maps (scenario, estimator list) to one record per
 (replication, estimator).  Replications are independent — each derives its
 data purely from ``(seed, rep_index)`` — so they can run on worker processes;
 records are keyed and sorted by replication index, making parallel and serial
-runs produce identical record sets.
+runs produce identical record sets.  Beta and the covariate model are built
+once per scenario.
 
 ``summarize`` turns records into benchmark-table rows: mean, bias
 (``true - mean``), SE (sample standard deviation), RMSE (root mean squared
@@ -19,12 +25,14 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InsufficientRecords, VarestError
 from .estimators import (
     EstimateReport,
+    SingleZeroStat,
     build_single_zero,
     dicker_tau2,
     naive_tau2,
@@ -33,8 +41,8 @@ from .estimators import (
     t_full,
     t_oracle,
 )
-from .kernels import gram, ordered_sum
-from .model import CovariateModel, LabeledDataset, build_w, sample_variance_y
+from .kernels import GramMatrix, gram, ordered_sum
+from .model import CovariateModel, LabeledDataset, WMatrix, build_w, sample_variance_y
 from .selection import beta_squared_estimates, t_gamma
 from .simgen import ScenarioConfig, build_beta, covariate_model_for, generate_dataset
 from .variance import (
@@ -47,6 +55,7 @@ from .variance import (
 from .zeroboost import BootstrapConfig, empirical_estimator
 
 __all__ = [
+    "DatasetStats",
     "HarnessOptions",
     "RepRecord",
     "SummaryStats",
@@ -109,138 +118,129 @@ def worker_count(requested: int | None = None) -> int:
     return max(1, min(want, limit))
 
 
+@dataclass(frozen=True, eq=False)
+class DatasetStats:
+    """The per-dataset statistics every estimator and variance estimate reads.
+
+    Each member is built on first use and then kept, so one object serves all
+    estimators on a dataset: W, its Gram matrix, the single-zero statistic,
+    ``sigma_Y^2`` and the naive variance estimate of each method.
+    """
+
+    ds: LabeledDataset
+    model: CovariateModel
+
+    @cached_property
+    def w(self) -> WMatrix:
+        return build_w(self.ds)
+
+    @cached_property
+    def sigma_y2(self) -> float:
+        return sample_variance_y(self.ds.y)
+
+    @cached_property
+    def single(self) -> SingleZeroStat:
+        return build_single_zero(self.ds, self.model)
+
+    @cached_property
+    def gram(self) -> GramMatrix:
+        return gram(self.w)
+
+    @cached_property
+    def plugin_base(self) -> float:
+        return var_hat_naive_gaussian(naive_tau2(self.w), self.sigma_y2, self.ds.n, self.ds.p)
+
+    @cached_property
+    def tilde_base(self) -> float:
+        return var_tilde_naive(self.w, self.gram, self.ds.n)
+
+    def naive_variance(self, method: str | None) -> float | None:
+        """The naive estimator's variance estimate by ``method`` (None: none)."""
+        if method is None:
+            return None
+        return self.plugin_base if method == "gaussian-plugin" else self.tilde_base
+
+
 def estimate(
-    ds: LabeledDataset,
-    model: CovariateModel,
+    stats: DatasetStats,
     estimator_id: str,
     *,
     beta=None,
     options: HarnessOptions = HarnessOptions(),
     boot_seed: int = 0,
 ) -> EstimateReport:
-    """Run one estimator by id and wrap the result in a report.
+    """Run one estimator by id, with its variance estimate when one is asked for.
 
-    ``oracle`` needs the true coefficient vector (simulation reference);
-    ``empirical`` derives its bootstrap seed from ``boot_seed``.
+    ``options.variance_method`` selects the variance estimate; estimators
+    without one under that method report None.  ``oracle`` needs the true
+    coefficient vector (simulation reference); ``empirical`` derives its
+    bootstrap seed from ``boot_seed``.
     """
-    sigma_y2 = sample_variance_y(ds.y)
-
+    ds, model, method = stats.ds, stats.model, options.variance_method
+    if method not in (None, "gaussian-plugin", "tilde"):
+        raise VarestError(f"unknown variance method {method!r}")
+    variance = None
     if estimator_id == "selection":
-        return t_gamma(
-            ds,
-            model,
-            split=options.select_split,
-            split_fraction=options.select_split_fraction,
-            cap=options.select_cap,
-        )
-    if estimator_id == "empirical":
+        report = t_gamma(ds, model, split=options.select_split,
+                         split_fraction=options.select_split_fraction, cap=options.select_cap)
+        if method is not None:
+            beta2, selected = beta_squared_estimates(stats.w), report.aux["selected"]
+            base = stats.naive_variance(method)
+            variance = (var_hat_t_gamma(base, beta2, selected, ds.n)
+                        if method == "gaussian-plugin"
+                        else var_tilde_t_gamma(base, beta2, selected, model, ds.n))
+    elif estimator_id == "empirical":
         cfg = BootstrapConfig(n_boot=options.boot, seed=boot_seed,
                               initial_estimator=options.initial)
-        return empirical_estimator(ds, model, cfg)
-
-    w = build_w(ds)
-    aux: dict = {}
-    if estimator_id == "naive":
-        tau2 = naive_tau2(w)
-    elif estimator_id == "dicker":
-        tau2 = dicker_tau2(ds)
-    elif estimator_id == "full":
-        tau2 = t_full(ds, w, model)
-    elif estimator_id == "single":
-        single = build_single_zero(ds, model)
-        tau2 = t_c_hat_star(w, single)
-    elif estimator_id == "oracle":
-        if beta is None:
-            raise VarestError("the oracle estimator needs the true beta")
-        tau2 = t_oracle(ds, w, beta, model)
+        report = empirical_estimator(ds, model, cfg)
     else:
-        raise VarestError(f"unknown estimator id {estimator_id!r}")
+        if estimator_id in ("naive", "dicker"):
+            tau2 = naive_tau2(stats.w) if estimator_id == "naive" else dicker_tau2(ds)
+            variance = stats.naive_variance(method)
+        elif estimator_id == "full":
+            tau2 = t_full(ds, stats.w, model)
+        elif estimator_id == "single":
+            tau2 = t_c_hat_star(stats.w, stats.single)
+            if method == "tilde":
+                variance = var_tilde_t_chat(stats.tilde_base, stats.w, stats.single, ds.n)
+        elif estimator_id == "oracle":
+            if beta is None:
+                raise VarestError("the oracle estimator needs the true beta")
+            tau2 = t_oracle(ds, stats.w, beta, model)
+        else:
+            raise VarestError(f"unknown estimator id {estimator_id!r}")
+        report = EstimateReport(tau2=tau2, sigma2=sigma2_from(tau2, stats.sigma_y2),
+                                estimator_id=estimator_id)
 
-    return EstimateReport(
-        tau2=tau2,
-        sigma2=sigma2_from(tau2, sigma_y2),
-        estimator_id=estimator_id,
-        aux=aux,
-    )
-
-
-def _attach_variance(
-    report: EstimateReport,
-    ds: LabeledDataset,
-    model: CovariateModel,
-    method: str | None,
-) -> EstimateReport:
-    """Attach the requested variance estimate where one is defined."""
-    if method is None:
-        return report
-    eid = report.estimator_id
-    w = build_w(ds)
-    value: float | None = None
     aux = dict(report.aux)
-    if method == "gaussian-plugin":
-        if not model.gaussian:
-            aux["variance_warning"] = "gaussian-plugin requested for a non-gaussian model"
-        base = var_hat_naive_gaussian(naive_tau2(w), sample_variance_y(ds.y), ds.n, ds.p)
-        if eid in ("naive", "dicker"):
-            value = base
-        elif eid == "selection":
-            value = var_hat_t_gamma(
-                base, beta_squared_estimates(w), aux.get("selected", ()), ds.n
-            )
-    elif method == "tilde":
-        base = var_tilde_naive(w, gram(w), ds.n)
-        if eid in ("naive", "dicker"):
-            value = base
-        elif eid == "selection":
-            value = var_tilde_t_gamma(
-                base, beta_squared_estimates(w), aux.get("selected", ()), model, ds.n
-            )
-        elif eid == "single":
-            value = var_tilde_t_chat(base, w, build_single_zero(ds, model), ds.n)
-    else:
-        raise VarestError(f"unknown variance method {method!r}")
-    if value is not None and value < 0.0:
+    if method == "gaussian-plugin" and not model.gaussian:
+        aux["variance_warning"] = "gaussian-plugin requested for a non-gaussian model"
+    if variance is not None and variance < 0.0:
         aux["variance_warning"] = "negative variance estimate (reported raw)"
-    return replace(report, variance_estimate=value, aux=aux)
+    return replace(report, variance_estimate=variance, aux=aux)
 
 
 def _run_rep(args) -> list[RepRecord]:
-    cfg, estimator_ids, options, rep = args
-    beta = build_beta(cfg)
-    model = covariate_model_for(cfg)
-    ds = generate_dataset(cfg, beta, rep)
+    cfg, beta, model, estimator_ids, options, rep = args
+    stats = DatasetStats(generate_dataset(cfg, beta, rep), model)
     records = []
     for eid in estimator_ids:
         start = time.perf_counter()
         try:
-            report = estimate(
-                ds, model, eid,
-                beta=beta,
-                options=options,
-                boot_seed=_boot_seed(cfg.seed, rep),
-            )
-            report = _attach_variance(report, ds, model, options.variance_method)
-            wall = time.perf_counter() - start
-            records.append(RepRecord(
-                rep_index=rep,
-                estimator_id=eid,
-                tau2_hat=report.tau2,
-                sigma2_hat=report.sigma2,
-                variance_estimate=report.variance_estimate,
-                wall_time=wall,
-                aux=report.aux,
-            ))
+            report = estimate(stats, eid, beta=beta, options=options,
+                              boot_seed=_boot_seed(cfg.seed, rep))
         except VarestError as exc:
-            wall = time.perf_counter() - start
-            records.append(RepRecord(
-                rep_index=rep,
-                estimator_id=eid,
-                tau2_hat=float("nan"),
-                sigma2_hat=float("nan"),
-                variance_estimate=None,
-                wall_time=wall,
-                aux={"error": f"{type(exc).__name__}: {exc}"},
-            ))
+            report = EstimateReport(tau2=float("nan"), sigma2=float("nan"), estimator_id=eid,
+                                    aux={"error": f"{type(exc).__name__}: {exc}"})
+        records.append(RepRecord(
+            rep_index=rep,
+            estimator_id=eid,
+            tau2_hat=report.tau2,
+            sigma2_hat=report.sigma2,
+            variance_estimate=report.variance_estimate,
+            wall_time=time.perf_counter() - start,
+            aux=report.aux,
+        ))
     return records
 
 
@@ -261,7 +261,8 @@ def run_scenario(
     identical for serial and parallel execution.
     """
     estimator_ids = list(estimator_ids)
-    jobs = [(cfg, estimator_ids, options, rep) for rep in range(cfg.reps)]
+    beta, model = build_beta(cfg), covariate_model_for(cfg)
+    jobs = [(cfg, beta, model, estimator_ids, options, rep) for rep in range(cfg.reps)]
     workers = worker_count(options.workers)
     if workers > 1 and cfg.reps > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewColumns, TooFewObservations
-from .estimators import EstimateReport, naive_tau2, psi_hat, sigma2_from
-from .kernels import ordered_sum
+from .errors import TooFewColumns, TooFewObservations, VarestError
+from .estimators import EstimateReport, sigma2_from, t_b
 from .model import CovariateModel, LabeledDataset, build_w, sample_variance_y
 
 __all__ = [
@@ -92,20 +91,22 @@ def t_gamma(
 
     With ``split=False`` (the default) selection and correction both use the
     full data.  With ``split=True`` the rows are partitioned: the leading
-    ``split_fraction`` block selects B_gamma and the remaining block computes
-    both the naive estimate and the correction terms, which removes
-    post-selection bias (rows are i.i.d., so a leading block is statistically
-    equivalent to a random subset).
+    ``split_fraction`` block (a fraction in (0, 1)) selects B_gamma and the
+    rest computes both the naive estimate and the correction terms, which
+    removes post-selection bias (rows are i.i.d., so a leading block is
+    statistically equivalent to a random subset).
 
-    ``cap`` bounds |B_gamma| (effective bound ``min(p, cap)``), keeping the
-    strongest estimates; pass ``cap=None`` to disable.
+    ``cap >= 0`` bounds |B_gamma| (effective bound ``min(p, cap)``), keeping
+    the strongest estimates; pass ``cap=None`` to disable.
     """
     n = ds.n
+    if cap is not None and cap < 0:
+        raise VarestError(f"cap must be nonnegative, got {cap}")
     if split:
+        if not 0.0 < split_fraction < 1.0:
+            raise VarestError(f"split_fraction must be in (0, 1), got {split_fraction}")
         if n < 6:
             raise TooFewObservations("split selection needs n >= 6")
-        if not 0.0 < split_fraction < 1.0:
-            raise ValueError("split_fraction must be in (0, 1)")
         n_select = min(max(int(round(split_fraction * n)), 2), n - 3)
         select_ds = LabeledDataset(ds.x[:n_select], ds.y[:n_select], whitened=ds.whitened)
         est_ds = LabeledDataset(ds.x[n_select:], ds.y[n_select:], whitened=ds.whitened)
@@ -126,17 +127,7 @@ def t_gamma(
         selected = sorted(selected)
 
     est_w = select_w if est_ds is select_ds else build_w(est_ds)
-    naive = naive_tau2(est_w)
-    if selected:
-        terms = [
-            psi_hat(est_ds, est_w, j, j_prime, model)
-            for j in selected
-            for j_prime in selected
-        ]
-        tau2 = naive - 2.0 * ordered_sum(terms)
-    else:
-        tau2 = naive
-
+    tau2 = t_b(est_ds, est_w, selected, model)
     sigma_y2 = sample_variance_y(est_ds.y)
     return EstimateReport(
         tau2=tau2,

@@ -37,7 +37,7 @@ from .errors import (
     TooFewObservations,
     UnsupportedDependenceStructure,
 )
-from .estimators import SingleZeroStat, _chat_numerator, naive_tau2
+from .estimators import SingleZeroStat, c_hat_numerator, naive_tau2
 from .kernels import GramMatrix, chain_sum_distinct, offdiag_square_sum, ordered_sum
 from .model import CoefficientVector, CovariateModel, WMatrix
 
@@ -308,5 +308,5 @@ def var_tilde_t_chat(
     """
     if single.n < 2 or w.p < 2:
         raise DegenerateZeroEstimator("single-correction variance needs p >= 2")
-    bracket = _chat_numerator(w, single)
+    bracket = c_hat_numerator(w, single)
     return var_tilde - bracket * bracket / (n * single.var_g)

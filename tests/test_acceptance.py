@@ -131,12 +131,12 @@ def test_c01_kernel_oracle_equivalence():
         j = int(rng.integers(0, p))
         jp = int(rng.integers(0, p))
         npairs = n * (n - 1) * (n - 2)
-        from varest.estimators import psi_hat, _chat_numerator
+        from varest.estimators import c_hat_numerator, psi_hat
         close(psi_hat(ds, w, j, jp, model), oracles.psi_loop(ds.x, w.w, j, jp),
               np.abs(w.w[:, j]).sum() * np.abs(w.w[:, jp]).sum() / npairs * n)
         if p >= 2:
             single = build_single_zero(ds, model)
-            close(_chat_numerator(w, single),
+            close(c_hat_numerator(w, single),
                   oracles.chat_numerator_loop(w.w, single.g_per_obs),
                   np.abs(w.w).sum() ** 2 / (n * (n - 1)))
         # beta'A-beta-hat and ||A||F^2-hat are the chain / offdiag kernels

@@ -137,6 +137,33 @@ class TestEmpiricalFlags:
         assert run_cli(args + ["--initial", "bogus", "--boot", "1"]) == 0
 
 
+class TestSelectionFlags:
+    base_args = staticmethod(TestEmpiricalFlags.base_args)
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--select-split", "--select-split-fraction", "1.5"], "--select-split-fraction"),
+        (["--select-split", "--select-split-fraction", "0"], "--select-split-fraction"),
+        (["--select-cap", "-1"], "--select-cap"),
+    ], ids=["fraction-above-1", "fraction-0", "negative-cap"])
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_bad_value_exits_2(self, tmp_path, toy_dataset, capsys, command, flags, message):
+        args = self.base_args(command, tmp_path, toy_dataset)
+        rc = run_cli(args + ["--estimators", "naive,selection", *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_ignored_without_selection(self, tmp_path, toy_dataset, command):
+        args = self.base_args(command, tmp_path, toy_dataset)
+        flags = ["--select-split", "--select-split-fraction", "1.5", "--select-cap", "-1"]
+        assert run_cli(args + flags) == 0
+
+    def test_fraction_ignored_without_split(self, tmp_path, toy_dataset):
+        args = self.base_args("simulate", tmp_path, toy_dataset)
+        assert run_cli(args + ["--estimators", "selection", "--select-split-fraction", "1.5"]) == 0
+
+
 class TestEstimate:
     def test_naive_toy_value(self, toy_dataset, capsys):
         data, model = toy_dataset

@@ -1,10 +1,23 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from varest.errors import InsufficientRecords
+from varest.estimators import (
+    ESTIMATOR_IDS,
+    EstimateReport,
+    build_single_zero,
+    dicker_tau2,
+    naive_tau2,
+    sigma2_from,
+    t_c_hat_star,
+    t_full,
+    t_oracle,
+)
 from varest.harness import (
+    DatasetStats,
     HarnessOptions,
     RepRecord,
     estimate,
@@ -15,7 +28,18 @@ from varest.harness import (
     write_records_csv,
     write_summary_csv,
 )
-from varest.simgen import ScenarioConfig
+from varest.kernels import gram
+from varest.model import build_w, sample_variance_y
+from varest.selection import beta_squared_estimates, t_gamma
+from varest.simgen import ScenarioConfig, build_beta, covariate_model_for, generate_dataset
+from varest.variance import (
+    var_hat_naive_gaussian,
+    var_hat_t_gamma,
+    var_tilde_naive,
+    var_tilde_t_chat,
+    var_tilde_t_gamma,
+)
+from varest.zeroboost import BootstrapConfig, empirical_estimator
 
 
 def small_cfg(**overrides):
@@ -63,10 +87,9 @@ class TestRunScenario:
                                  reps=1, seed=1)
         # force an error by requesting oracle without beta through estimate()
         from varest.errors import VarestError
-        from varest.simgen import build_beta, covariate_model_for, generate_dataset
         ds = generate_dataset(cfg_bad, build_beta(cfg_bad), 0)
         with pytest.raises(VarestError):
-            estimate(ds, covariate_model_for(cfg_bad), "oracle")
+            estimate(DatasetStats(ds, covariate_model_for(cfg_bad)), "oracle")
 
     def test_variance_attached_when_requested(self):
         records = run_scenario(small_cfg(reps=2), ["naive"],
@@ -78,6 +101,93 @@ class TestRunScenario:
         assert worker_count(8) == 1
         monkeypatch.delenv("VAREST_THREADS")
         assert worker_count(1) == 1
+
+
+def two_step(ds, model, eid, beta, options, boot_seed):
+    """The public functions composed as estimate-then-attach-variance."""
+    w = build_w(ds)
+    if eid == "selection":
+        report = t_gamma(ds, model, split=options.select_split,
+                         split_fraction=options.select_split_fraction, cap=options.select_cap)
+    elif eid == "empirical":
+        report = empirical_estimator(ds, model, BootstrapConfig(
+            n_boot=options.boot, seed=boot_seed, initial_estimator=options.initial))
+    else:
+        tau2 = {
+            "naive": lambda: naive_tau2(w),
+            "dicker": lambda: dicker_tau2(ds),
+            "full": lambda: t_full(ds, w, model),
+            "single": lambda: t_c_hat_star(w, build_single_zero(ds, model)),
+            "oracle": lambda: t_oracle(ds, w, beta, model),
+        }[eid]()
+        report = EstimateReport(tau2, sigma2_from(tau2, sample_variance_y(ds.y)), eid)
+    method = options.variance_method
+    if method is None:
+        return report
+    aux, value = dict(report.aux), None
+    selected = aux.get("selected", ())
+    if method == "gaussian-plugin":
+        if not model.gaussian:
+            aux["variance_warning"] = "gaussian-plugin requested for a non-gaussian model"
+        base = var_hat_naive_gaussian(naive_tau2(w), sample_variance_y(ds.y), ds.n, ds.p)
+        if eid in ("naive", "dicker"):
+            value = base
+        elif eid == "selection":
+            value = var_hat_t_gamma(base, beta_squared_estimates(w), selected, ds.n)
+    else:
+        base = var_tilde_naive(w, gram(w), ds.n)
+        if eid in ("naive", "dicker"):
+            value = base
+        elif eid == "selection":
+            value = var_tilde_t_gamma(base, beta_squared_estimates(w), selected, model, ds.n)
+        elif eid == "single":
+            value = var_tilde_t_chat(base, w, build_single_zero(ds, model), ds.n)
+    if value is not None and value < 0.0:
+        aux["variance_warning"] = "negative variance estimate (reported raw)"
+    return replace(report, variance_estimate=value, aux=aux)
+
+
+# Both draw a non-empty selected set and negative tilde variances; the
+# rademacher-mix one also draws the non-gaussian plug-in warning.
+DISPATCH_CASES = {"gaussian": dict(n=12, p=20), "rademacher-mix": dict(n=8, p=30)}
+
+
+class TestEstimateDispatch:
+    @pytest.mark.parametrize("x_dist", sorted(DISPATCH_CASES))
+    @pytest.mark.parametrize("method", [None, "gaussian-plugin", "tilde"])
+    @pytest.mark.parametrize("eid", ESTIMATOR_IDS)
+    def test_matches_two_step(self, eid, method, x_dist):
+        cfg = small_cfg(x_dist=x_dist, reps=1, **DISPATCH_CASES[x_dist])
+        beta, model = build_beta(cfg), covariate_model_for(cfg)
+        ds = generate_dataset(cfg, beta, 0)
+        options = HarnessOptions(variance_method=method, boot=20)
+        got = estimate(DatasetStats(ds, model), eid, beta=beta, options=options, boot_seed=7)
+        want = two_step(ds, model, eid, beta, options, boot_seed=7)
+        assert (got.estimator_id, got.tau2, got.sigma2, got.variance_estimate, got.aux) == \
+            (want.estimator_id, want.tau2, want.sigma2, want.variance_estimate, want.aux)
+
+    def test_statistics_built_once(self, monkeypatch):
+        import varest.harness as harness
+
+        calls = {"build_w": 0, "gram": 0, "build_single_zero": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(harness, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(harness, name, counted)
+        cfg = small_cfg(reps=1)
+        beta = build_beta(cfg)
+        stats = DatasetStats(generate_dataset(cfg, beta, 0), covariate_model_for(cfg))
+        for eid in ESTIMATOR_IDS:
+            estimate(stats, eid, beta=beta, options=HarnessOptions(variance_method="tilde", boot=5))
+        assert calls == {"build_w": 1, "gram": 1, "build_single_zero": 1}
+
+    def test_unknown_variance_method(self):
+        from varest.errors import VarestError
+        cfg = small_cfg(reps=1)
+        stats = DatasetStats(generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg))
+        with pytest.raises(VarestError, match="variance method"):
+            estimate(stats, "full", options=HarnessOptions(variance_method="bogus"))
 
 
 class TestSummarize:

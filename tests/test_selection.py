@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from varest.errors import TooFewColumns, TooFewObservations
+from varest.errors import TooFewColumns, TooFewObservations, VarestError
 from varest.estimators import naive_tau2, psi_hat
 from varest.kernels import ordered_sum
 from varest.model import CovariateModel, LabeledDataset, build_w
@@ -135,6 +135,16 @@ class TestTGamma:
         ds, model = self._scenario_ds(seed=12, tau2_b=0.5)
         report = t_gamma(ds, model, cap=2)
         assert len(report.aux["selected"]) <= 2
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(split=True, split_fraction=1.5),
+        dict(split=True, split_fraction=0.0),
+        dict(cap=-1),
+    ], ids=["fraction-above-1", "fraction-0", "negative-cap"])
+    def test_bad_option_raises(self, kwargs):
+        ds, model = self._scenario_ds(seed=12, tau2_b=0.5)
+        with pytest.raises(VarestError):
+            t_gamma(ds, model, **kwargs)
 
     def test_split_recovery_rate(self):
         # With a strong fixed B, split selection should place the largest gap
