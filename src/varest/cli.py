@@ -201,21 +201,27 @@ def _load_model(path: str, p: int) -> CovariateModel:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise _ConfigError(f"cannot read model file: {exc}") from exc
-    mean = raw.get("mean", 0.0)
-    mean = np.full(p, float(mean)) if np.isscalar(mean) else np.asarray(mean, dtype=float)
-    cov = raw.get("covariance", "identity")
-    cov = np.eye(p) if isinstance(cov, str) and cov == "identity" else np.asarray(cov, dtype=float)
-    m4 = raw.get("fourth_moments", 3.0)
-    m4 = np.full(p, float(m4)) if np.isscalar(m4) else np.asarray(m4, dtype=float)
+    if not isinstance(raw, dict):
+        raise _ConfigError("invalid covariate model: the file must hold a JSON object")
+    flags = {"independent_columns": raw.get("independent_columns", True),
+             "gaussian": raw.get("gaussian", False)}
+    for key, value in flags.items():
+        if not isinstance(value, bool):
+            raise _ConfigError(f"invalid covariate model: {key} must be true or false")
     try:
+        mean = raw.get("mean", 0.0)
+        mean = np.full(p, float(mean)) if np.isscalar(mean) else np.asarray(mean, dtype=float)
+        cov = raw.get("covariance", "identity")
+        cov = np.eye(p) if cov == "identity" else np.asarray(cov, dtype=float)
+        m4 = raw.get("fourth_moments", 3.0)
+        m4 = np.full(p, float(m4)) if np.isscalar(m4) else np.asarray(m4, dtype=float)
         return CovariateModel(
             mean=mean,
             covariance=cov,
             fourth_moments=m4,
-            independent_columns=bool(raw.get("independent_columns", True)),
-            gaussian=bool(raw.get("gaussian", False)),
+            **flags,
         )
-    except (VarestError, ValueError) as exc:
+    except (VarestError, ValueError, TypeError) as exc:
         raise _ConfigError(f"invalid covariate model: {exc}") from exc
 
 
@@ -232,7 +238,7 @@ def _load_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
         if not header or header[0] != "y" or len(header) < 2:
             raise _ConfigError(f"{path}:1: expected header y,x1,...,xp")
         width = len(header)
-        ys, xs = [], []
+        ys, xs, linenos = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -243,9 +249,14 @@ def _load_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
                 xs.append([float(v) for v in row[1:]])
             except ValueError as exc:
                 raise _ConfigError(f"{path}:{lineno}: {exc}") from exc
+            linenos.append(lineno)
     if len(ys) < 2:
         raise _ConfigError(f"{path}: need at least 2 observations")
-    return np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    finite = np.isfinite(y) & np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise _ConfigError(f"{path}:{linenos[np.argmin(finite)]}: values must be finite")
+    return x, y
 
 
 def _cmd_estimate(args) -> int:
@@ -260,7 +271,7 @@ def _cmd_estimate(args) -> int:
     options = _options_from_args(args, estimators)
     if args.raw_x:
         x = whiten(x, model)
-    ds = LabeledDataset(x=x, y=y, whitened=True)
+    ds = LabeledDataset(x=x, y=y)
     if args.center_y:
         ds = ds.center_y()
 

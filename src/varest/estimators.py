@@ -104,12 +104,7 @@ def dicker_tau2(ds: LabeledDataset) -> float:
     return (ordered_sum(xy * xy) - ds.p * y_sq) / (ds.n * (ds.n + 1))
 
 
-def t_oracle(
-    ds: LabeledDataset,
-    w: WMatrix,
-    beta: CoefficientVector,
-    model: CovariateModel,
-) -> float:
+def t_oracle(ds: LabeledDataset, w: WMatrix, beta: CoefficientVector) -> float:
     """Oracle-corrected estimator; requires the true beta.
 
     Subtracts ``2 sum_{j,j'} beta_j beta_j' h_jj'`` where ``h_jj'`` is the
@@ -124,13 +119,7 @@ def t_oracle(
     return naive_tau2(w) - correction
 
 
-def psi_hat(
-    ds: LabeledDataset,
-    w: WMatrix,
-    j: int,
-    j_prime: int,
-    model: CovariateModel,
-) -> float:
+def psi_hat(ds: LabeledDataset, w: WMatrix, j: int, j_prime: int) -> float:
     """Mean-zero correction term for the column pair (j, j').
 
     The distinct-triple U-statistic
@@ -152,7 +141,7 @@ def psi_hat(
     return value / (n * (n - 1) * (n - 2))
 
 
-def t_full(ds: LabeledDataset, w: WMatrix, model: CovariateModel) -> float:
+def t_full(ds: LabeledDataset, w: WMatrix) -> float:
     """Feasible fully-corrected estimator ``naive - 2 sum_{j,j'} psi_hat``.
 
     The p^2 pair terms share one observation-pair structure: with
@@ -177,12 +166,7 @@ def t_full(ds: LabeledDataset, w: WMatrix, model: CovariateModel) -> float:
     return naive - correction
 
 
-def t_b(
-    ds: LabeledDataset,
-    w: WMatrix,
-    b_set,
-    model: CovariateModel,
-) -> float:
+def t_b(ds: LabeledDataset, w: WMatrix, b_set) -> float:
     """Corrected estimator over a fixed column set B.
 
     ``naive - 2 sum_{j, j' in B} psi_hat_{jj'}``; unbiased for any
@@ -198,11 +182,7 @@ def t_b(
         return naive
     if n < 3:
         raise TooFewObservations("t_b needs n >= 3")
-    terms = [
-        psi_hat(ds, w, j, j_prime, model)
-        for j in indices
-        for j_prime in indices
-    ]
+    terms = [psi_hat(ds, w, j, j_prime) for j in indices for j_prime in indices]
     return naive - 2.0 * ordered_sum(terms)
 
 

@@ -3,7 +3,9 @@
 ``estimate`` runs one estimator by id together with its variance estimate
 (``HarnessOptions.variance_method``).  It reads W, the Gram matrix, the
 single-zero statistic, ``sigma_Y^2`` and the naive variance estimates from
-one ``DatasetStats`` per dataset, so each is built at most once.
+one ``DatasetStats`` per dataset, so each is built at most once.  Split
+selection estimates on its second row block, so its variance reads the
+statistics of that block instead.
 
 ``run_scenario`` maps (scenario, estimator list) to one record per
 (replication, estimator).  Replications are independent — each derives its
@@ -181,14 +183,18 @@ def estimate(
         raise VarestError(f"unknown variance method {method!r}")
     variance = None
     if estimator_id == "selection":
-        report = t_gamma(ds, model, split=options.select_split,
+        report = t_gamma(ds, stats.w, split=options.select_split,
                          split_fraction=options.select_split_fraction, cap=options.select_cap)
         if method is not None:
-            beta2, selected = beta_squared_estimates(stats.w), report.aux["selected"]
-            base = stats.naive_variance(method)
-            variance = (var_hat_t_gamma(base, beta2, selected, ds.n)
+            # The variance of the rows that estimate: the split's second block.
+            n_select = report.aux["n_select_rows"]
+            est = (DatasetStats(LabeledDataset(ds.x[n_select:], ds.y[n_select:]), model)
+                   if options.select_split else stats)
+            beta2, selected = beta_squared_estimates(est.w), report.aux["selected"]
+            base, n = est.naive_variance(method), est.ds.n
+            variance = (var_hat_t_gamma(base, beta2, selected, n)
                         if method == "gaussian-plugin"
-                        else var_tilde_t_gamma(base, beta2, selected, model, ds.n))
+                        else var_tilde_t_gamma(base, beta2, selected, model, n))
     elif estimator_id == "empirical":
         cfg = BootstrapConfig(n_boot=options.boot, seed=boot_seed,
                               initial_estimator=options.initial)
@@ -198,7 +204,7 @@ def estimate(
             tau2 = naive_tau2(stats.w) if estimator_id == "naive" else dicker_tau2(ds)
             variance = stats.naive_variance(method)
         elif estimator_id == "full":
-            tau2 = t_full(ds, stats.w, model)
+            tau2 = t_full(ds, stats.w)
         elif estimator_id == "single":
             tau2 = t_c_hat_star(stats.w, stats.single)
             if method == "tilde":
@@ -206,7 +212,7 @@ def estimate(
         elif estimator_id == "oracle":
             if beta is None:
                 raise VarestError("the oracle estimator needs the true beta")
-            tau2 = t_oracle(ds, stats.w, beta, model)
+            tau2 = t_oracle(ds, stats.w, beta)
         else:
             raise VarestError(f"unknown estimator id {estimator_id!r}")
         report = EstimateReport(tau2=tau2, sigma2=sigma2_from(tau2, stats.sigma_y2),

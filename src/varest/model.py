@@ -77,13 +77,15 @@ class CovariateModel:
         p = mean.shape[0]
         if cov.shape != (p, p):
             raise DimensionMismatch(f"covariance must be {p}x{p}, got {cov.shape}")
-        if not np.allclose(cov, cov.T, rtol=1e-12, atol=1e-12):
-            raise ValueError("covariance must be symmetric")
         m4 = np.asarray(self.fourth_moments, dtype=np.float64)
         if m4.ndim == 0:
             m4 = np.full(p, float(m4))
         if m4.shape != (p,):
             raise DimensionMismatch(f"fourth_moments must have length {p}")
+        if not all(np.all(np.isfinite(a)) for a in (mean, cov, m4)):
+            raise ValueError("mean, covariance and fourth moments must be finite")
+        if not np.allclose(cov, cov.T, rtol=1e-12, atol=1e-12):
+            raise ValueError("covariance must be symmetric")
         if np.any(m4 < 1.0):
             raise ValueError("fourth moments must be >= 1 after whitening")
         if self.gaussian and not np.all(m4 == 3.0):
@@ -160,7 +162,6 @@ class LabeledDataset:
 
     x: np.ndarray
     y: np.ndarray
-    whitened: bool = True
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
@@ -194,7 +195,7 @@ class LabeledDataset:
         generates zero-intercept data).
         """
         ybar = ordered_sum(self.y) / self.n
-        return LabeledDataset(x=self.x, y=self.y - ybar, whitened=self.whitened)
+        return LabeledDataset(x=self.x, y=self.y - ybar)
 
 
 @dataclass(frozen=True)

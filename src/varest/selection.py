@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import TooFewColumns, TooFewObservations, VarestError
 from .estimators import EstimateReport, sigma2_from, t_b
-from .model import CovariateModel, LabeledDataset, build_w, sample_variance_y
+from .model import LabeledDataset, WMatrix, build_w, sample_variance_y
 
 __all__ = [
     "SelectionResult",
@@ -81,7 +81,7 @@ def gap_select(beta2) -> SelectionResult:
 
 def t_gamma(
     ds: LabeledDataset,
-    model: CovariateModel,
+    w: WMatrix,
     *,
     split: bool = False,
     split_fraction: float = 0.5,
@@ -89,12 +89,13 @@ def t_gamma(
 ) -> EstimateReport:
     """Selection estimator: naive minus the correction over the gap-selected set.
 
-    With ``split=False`` (the default) selection and correction both use the
-    full data.  With ``split=True`` the rows are partitioned: the leading
-    ``split_fraction`` block (a fraction in (0, 1)) selects B_gamma and the
-    rest computes both the naive estimate and the correction terms, which
-    removes post-selection bias (rows are i.i.d., so a leading block is
-    statistically equivalent to a random subset).
+    ``w`` is the W matrix of ``ds``.  With ``split=False`` (the default)
+    selection and correction both use it.  With ``split=True`` the rows are
+    partitioned: the leading ``split_fraction`` block (a fraction in (0, 1))
+    selects B_gamma and the rest computes both the naive estimate and the
+    correction terms, which removes post-selection bias (rows are i.i.d., so
+    a leading block is statistically equivalent to a random subset); each
+    block gets its own W and ``w`` is not read.
 
     ``cap >= 0`` bounds |B_gamma| (effective bound ``min(p, cap)``), keeping
     the strongest estimates; pass ``cap=None`` to disable.
@@ -108,16 +109,16 @@ def t_gamma(
         if n < 6:
             raise TooFewObservations("split selection needs n >= 6")
         n_select = min(max(int(round(split_fraction * n)), 2), n - 3)
-        select_ds = LabeledDataset(ds.x[:n_select], ds.y[:n_select], whitened=ds.whitened)
-        est_ds = LabeledDataset(ds.x[n_select:], ds.y[n_select:], whitened=ds.whitened)
+        select_w = build_w(LabeledDataset(ds.x[:n_select], ds.y[:n_select]))
+        est_ds = LabeledDataset(ds.x[n_select:], ds.y[n_select:])
+        est_w = build_w(est_ds)
     else:
         if n < 3:
             raise TooFewObservations("t_gamma needs n >= 3")
         n_select = n
-        select_ds = ds
+        select_w = est_w = w
         est_ds = ds
 
-    select_w = build_w(select_ds)
     beta2 = beta_squared_estimates(select_w)
     result = gap_select(beta2)
     selected = list(result.selected)
@@ -126,8 +127,7 @@ def t_gamma(
         selected = sorted(selected, key=lambda j: -beta2[j])[:keep]
         selected = sorted(selected)
 
-    est_w = select_w if est_ds is select_ds else build_w(est_ds)
-    tau2 = t_b(est_ds, est_w, selected, model)
+    tau2 = t_b(est_ds, est_w, selected)
     sigma_y2 = sample_variance_y(est_ds.y)
     return EstimateReport(
         tau2=tau2,
@@ -137,6 +137,6 @@ def t_gamma(
             "selected": tuple(selected),
             "threshold": result.threshold_value,
             "split": split,
-            "n_select_rows": n_select if split else n,
+            "n_select_rows": n_select,
         },
     )

@@ -144,4 +144,4 @@ def generate_dataset(
     x = _draw_x(rng, cfg.n, cfg.p, cfg.x_dist)
     eps = rng.standard_normal(cfg.n) * math.sqrt(cfg.sigma2)
     y = x @ beta.beta + eps
-    return LabeledDataset(x=x, y=y, whitened=True)
+    return LabeledDataset(x=x, y=y)

@@ -77,11 +77,11 @@ def _single(ds: LabeledDataset, model: CovariateModel) -> float:
 
 
 def _selection(ds: LabeledDataset, model: CovariateModel) -> float:
-    return t_gamma(ds, model).tau2
+    return t_gamma(ds, build_w(ds)).tau2
 
 
 def _full(ds: LabeledDataset, model: CovariateModel) -> float:
-    return t_full(ds, build_w(ds), model)
+    return t_full(ds, build_w(ds))
 
 
 _INITIALS: dict[str, InitialEstimator] = {
@@ -170,7 +170,7 @@ def _rebuilt_stars(
     g_stars = np.empty(cfg.n_boot)
     for b in range(cfg.n_boot):
         rows = _resample_rows(ds.n, cfg, b)
-        resampled = LabeledDataset(ds.x[rows], ds.y[rows], whitened=ds.whitened)
+        resampled = LabeledDataset(ds.x[rows], ds.y[rows])
         try:
             tau_stars[b] = initial(resampled, model)
         except Exception as exc:  # noqa: BLE001 - attributed and re-raised

@@ -179,7 +179,7 @@ def empirical_loop(ds, model, cfg):
     for b in range(cfg.n_boot):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, b)))
         idx = rng.integers(0, n, size=n)
-        resampled = LabeledDataset(ds.x[idx], ds.y[idx], whitened=ds.whitened)
+        resampled = LabeledDataset(ds.x[idx], ds.y[idx])
         tau_stars[b] = initial(resampled, model)
         g_stars[b] = np.mean(single.g_per_obs[idx])
     c_tilde = float(np.cov(tau_stars, g_stars, ddof=1)[0, 1]) / (single.var_g / n)

@@ -132,7 +132,7 @@ def test_c01_kernel_oracle_equivalence():
         jp = int(rng.integers(0, p))
         npairs = n * (n - 1) * (n - 2)
         from varest.estimators import c_hat_numerator, psi_hat
-        close(psi_hat(ds, w, j, jp, model), oracles.psi_loop(ds.x, w.w, j, jp),
+        close(psi_hat(ds, w, j, jp), oracles.psi_loop(ds.x, w.w, j, jp),
               np.abs(w.w[:, j]).sum() * np.abs(w.w[:, jp]).sum() / npairs * n)
         if p >= 2:
             single = build_single_zero(ds, model)
@@ -156,16 +156,15 @@ def test_c02_unbiasedness():
     cfg = ScenarioConfig(n=n, p=p, tau2=1.0, tau2_b=0.5, sigma2=1.0, b_size=5,
                          reps=1, seed=0)
     beta = build_beta(cfg)
-    model = GAUSS(p)
     b_fixed = list(range(5))
     vals = {k: np.empty(reps) for k in ("naive", "oracle", "full", "t_b")}
     for r in range(reps):
         ds = gaussian_data(202, r, n, p, beta.beta)
         w = build_w(ds)
         vals["naive"][r] = naive_tau2(w)
-        vals["oracle"][r] = t_oracle(ds, w, beta, model)
-        vals["full"][r] = t_full(ds, w, model)
-        vals["t_b"][r] = t_b(ds, w, b_fixed, model)
+        vals["oracle"][r] = t_oracle(ds, w, beta)
+        vals["full"][r] = t_full(ds, w)
+        vals["t_b"][r] = t_b(ds, w, b_fixed)
     details = []
     ok = True
     for k, v in vals.items():
@@ -222,7 +221,7 @@ def mc200():
         if c_star is None:
             c_star = c_star_oracle(bv, single, model)
         out["naive"][r] = naive_tau2(w)
-        out["oracle"][r] = t_oracle(ds, w, bv, model)
+        out["oracle"][r] = t_oracle(ds, w, bv)
         out["tcstar"][r] = out["naive"][r] - c_star * single.g_n
         out["chat"][r] = c_hat_star(w, single)
     out["n"] = n
@@ -267,7 +266,7 @@ def test_c06_full_estimation_cost():
     vals = np.empty(reps)
     for r in range(reps):
         ds = gaussian_data(606, r, n, p, beta)
-        vals[r] = t_full(ds, build_w(ds), model)
+        vals[r] = t_full(ds, build_w(ds))
     nv = n * vals.var(ddof=1)
     # 12 + 16 + 32 = 60 at n = p: oracle variance plus the second- and
     # third-order estimation costs (see var_t_full_theory)
@@ -290,7 +289,6 @@ def test_c07_fixed_set_reduction():
     cfg = ScenarioConfig(n=n, p=p, tau2=1.0, tau2_b=0.5, sigma2=1.0, b_size=5,
                          reps=1, seed=0)
     beta = build_beta(cfg)
-    model = GAUSS(p)
     b_fixed = list(range(5))
     naive_vals = np.empty(reps)
     tb_vals = np.empty(reps)
@@ -298,7 +296,7 @@ def test_c07_fixed_set_reduction():
         ds = gaussian_data(707, r, n, p, beta.beta)
         w = build_w(ds)
         naive_vals[r] = naive_tau2(w)
-        tb_vals[r] = t_b(ds, w, b_fixed, model)
+        tb_vals[r] = t_b(ds, w, b_fixed)
     gap = n * (naive_vals.var(ddof=1) - tb_vals.var(ddof=1))
     ok = 1.4 < gap < 2.6
     elapsed = time.time() - t0
@@ -404,7 +402,7 @@ def test_c10_variance_estimator_consistency():
         naive_vals[r] = naive_tau2(w)
         single = build_single_zero(ds, model)
         tchat_vals[r] = t_c_hat_star(w, single)
-        rep_sel = t_gamma(ds, model, cap=None)
+        rep_sel = t_gamma(ds, w, cap=None)
         tg_vals[r] = rep_sel.tau2
         from varest.model import sample_variance_y
         plugin[r] = var_hat_naive_gaussian(naive_vals[r],

@@ -216,6 +216,35 @@ class TestEstimate:
         assert rc == 2
         assert ":3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_reports_line(self, tmp_path, capsys, bad):
+        data = tmp_path / "bad.csv"
+        data.write_text(f"y,x1\n1.0,2.0\n\n0.5,{bad}\n2.0,1.0\n")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"covariance": "identity"}))
+        rc = run_cli(["estimate", "--data", str(data), "--model", str(model)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and ":4:" in err and "finite" in err
+
+    @pytest.mark.parametrize("content", [
+        {"covariance": "foo"},
+        {"mean": "abc"},
+        {"fourth_moments": [3, "x"]},
+        {"mean": None},
+        {"independent_columns": "false"},
+        {"gaussian": 1},
+        [1, 2],
+    ], ids=["covariance-string", "mean-string", "fourth-moments-string", "mean-null",
+            "independent-string", "gaussian-number", "top-level-list"])
+    def test_malformed_model_exits_2(self, tmp_path, toy_dataset, capsys, content):
+        model = tmp_path / "bad_model.json"
+        model.write_text(json.dumps(content))
+        rc = run_cli(["estimate", "--data", str(toy_dataset[0]), "--model", str(model)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: invalid covariate model")
+
     def test_selection_aux_lists_columns(self, tmp_path, capsys):
         g = np.random.default_rng(0)
         n, p = 60, 6

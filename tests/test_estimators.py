@@ -94,26 +94,25 @@ class TestOracle:
     def test_zero_beta_equals_naive(self):
         ds, w = make_data(5, 12, 4)
         beta = CoefficientVector(np.zeros(4))
-        assert t_oracle(ds, w, beta, GAUSS(4)) == naive_tau2(w)
+        assert t_oracle(ds, w, beta) == naive_tau2(w)
 
     def test_p1_correction_form(self):
         # with p = 1 the correction is 2*beta^2 * mean(X^2 - 1)
         ds, w = make_data(6, 20, 1, beta=np.array([1.3]))
         beta = CoefficientVector(np.array([1.3]))
-        got = t_oracle(ds, w, beta, GAUSS(1))
+        got = t_oracle(ds, w, beta)
         expected = naive_tau2(w) - 2.0 * 1.3 ** 2 * np.mean(ds.x[:, 0] ** 2 - 1.0)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_dimension_mismatch(self):
         ds, w = make_data(7, 5, 2)
         with pytest.raises(DimensionMismatch):
-            t_oracle(ds, w, CoefficientVector(np.zeros(3)), GAUSS(2))
+            t_oracle(ds, w, CoefficientVector(np.zeros(3)))
 
     def test_unbiased_and_lower_variance(self):
         # small monte carlo: mean near tau2 and variance below naive
         p, n, reps = 8, 25, 3000
         beta = CoefficientVector(np.full(p, 1 / np.sqrt(p)))
-        model = GAUSS(p)
         naive_vals = np.empty(reps)
         oracle_vals = np.empty(reps)
         for r in range(reps):
@@ -123,7 +122,7 @@ class TestOracle:
             ds = LabeledDataset(x=x, y=y)
             w = build_w(ds)
             naive_vals[r] = naive_tau2(w)
-            oracle_vals[r] = t_oracle(ds, w, beta, model)
+            oracle_vals[r] = t_oracle(ds, w, beta)
         se = oracle_vals.std(ddof=1) / np.sqrt(reps)
         assert abs(oracle_vals.mean() - 1.0) < 3 * se
         assert oracle_vals.var(ddof=1) < naive_vals.var(ddof=1)
@@ -134,13 +133,13 @@ class TestPsiHat:
         ds = LabeledDataset(x=np.random.default_rng(1).standard_normal((5, 2)),
                             y=np.zeros(5))
         w = build_w(ds)
-        assert psi_hat(ds, w, 0, 1, GAUSS(2)) == 0.0
+        assert psi_hat(ds, w, 0, 1) == 0.0
 
     def test_matches_loop(self):
         ds, w = make_data(8, 10, 3, beta=np.array([1.0, 0.5, 0.0]))
         for j, jp in [(0, 0), (0, 1), (2, 1)]:
             np.testing.assert_allclose(
-                psi_hat(ds, w, j, jp, GAUSS(3)),
+                psi_hat(ds, w, j, jp),
                 psi_loop(ds.x, w.w, j, jp),
                 rtol=1e-11,
             )
@@ -155,24 +154,23 @@ class TestPsiHat:
             x = g.standard_normal((n, p))
             y = x @ beta + g.standard_normal(n)
             ds = LabeledDataset(x=x, y=y)
-            vals[r] = psi_hat(ds, build_w(ds), 0, 1, GAUSS(p))
+            vals[r] = psi_hat(ds, build_w(ds), 0, 1)
         se = vals.std(ddof=1) / np.sqrt(reps)
         assert abs(vals.mean()) < 3 * se
 
     def test_too_few(self):
         ds = LabeledDataset(x=[[1.0], [2.0]], y=[1.0, 1.0])
         with pytest.raises(TooFewObservations):
-            psi_hat(ds, build_w(ds), 0, 0, GAUSS(1))
+            psi_hat(ds, build_w(ds), 0, 0)
 
 
 class TestTFull:
     def test_matches_psi_sum(self):
         ds, w = make_data(9, 12, 3, beta=np.array([0.7, -0.2, 0.1]))
-        model = GAUSS(3)
         expected = naive_tau2(w) - 2.0 * sum(
             psi_loop(ds.x, w.w, j, jp) for j in range(3) for jp in range(3)
         )
-        np.testing.assert_allclose(t_full(ds, w, model), expected, rtol=1e-11)
+        np.testing.assert_allclose(t_full(ds, w), expected, rtol=1e-11)
 
     def test_degenerate_p1_equals_naive(self):
         # constant-magnitude X makes every centered second moment vanish
@@ -180,37 +178,33 @@ class TestTFull:
         y = np.array([0.5, 1.5, -0.7, 0.9])
         ds = LabeledDataset(x=x, y=y)
         w = build_w(ds)
-        np.testing.assert_allclose(t_full(ds, w, GAUSS(1)), naive_tau2(w), rtol=1e-12)
+        np.testing.assert_allclose(t_full(ds, w), naive_tau2(w), rtol=1e-12)
 
     def test_too_few(self):
         ds = LabeledDataset(x=[[1.0], [2.0]], y=[1.0, 1.0])
         with pytest.raises(TooFewObservations):
-            t_full(ds, build_w(ds), GAUSS(1))
+            t_full(ds, build_w(ds))
 
 
 class TestTB:
     def test_empty_set_is_naive(self):
         ds, w = make_data(10, 8, 3, beta=np.ones(3))
-        assert t_b(ds, w, [], GAUSS(3)) == naive_tau2(w)
+        assert t_b(ds, w, []) == naive_tau2(w)
 
     def test_full_set_is_t_full(self):
         ds, w = make_data(11, 10, 3, beta=np.ones(3))
-        model = GAUSS(3)
-        np.testing.assert_allclose(
-            t_b(ds, w, [0, 1, 2], model), t_full(ds, w, model), rtol=1e-10
-        )
+        np.testing.assert_allclose(t_b(ds, w, [0, 1, 2]), t_full(ds, w), rtol=1e-10)
 
     def test_index_out_of_range(self):
         ds, w = make_data(12, 8, 3)
         with pytest.raises(IndexOutOfRange):
-            t_b(ds, w, [3], GAUSS(3))
+            t_b(ds, w, [3])
 
     def test_row_permutation_bitwise(self):
         ds, w = make_data(13, 20, 4, beta=np.full(4, 0.4))
-        model = GAUSS(4)
         perm = np.random.default_rng(14).permutation(20)
         ds2 = LabeledDataset(x=ds.x[perm], y=ds.y[perm])
-        assert t_b(ds, w, [0, 2], model) == t_b(ds2, build_w(ds2), [0, 2], model)
+        assert t_b(ds, w, [0, 2]) == t_b(ds2, build_w(ds2), [0, 2])
 
 
 class TestSingleZero:
@@ -348,7 +342,6 @@ class TestZeroEstimatorNeutrality:
         # built from exactly mean-zero statistics
         n, p, reps = 40, 10, 3000
         beta = CoefficientVector(np.full(p, 1 / np.sqrt(p)))
-        model = GAUSS(p)
         corr_oracle = np.empty(reps)
         corr_b = np.empty(reps)
         for r in range(reps):
@@ -358,8 +351,8 @@ class TestZeroEstimatorNeutrality:
             ds = LabeledDataset(x=x, y=y)
             w = build_w(ds)
             naive = naive_tau2(w)
-            corr_oracle[r] = naive - t_oracle(ds, w, beta, model)
-            corr_b[r] = naive - t_b(ds, w, [0, 1, 2], model)
+            corr_oracle[r] = naive - t_oracle(ds, w, beta)
+            corr_b[r] = naive - t_b(ds, w, [0, 1, 2])
         for corr in (corr_oracle, corr_b):
             se = corr.std(ddof=1) / np.sqrt(reps)
             assert abs(corr.mean()) < 3 * se

@@ -29,7 +29,7 @@ from varest.harness import (
     write_summary_csv,
 )
 from varest.kernels import gram
-from varest.model import build_w, sample_variance_y
+from varest.model import LabeledDataset, build_w, sample_variance_y
 from varest.selection import beta_squared_estimates, t_gamma
 from varest.simgen import ScenarioConfig, build_beta, covariate_model_for, generate_dataset
 from varest.variance import (
@@ -107,7 +107,7 @@ def two_step(ds, model, eid, beta, options, boot_seed):
     """The public functions composed as estimate-then-attach-variance."""
     w = build_w(ds)
     if eid == "selection":
-        report = t_gamma(ds, model, split=options.select_split,
+        report = t_gamma(ds, w, split=options.select_split,
                          split_fraction=options.select_split_fraction, cap=options.select_cap)
     elif eid == "empirical":
         report = empirical_estimator(ds, model, BootstrapConfig(
@@ -116,9 +116,9 @@ def two_step(ds, model, eid, beta, options, boot_seed):
         tau2 = {
             "naive": lambda: naive_tau2(w),
             "dicker": lambda: dicker_tau2(ds),
-            "full": lambda: t_full(ds, w, model),
+            "full": lambda: t_full(ds, w),
             "single": lambda: t_c_hat_star(w, build_single_zero(ds, model)),
-            "oracle": lambda: t_oracle(ds, w, beta, model),
+            "oracle": lambda: t_oracle(ds, w, beta),
         }[eid]()
         report = EstimateReport(tau2, sigma2_from(tau2, sample_variance_y(ds.y)), eid)
     method = options.variance_method
@@ -168,19 +168,42 @@ class TestEstimateDispatch:
 
     def test_statistics_built_once(self, monkeypatch):
         import varest.harness as harness
+        import varest.selection as selection
 
         calls = {"build_w": 0, "gram": 0, "build_single_zero": 0}
-        for name in calls:
-            def counted(*args, _fn=getattr(harness, name), _name=name):
+        for module, name in [(harness, "build_w"), (selection, "build_w"),
+                             (harness, "gram"), (harness, "build_single_zero")]:
+            def counted(*args, _fn=getattr(module, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
-            monkeypatch.setattr(harness, name, counted)
+            monkeypatch.setattr(module, name, counted)
         cfg = small_cfg(reps=1)
         beta = build_beta(cfg)
         stats = DatasetStats(generate_dataset(cfg, beta, 0), covariate_model_for(cfg))
         for eid in ESTIMATOR_IDS:
             estimate(stats, eid, beta=beta, options=HarnessOptions(variance_method="tilde", boot=5))
         assert calls == {"build_w": 1, "gram": 1, "build_single_zero": 1}
+
+    @pytest.mark.parametrize("method", ["gaussian-plugin", "tilde"])
+    def test_split_selection_variance_reads_estimation_block(self, method):
+        cfg = small_cfg(n=40, p=20, reps=1, seed=3)  # selects five columns
+        beta, model = build_beta(cfg), covariate_model_for(cfg)
+        ds = generate_dataset(cfg, beta, 0)
+        options = HarnessOptions(variance_method=method, select_split=True)
+        got = estimate(DatasetStats(ds, model), "selection", options=options)
+        selected, k = got.aux["selected"], got.aux["n_select_rows"]
+        assert selected and 0 < k < ds.n
+
+        def composed(block):
+            w, n = build_w(block), block.n
+            if method == "gaussian-plugin":
+                base = var_hat_naive_gaussian(naive_tau2(w), sample_variance_y(block.y), n, block.p)
+                return var_hat_t_gamma(base, beta_squared_estimates(w), selected, n)
+            base = var_tilde_naive(w, gram(w), n)
+            return var_tilde_t_gamma(base, beta_squared_estimates(w), selected, model, n)
+
+        assert got.variance_estimate == composed(LabeledDataset(ds.x[k:], ds.y[k:]))
+        assert got.variance_estimate != composed(ds)
 
     def test_unknown_variance_method(self):
         from varest.errors import VarestError

@@ -37,6 +37,13 @@ class TestCovariateModel:
         with pytest.raises(ValueError):
             CovariateModel.independent(3, fourth_moment=0.5)
 
+    @pytest.mark.parametrize("field", ["mean", "covariance", "fourth_moments"])
+    def test_rejects_nonfinite(self, field):
+        fields = dict(mean=np.zeros(2), covariance=np.eye(2), fourth_moments=np.full(2, 3.0))
+        fields[field].flat[0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            CovariateModel(**fields)
+
     def test_gaussian_forces_fourth_moment_three(self):
         with pytest.raises(ValueError):
             CovariateModel(mean=np.zeros(2), covariance=np.eye(2),

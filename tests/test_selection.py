@@ -4,13 +4,11 @@ import pytest
 from varest.errors import TooFewColumns, TooFewObservations, VarestError
 from varest.estimators import naive_tau2, psi_hat
 from varest.kernels import ordered_sum
-from varest.model import CovariateModel, LabeledDataset, build_w
+from varest.model import LabeledDataset, build_w
 from varest.selection import beta_squared_estimates, gap_select, t_gamma
 from varest.simgen import ScenarioConfig, build_beta, generate_dataset
 
 from oracles import beta2_loop, gap_select_loop
-
-GAUSS = CovariateModel.standard_gaussian
 
 
 class TestBetaSquaredEstimates:
@@ -89,31 +87,31 @@ class TestTGamma:
         cfg = ScenarioConfig(n=n, p=p, tau2=1.0, tau2_b=tau2_b, sigma2=1.0,
                              b_size=5, reps=1, seed=seed)
         beta = build_beta(cfg)
-        return generate_dataset(cfg, beta, 0), GAUSS(p)
+        return generate_dataset(cfg, beta, 0)
 
     def test_empty_selection_returns_naive(self):
         # all-equal estimates select nothing; build data where that holds
         x = np.array([[1.0, 1.0], [1.0, 1.0], [-1.0, -1.0], [-1.0, -1.0]])
         y = np.array([1.0, 1.0, -1.0, -1.0])
         ds = LabeledDataset(x=x, y=y)
-        report = t_gamma(ds, GAUSS(2))
+        report = t_gamma(ds, build_w(ds))
         assert report.aux["selected"] == ()
         assert report.tau2 == naive_tau2(build_w(ds))
 
     def test_matches_manual_correction(self):
-        ds, model = self._scenario_ds(seed=10)
+        ds = self._scenario_ds(seed=10)
         w = build_w(ds)
         sel = gap_select(beta_squared_estimates(w)).selected
-        report = t_gamma(ds, model)
+        report = t_gamma(ds, w)
         assert report.aux["selected"] == sel
         expected = naive_tau2(w) - 2.0 * sum(
-            psi_hat(ds, w, j, jp, model) for j in sel for jp in sel
+            psi_hat(ds, w, j, jp) for j in sel for jp in sel
         )
         np.testing.assert_allclose(report.tau2, expected, rtol=1e-10)
 
     def test_split_uses_disjoint_blocks(self):
-        ds, model = self._scenario_ds(seed=11)
-        report = t_gamma(ds, model, split=True, split_fraction=0.5)
+        ds = self._scenario_ds(seed=11)
+        report = t_gamma(ds, build_w(ds), split=True, split_fraction=0.5)
         assert report.aux["split"] is True
         assert report.aux["n_select_rows"] == 60
         # the estimate must match recomputing on the second block alone
@@ -121,7 +119,7 @@ class TestTGamma:
         w_est = build_w(est)
         sel = report.aux["selected"]
         expected = naive_tau2(w_est) - 2.0 * sum(
-            psi_hat(est, w_est, j, jp, model) for j in sel for jp in sel
+            psi_hat(est, w_est, j, jp) for j in sel for jp in sel
         )
         np.testing.assert_allclose(report.tau2, expected, rtol=1e-10)
 
@@ -129,11 +127,11 @@ class TestTGamma:
         ds = LabeledDataset(x=np.random.default_rng(0).standard_normal((5, 3)),
                             y=np.zeros(5))
         with pytest.raises(TooFewObservations):
-            t_gamma(ds, GAUSS(3), split=True)
+            t_gamma(ds, build_w(ds), split=True)
 
     def test_cap_bounds_selection(self):
-        ds, model = self._scenario_ds(seed=12, tau2_b=0.5)
-        report = t_gamma(ds, model, cap=2)
+        ds = self._scenario_ds(seed=12, tau2_b=0.5)
+        report = t_gamma(ds, build_w(ds), cap=2)
         assert len(report.aux["selected"]) <= 2
 
     @pytest.mark.parametrize("kwargs", [
@@ -142,9 +140,9 @@ class TestTGamma:
         dict(cap=-1),
     ], ids=["fraction-above-1", "fraction-0", "negative-cap"])
     def test_bad_option_raises(self, kwargs):
-        ds, model = self._scenario_ds(seed=12, tau2_b=0.5)
+        ds = self._scenario_ds(seed=12, tau2_b=0.5)
         with pytest.raises(VarestError):
-            t_gamma(ds, model, **kwargs)
+            t_gamma(ds, build_w(ds), **kwargs)
 
     def test_split_recovery_rate(self):
         # With a strong fixed B, split selection should place the largest gap
@@ -157,13 +155,12 @@ class TestTGamma:
         cfg = ScenarioConfig(n=4000, p=50, tau2=1.0, tau2_b=0.9, sigma2=1.0,
                              b_size=5, reps=1, seed=303)
         beta = build_beta(cfg)
-        model = GAUSS(50)
         b_set = (0, 1, 2, 3, 4)
         hits = 0
         reps = 200
         for r in range(reps):
             ds = generate_dataset(cfg, beta, r)
-            report = t_gamma(ds, model, split=True)
+            report = t_gamma(ds, build_w(ds), split=True)
             n_select = report.aux["n_select_rows"]
             beta2 = beta_squared_estimates(
                 build_w(LabeledDataset(ds.x[:n_select], ds.y[:n_select])))
@@ -183,10 +180,9 @@ class TestReportInvariant:
         cfg = ScenarioConfig(n=80, p=20, tau2=1.0, tau2_b=0.6, b_size=4,
                              reps=1, seed=55)
         ds = generate_dataset(cfg, build_beta(cfg), 0)
-        model = GAUSS(20)
-        full = t_gamma(ds, model)
+        full = t_gamma(ds, build_w(ds))
         assert full.tau2 + full.sigma2 == pytest.approx(
             sample_variance_y(ds.y), rel=1e-12)
-        split = t_gamma(ds, model, split=True)
+        split = t_gamma(ds, build_w(ds), split=True)
         assert split.tau2 + split.sigma2 == pytest.approx(
             sample_variance_y(ds.y[40:]), rel=1e-12)

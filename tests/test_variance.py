@@ -170,7 +170,7 @@ class TestVarTBTheory:
         bv = CoefficientVector(beta)
         model = GAUSS(p)
         vals = mc_estimates(
-            lambda ds, w: t_b(ds, w, range(b_size), model), reps, n, p, beta, tag=310
+            lambda ds, w: t_b(ds, w, range(b_size)), reps, n, p, beta, tag=310
         )
         emp = vals.var(ddof=1)
         theory = var_t_b_theory(bv, 1.0, model, n, range(b_size))
@@ -223,8 +223,7 @@ class TestVarTFullTheory:
         n, p, reps = 300, 8, 2000
         beta = np.full(p, 1 / np.sqrt(p))
         model = GAUSS(p)
-        vals = mc_estimates(lambda ds, w: t_full(ds, w, model), reps, n, p, beta,
-                            tag=4001)
+        vals = mc_estimates(t_full, reps, n, p, beta, tag=4001)
         emp = vals.var(ddof=1)
         theory = var_t_full_theory(CoefficientVector(beta), 1.0, model, n, p)
         assert abs(theory - emp) / emp < 0.15
