@@ -275,7 +275,7 @@ def _cmd_estimate(args) -> int:
     if args.center_y:
         ds = ds.center_y()
 
-    rows = []
+    rows, errors = [], []
     stats = DatasetStats(ds, model)
     for eid in estimators:
         try:
@@ -287,6 +287,10 @@ def _cmd_estimate(args) -> int:
             rows.append((eid, tau2, sigma2, report.variance_estimate, aux))
         except DegenerateZeroEstimator as exc:
             rows.append((eid, None, None, None, f"warning={exc}"))
+        except VarestError as exc:
+            # One estimator's failure keeps the other rows; the exit status reports it.
+            rows.append((eid, None, None, None, f"error={type(exc).__name__}: {exc}"))
+            errors.append(f"{eid}: {exc}")
 
     lines = ["estimator,tau2,sigma2,var_hat,aux"]
     for eid, tau2, sigma2, var_hat, aux in rows:
@@ -298,7 +302,9 @@ def _cmd_estimate(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0
+    for message in errors:
+        print(f"error: {message}", file=sys.stderr)
+    return 1 if errors else 0
 
 
 def _cmd_summarize(args) -> int:

@@ -97,9 +97,9 @@ def naive_tau2(w: WMatrix) -> float:
     return ordered_sum(per_column) / (w.n * (w.n - 1))
 
 
-def dicker_tau2(ds: LabeledDataset) -> float:
-    """Method-of-moments estimate ``(||X'Y||^2 - p ||Y||^2) / (n (n + 1))``."""
-    xy = ordered_col_sums(ds.x * ds.y[:, None])
+def dicker_tau2(ds: LabeledDataset, w: WMatrix) -> float:
+    """Method-of-moments ``(||X'Y||^2 - p ||Y||^2) / (n (n + 1))``; ``X'Y = w.column_sums``."""
+    xy = w.column_sums
     y_sq = ordered_sum(ds.y * ds.y)
     return (ordered_sum(xy * xy) - ds.p * y_sq) / (ds.n * (ds.n + 1))
 

@@ -4,8 +4,9 @@
 (``HarnessOptions.variance_method``).  It reads W, the Gram matrix, the
 single-zero statistic, ``sigma_Y^2`` and the naive variance estimates from
 one ``DatasetStats`` per dataset, so each is built at most once.  Split
-selection estimates on its second row block, so its variance reads the
-statistics of that block instead.
+selection selects on the first row block of ``split_rows`` and estimates on
+the second, so its estimate and variance read one ``DatasetStats`` of that
+block instead.
 
 ``run_scenario`` maps (scenario, estimator list) to one record per
 (replication, estimator).  Replications are independent — each derives its
@@ -45,7 +46,7 @@ from .estimators import (
 )
 from .kernels import GramMatrix, gram, ordered_sum
 from .model import CovariateModel, LabeledDataset, WMatrix, build_w, sample_variance_y
-from .selection import beta_squared_estimates, t_gamma
+from .selection import beta_squared_estimates, split_rows, t_gamma
 from .simgen import ScenarioConfig, build_beta, covariate_model_for, generate_dataset
 from .variance import (
     var_hat_naive_gaussian,
@@ -183,13 +184,12 @@ def estimate(
         raise VarestError(f"unknown variance method {method!r}")
     variance = None
     if estimator_id == "selection":
-        report = t_gamma(ds, stats.w, split=options.select_split,
-                         split_fraction=options.select_split_fraction, cap=options.select_cap)
+        est, select_w = stats, None
+        if options.select_split:
+            select_ds, est_ds = split_rows(ds, options.select_split_fraction)
+            est, select_w = DatasetStats(est_ds, model), build_w(select_ds)
+        report = t_gamma(est.ds, est.w, select_w=select_w, cap=options.select_cap)
         if method is not None:
-            # The variance of the rows that estimate: the split's second block.
-            n_select = report.aux["n_select_rows"]
-            est = (DatasetStats(LabeledDataset(ds.x[n_select:], ds.y[n_select:]), model)
-                   if options.select_split else stats)
             beta2, selected = beta_squared_estimates(est.w), report.aux["selected"]
             base, n = est.naive_variance(method), est.ds.n
             variance = (var_hat_t_gamma(base, beta2, selected, n)
@@ -198,10 +198,10 @@ def estimate(
     elif estimator_id == "empirical":
         cfg = BootstrapConfig(n_boot=options.boot, seed=boot_seed,
                               initial_estimator=options.initial)
-        report = empirical_estimator(ds, model, cfg)
+        report = empirical_estimator(stats, cfg)
     else:
         if estimator_id in ("naive", "dicker"):
-            tau2 = naive_tau2(stats.w) if estimator_id == "naive" else dicker_tau2(ds)
+            tau2 = naive_tau2(stats.w) if estimator_id == "naive" else dicker_tau2(ds, stats.w)
             variance = stats.naive_variance(method)
         elif estimator_id == "full":
             tau2 = t_full(ds, stats.w)

@@ -116,13 +116,7 @@ class CovariateModel:
     @classmethod
     def standard_gaussian(cls, p: int) -> "CovariateModel":
         """N(0, I_p) covariates."""
-        return cls(
-            mean=np.zeros(p),
-            covariance=np.eye(p),
-            fourth_moments=np.full(p, 3.0),
-            independent_columns=True,
-            gaussian=True,
-        )
+        return cls.independent(p, 3.0, gaussian=True)
 
     @classmethod
     def independent(cls, p: int, fourth_moment: float, gaussian: bool = False) -> "CovariateModel":

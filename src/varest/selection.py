@@ -6,7 +6,8 @@ B_gamma of columns chosen from the data: sort the per-column estimates
 strictly above the order statistic at the gap.  Because a data-dependent B
 can bias the correction (a post-selected "zero"-estimator no longer has mean
 zero), an optional sample split performs selection and correction on disjoint
-row blocks.
+row blocks: ``split_rows`` holds the split rule, and ``t_gamma`` selects on
+the first block's W (``select_w``) and corrects on the second block's.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ import numpy as np
 
 from .errors import TooFewColumns, TooFewObservations, VarestError
 from .estimators import EstimateReport, sigma2_from, t_b
-from .model import LabeledDataset, WMatrix, build_w, sample_variance_y
+from .model import LabeledDataset, WMatrix, sample_variance_y
 
 __all__ = [
     "SelectionResult",
     "beta_squared_estimates",
     "gap_select",
+    "split_rows",
     "t_gamma",
 ]
 
@@ -79,47 +81,47 @@ def gap_select(beta2) -> SelectionResult:
     return SelectionResult(selected=selected, threshold_value=threshold, gaps=gaps)
 
 
+def split_rows(ds: LabeledDataset, fraction: float = 0.5) -> tuple[LabeledDataset, LabeledDataset]:
+    """The selection and estimation row blocks of a sample split.
+
+    The leading ``fraction`` of the rows (a fraction in (0, 1), rounded, at
+    least 2 rows and leaving at least 3) selects; the rest estimates.  Rows
+    are i.i.d., so a leading block is statistically equivalent to a random
+    subset.
+    """
+    if not 0.0 < fraction < 1.0:
+        raise VarestError(f"split_fraction must be in (0, 1), got {fraction}")
+    n = ds.n
+    if n < 6:
+        raise TooFewObservations("split selection needs n >= 6")
+    k = min(max(int(round(fraction * n)), 2), n - 3)
+    return LabeledDataset(ds.x[:k], ds.y[:k]), LabeledDataset(ds.x[k:], ds.y[k:])
+
+
 def t_gamma(
     ds: LabeledDataset,
     w: WMatrix,
     *,
-    split: bool = False,
-    split_fraction: float = 0.5,
+    select_w: WMatrix | None = None,
     cap: int | None = DEFAULT_CAP,
 ) -> EstimateReport:
     """Selection estimator: naive minus the correction over the gap-selected set.
 
-    ``w`` is the W matrix of ``ds``.  With ``split=False`` (the default)
-    selection and correction both use it.  With ``split=True`` the rows are
-    partitioned: the leading ``split_fraction`` block (a fraction in (0, 1))
-    selects B_gamma and the rest computes both the naive estimate and the
-    correction terms, which removes post-selection bias (rows are i.i.d., so
-    a leading block is statistically equivalent to a random subset); each
-    block gets its own W and ``w`` is not read.
+    ``w`` is the W matrix of ``ds``, the rows that compute both the naive
+    estimate and the correction terms.  B_gamma is selected on ``select_w``
+    when it is given, and on ``w`` otherwise.  Selecting on the W of a
+    disjoint row block (the first block of :func:`split_rows`, with ``ds``
+    the second) removes post-selection bias.
 
     ``cap >= 0`` bounds |B_gamma| (effective bound ``min(p, cap)``), keeping
     the strongest estimates; pass ``cap=None`` to disable.
     """
-    n = ds.n
     if cap is not None and cap < 0:
         raise VarestError(f"cap must be nonnegative, got {cap}")
-    if split:
-        if not 0.0 < split_fraction < 1.0:
-            raise VarestError(f"split_fraction must be in (0, 1), got {split_fraction}")
-        if n < 6:
-            raise TooFewObservations("split selection needs n >= 6")
-        n_select = min(max(int(round(split_fraction * n)), 2), n - 3)
-        select_w = build_w(LabeledDataset(ds.x[:n_select], ds.y[:n_select]))
-        est_ds = LabeledDataset(ds.x[n_select:], ds.y[n_select:])
-        est_w = build_w(est_ds)
-    else:
-        if n < 3:
-            raise TooFewObservations("t_gamma needs n >= 3")
-        n_select = n
-        select_w = est_w = w
-        est_ds = ds
-
-    beta2 = beta_squared_estimates(select_w)
+    if ds.n < 3:
+        raise TooFewObservations("t_gamma needs n >= 3")
+    split = select_w is not None
+    beta2 = beta_squared_estimates(select_w if split else w)
     result = gap_select(beta2)
     selected = list(result.selected)
     if cap is not None and len(selected) > min(ds.p, cap):
@@ -127,8 +129,8 @@ def t_gamma(
         selected = sorted(selected, key=lambda j: -beta2[j])[:keep]
         selected = sorted(selected)
 
-    tau2 = t_b(est_ds, est_w, selected)
-    sigma_y2 = sample_variance_y(est_ds.y)
+    tau2 = t_b(ds, w, selected)
+    sigma_y2 = sample_variance_y(ds.y)
     return EstimateReport(
         tau2=tau2,
         sigma2=sigma2_from(tau2, sigma_y2),
@@ -137,6 +139,6 @@ def t_gamma(
             "selected": tuple(selected),
             "threshold": result.threshold_value,
             "split": split,
-            "n_select_rows": n_select,
+            "n_select_rows": select_w.n if split else ds.n,
         },
     )

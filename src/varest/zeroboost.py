@@ -6,7 +6,8 @@ depends on the covariance between the estimator and g_n, which has no closed
 form for estimators defined only algorithmically.  The empirical estimator
 approximates that covariance from bootstrap resamples:
 
-1. compute the initial estimate and g_n on the full data;
+1. compute the initial estimate and g_n on the full data (the caller's
+   ``DatasetStats`` holds W, g and ``sigma_Y^2``);
 2. for b = 1..B, resample n rows with replacement and recompute both;
 3. ``c = Cov-hat(initial*, g_n*) / Var(g_n)`` with Var(g_n) = Var(g_i)/n
    known analytically from the covariate model;
@@ -34,14 +35,15 @@ fitted coefficient at p of the order of n (acceptance criterion 11); its
 mend replaces ``M r`` with ``(M o M) r`` over the distinct-row pair count.
 
 Every other initial (``dicker``, ``single``, ``full``, ``selection`` and
-user callables) keeps the generic path: each resample is rebuilt as a
-dataset and the initial is called on it, serially.
+user callables) keeps the generic path: it is called on the full data, then
+each resample is rebuilt as a dataset and the initial is called on it,
+serially.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
 
@@ -55,8 +57,11 @@ from .estimators import (
     t_c_hat_star,
     t_full,
 )
-from .model import CovariateModel, LabeledDataset, build_w, sample_variance_y
+from .model import CovariateModel, LabeledDataset, build_w
 from .selection import t_gamma
+
+if TYPE_CHECKING:
+    from .harness import DatasetStats
 
 __all__ = ["BootstrapConfig", "INITIAL_IDS", "empirical_estimator", "resolve_initial"]
 
@@ -68,7 +73,7 @@ def _naive(ds: LabeledDataset, model: CovariateModel) -> float:
 
 
 def _dicker(ds: LabeledDataset, model: CovariateModel) -> float:
-    return dicker_tau2(ds)
+    return dicker_tau2(ds, build_w(ds))
 
 
 def _single(ds: LabeledDataset, model: CovariateModel) -> float:
@@ -138,11 +143,10 @@ def _resample_rows(n: int, cfg: BootstrapConfig, b: int) -> np.ndarray:
 
 
 def _naive_stars(
-    ds: LabeledDataset, cfg: BootstrapConfig, g: np.ndarray
+    w: np.ndarray, cfg: BootstrapConfig, g: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``naive*`` and ``g_n*`` of every resample, from blocks of the count matrix."""
-    n = ds.n
-    w = ds.x * ds.y[:, None]
+    n = w.shape[0]
     r = _rowsq(w)
     per_block = max(1, min(cfg.n_boot, _BLOCK_ELEMS // n))
     counts = np.empty((per_block, n))
@@ -179,29 +183,27 @@ def _rebuilt_stars(
     return tau_stars, g_stars
 
 
-def empirical_estimator(
-    ds: LabeledDataset,
-    model: CovariateModel,
-    cfg: BootstrapConfig,
-) -> EstimateReport:
+def empirical_estimator(stats: DatasetStats, cfg: BootstrapConfig) -> EstimateReport:
     """Run the bootstrap-coefficient correction around an initial estimator.
 
-    The ``naive`` initial is evaluated on all resamples from the count matrix
-    (see the module docstring); other initials, callables included, are
-    called on each rebuilt resample in index order, and a failure there
-    raises :class:`InitialEstimatorFailure` carrying the resample index.
-    Returns a report with ``aux`` recording the fitted coefficient, the
-    bootstrap count, and the initial estimator's id.
+    ``stats`` holds the dataset and its W, g and ``sigma_Y^2``.  The ``naive``
+    initial reads W there and is evaluated on all resamples from the count
+    matrix (see the module docstring); other initials, callables included,
+    are called on the dataset and then on each rebuilt resample in index
+    order, and a failure there raises :class:`InitialEstimatorFailure`
+    carrying the resample index.  Returns a report with ``aux`` recording the
+    fitted coefficient, the bootstrap count, and the initial estimator's id.
     """
+    ds, model, single = stats.ds, stats.model, stats.single
     initial = resolve_initial(cfg.initial_estimator)
     initial_id = cfg.initial_estimator if isinstance(cfg.initial_estimator, str) else "custom"
-    single = build_single_zero(ds, model)
-    tau2_init = initial(ds, model)
     n = ds.n
 
     if initial_id == "naive":
-        tau_stars, g_stars = _naive_stars(ds, cfg, single.g_per_obs)
+        tau2_init = naive_tau2(stats.w)
+        tau_stars, g_stars = _naive_stars(stats.w.w, cfg, single.g_per_obs)
     else:
+        tau2_init = initial(ds, model)
         tau_stars, g_stars = _rebuilt_stars(ds, model, cfg, initial, single.g_per_obs)
 
     cov = float(np.cov(tau_stars, g_stars, ddof=1)[0, 1])
@@ -209,10 +211,9 @@ def empirical_estimator(
     c_tilde = cov / var_g_n
 
     tau2 = tau2_init - c_tilde * single.g_n
-    sigma_y2 = sample_variance_y(ds.y)
     return EstimateReport(
         tau2=tau2,
-        sigma2=sigma2_from(tau2, sigma_y2),
+        sigma2=sigma2_from(tau2, stats.sigma_y2),
         estimator_id="empirical",
         aux={"c_tilde": c_tilde, "n_boot": cfg.n_boot, "initial": initial_id},
     )

@@ -42,7 +42,7 @@ from varest.estimators import (
     t_full,
     t_oracle,
 )
-from varest.harness import HarnessOptions, run_scenario, summarize
+from varest.harness import DatasetStats, HarnessOptions, run_scenario, summarize
 from varest.kernels import (
     chain_sum_distinct,
     gram,
@@ -367,7 +367,7 @@ def test_c09_dicker_equivalence():
         for r in range(200):
             ds = gaussian_data(909 + n, r, n, p, beta)
             w = build_w(ds)
-            diffs[r] = math.sqrt(n) * abs(naive_tau2(w) - dicker_tau2(ds))
+            diffs[r] = math.sqrt(n) * abs(naive_tau2(w) - dicker_tau2(ds, w))
         medians.append(float(np.median(diffs)))
     ok = medians[0] > medians[1] > medians[2]
     elapsed = time.time() - t0
@@ -448,7 +448,7 @@ def test_c11_bootstrap_non_degradation():
         ds = generate_dataset(cfg, beta, r)
         naive_vals[r] = naive_tau2(build_w(ds))
         bcfg = BootstrapConfig(n_boot=200, seed=1000 + r, initial_estimator="naive")
-        emp = empirical_estimator(ds, model, bcfg)
+        emp = empirical_estimator(DatasetStats(ds, model), bcfg)
         emp_vals[r] = emp.tau2
         c_tildes[r] = emp.aux["c_tilde"]
     ratio = emp_vals.std(ddof=1) / naive_vals.std(ddof=1)
@@ -458,8 +458,8 @@ def test_c11_bootstrap_non_degradation():
     # is the same-row-pair inflation described in the module docstring
     c_star = c_star_oracle(beta, build_single_zero(ds0, model), model)
     bcfg = BootstrapConfig(n_boot=200, seed=1000, initial_estimator="naive")
-    first = empirical_estimator(ds0, model, bcfg)
-    second = empirical_estimator(ds0, model, bcfg)
+    first = empirical_estimator(DatasetStats(ds0, model), bcfg)
+    second = empirical_estimator(DatasetStats(ds0, model), bcfg)
     loop_tau2, loop_c = oracles.empirical_loop(ds0, model, bcfg)
     deterministic = (first.tau2 == second.tau2
                      and first.aux["c_tilde"] == second.aux["c_tilde"]

@@ -207,6 +207,18 @@ class TestEstimate:
         line = capsys.readouterr().out.splitlines()[1]
         assert line.startswith("single,,") and "warning=" in line
 
+    def test_failed_estimator_keeps_other_rows(self, toy_dataset, capsys):
+        data, model = toy_dataset  # n = 2: full needs n >= 3
+        rc = run_cli(["estimate", "--data", str(data), "--model", str(model),
+                      "--estimators", "naive,single,full"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        out = captured.out.splitlines()
+        assert out[1].startswith("naive,") and float(out[1].split(",")[1]) == 2.0
+        assert out[2].startswith("single,,") and "warning=" in out[2]
+        assert out[3] == "full,,,,error=TooFewObservations: t_full needs n >= 3"
+        assert captured.err == "error: full: t_full needs n >= 3\n"
+
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         data.write_text("y,x1\n1.0,2.0\noops,3.0\n")

@@ -68,12 +68,12 @@ class TestNaive:
 class TestDicker:
     def test_hand_example(self):
         ds = LabeledDataset(x=[[1.0], [2.0]], y=[1.0, 1.0])
-        assert dicker_tau2(ds) == pytest.approx(7.0 / 6.0, rel=1e-12)
+        assert dicker_tau2(ds, build_w(ds)) == pytest.approx(7.0 / 6.0, rel=1e-12)
 
     def test_zero_response(self):
         ds = LabeledDataset(x=np.random.default_rng(0).standard_normal((5, 2)),
                             y=np.zeros(5))
-        assert dicker_tau2(ds) == 0.0
+        assert dicker_tau2(ds, build_w(ds)) == 0.0
 
 
 class TestSigma2From:

@@ -30,7 +30,7 @@ from varest.harness import (
 )
 from varest.kernels import gram
 from varest.model import LabeledDataset, build_w, sample_variance_y
-from varest.selection import beta_squared_estimates, t_gamma
+from varest.selection import beta_squared_estimates, split_rows, t_gamma
 from varest.simgen import ScenarioConfig, build_beta, covariate_model_for, generate_dataset
 from varest.variance import (
     var_hat_naive_gaussian,
@@ -104,18 +104,25 @@ class TestRunScenario:
 
 
 def two_step(ds, model, eid, beta, options, boot_seed):
-    """The public functions composed as estimate-then-attach-variance."""
+    """The public functions composed as estimate-then-attach-variance.
+
+    Split selection estimates on, and takes its variance from, the second
+    block of rows.
+    """
+    select_w = None
+    if eid == "selection" and options.select_split:
+        select_ds, ds = split_rows(ds, options.select_split_fraction)
+        select_w = build_w(select_ds)
     w = build_w(ds)
     if eid == "selection":
-        report = t_gamma(ds, w, split=options.select_split,
-                         split_fraction=options.select_split_fraction, cap=options.select_cap)
+        report = t_gamma(ds, w, select_w=select_w, cap=options.select_cap)
     elif eid == "empirical":
-        report = empirical_estimator(ds, model, BootstrapConfig(
+        report = empirical_estimator(DatasetStats(ds, model), BootstrapConfig(
             n_boot=options.boot, seed=boot_seed, initial_estimator=options.initial))
     else:
         tau2 = {
             "naive": lambda: naive_tau2(w),
-            "dicker": lambda: dicker_tau2(ds),
+            "dicker": lambda: dicker_tau2(ds, w),
             "full": lambda: t_full(ds, w),
             "single": lambda: t_c_hat_star(w, build_single_zero(ds, model)),
             "oracle": lambda: t_oracle(ds, w, beta),
@@ -152,37 +159,68 @@ def two_step(ds, model, eid, beta, options, boot_seed):
 DISPATCH_CASES = {"gaussian": dict(n=12, p=20), "rademacher-mix": dict(n=8, p=30)}
 
 
+def assert_matches_two_step(eid, method, x_dist, select_split):
+    cfg = small_cfg(x_dist=x_dist, reps=1, **DISPATCH_CASES[x_dist])
+    beta, model = build_beta(cfg), covariate_model_for(cfg)
+    ds = generate_dataset(cfg, beta, 0)
+    options = HarnessOptions(variance_method=method, boot=20, select_split=select_split)
+    got = estimate(DatasetStats(ds, model), eid, beta=beta, options=options, boot_seed=7)
+    want = two_step(ds, model, eid, beta, options, boot_seed=7)
+    assert (got.estimator_id, got.tau2, got.sigma2, got.variance_estimate, got.aux) == \
+        (want.estimator_id, want.tau2, want.sigma2, want.variance_estimate, want.aux)
+
+
 class TestEstimateDispatch:
     @pytest.mark.parametrize("x_dist", sorted(DISPATCH_CASES))
     @pytest.mark.parametrize("method", [None, "gaussian-plugin", "tilde"])
     @pytest.mark.parametrize("eid", ESTIMATOR_IDS)
     def test_matches_two_step(self, eid, method, x_dist):
-        cfg = small_cfg(x_dist=x_dist, reps=1, **DISPATCH_CASES[x_dist])
-        beta, model = build_beta(cfg), covariate_model_for(cfg)
-        ds = generate_dataset(cfg, beta, 0)
-        options = HarnessOptions(variance_method=method, boot=20)
-        got = estimate(DatasetStats(ds, model), eid, beta=beta, options=options, boot_seed=7)
-        want = two_step(ds, model, eid, beta, options, boot_seed=7)
-        assert (got.estimator_id, got.tau2, got.sigma2, got.variance_estimate, got.aux) == \
-            (want.estimator_id, want.tau2, want.sigma2, want.variance_estimate, want.aux)
+        assert_matches_two_step(eid, method, x_dist, select_split=False)
 
-    def test_statistics_built_once(self, monkeypatch):
+    @pytest.mark.parametrize("x_dist", sorted(DISPATCH_CASES))
+    @pytest.mark.parametrize("method", [None, "gaussian-plugin", "tilde"])
+    @pytest.mark.parametrize("eid", ESTIMATOR_IDS)
+    def test_split_matches_two_step(self, eid, method, x_dist):
+        # the split option reaches selection only; every other estimator ignores it
+        assert_matches_two_step(eid, method, x_dist, select_split=True)
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        """Count the calls of every binding that builds a per-dataset statistic."""
         import varest.harness as harness
         import varest.selection as selection
+        import varest.zeroboost as zeroboost
 
         calls = {"build_w": 0, "gram": 0, "build_single_zero": 0}
-        for module, name in [(harness, "build_w"), (selection, "build_w"),
-                             (harness, "gram"), (harness, "build_single_zero")]:
-            def counted(*args, _fn=getattr(module, name), _name=name):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(module, name, counted)
+        for module in (harness, selection, zeroboost):
+            for name in calls:
+                if not hasattr(module, name):
+                    continue
+
+                def counted(*args, _fn=getattr(module, name), _name=name):
+                    calls[_name] += 1
+                    return _fn(*args)
+                monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_statistics_built_once(self, monkeypatch):
+        calls = self._count_builds(monkeypatch)
         cfg = small_cfg(reps=1)
         beta = build_beta(cfg)
         stats = DatasetStats(generate_dataset(cfg, beta, 0), covariate_model_for(cfg))
         for eid in ESTIMATOR_IDS:
             estimate(stats, eid, beta=beta, options=HarnessOptions(variance_method="tilde", boot=5))
         assert calls == {"build_w": 1, "gram": 1, "build_single_zero": 1}
+
+    @pytest.mark.parametrize("method", [None, "tilde"])
+    def test_split_selection_builds_two_w(self, monkeypatch, method):
+        # one W per row block; the full data's W is not read
+        calls = self._count_builds(monkeypatch)
+        cfg = small_cfg(reps=1)
+        stats = DatasetStats(generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg))
+        estimate(stats, "selection",
+                 options=HarnessOptions(variance_method=method, select_split=True))
+        assert calls["build_w"] == 2
 
     @pytest.mark.parametrize("method", ["gaussian-plugin", "tilde"])
     def test_split_selection_variance_reads_estimation_block(self, method):

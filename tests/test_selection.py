@@ -5,7 +5,7 @@ from varest.errors import TooFewColumns, TooFewObservations, VarestError
 from varest.estimators import naive_tau2, psi_hat
 from varest.kernels import ordered_sum
 from varest.model import LabeledDataset, build_w
-from varest.selection import beta_squared_estimates, gap_select, t_gamma
+from varest.selection import beta_squared_estimates, gap_select, split_rows, t_gamma
 from varest.simgen import ScenarioConfig, build_beta, generate_dataset
 
 from oracles import beta2_loop, gap_select_loop
@@ -82,6 +82,25 @@ class TestGapSelect:
         assert result.selected == (3,)
 
 
+def _split_t_gamma(ds, fraction=0.5):
+    """Split selection: select on the first block of rows, estimate on the second."""
+    select_ds, est_ds = split_rows(ds, fraction)
+    return t_gamma(est_ds, build_w(est_ds), select_w=build_w(select_ds))
+
+
+class TestSplitRows:
+    @pytest.mark.parametrize("n, fraction, k", [
+        (120, 0.5, 60), (7, 0.5, 4), (6, 0.1, 2), (6, 0.9, 3), (10, 0.99, 7),
+    ])
+    def test_block_sizes(self, n, fraction, k):
+        g = np.random.default_rng(n)
+        ds = LabeledDataset(x=g.standard_normal((n, 3)), y=g.standard_normal(n))
+        select, est = split_rows(ds, fraction)
+        assert select.n == k and est.n == n - k
+        np.testing.assert_array_equal(np.vstack([select.x, est.x]), ds.x)
+        np.testing.assert_array_equal(np.concatenate([select.y, est.y]), ds.y)
+
+
 class TestTGamma:
     def _scenario_ds(self, seed=0, n=120, p=30, tau2_b=0.9):
         cfg = ScenarioConfig(n=n, p=p, tau2=1.0, tau2_b=tau2_b, sigma2=1.0,
@@ -111,7 +130,7 @@ class TestTGamma:
 
     def test_split_uses_disjoint_blocks(self):
         ds = self._scenario_ds(seed=11)
-        report = t_gamma(ds, build_w(ds), split=True, split_fraction=0.5)
+        report = _split_t_gamma(ds, 0.5)
         assert report.aux["split"] is True
         assert report.aux["n_select_rows"] == 60
         # the estimate must match recomputing on the second block alone
@@ -127,22 +146,22 @@ class TestTGamma:
         ds = LabeledDataset(x=np.random.default_rng(0).standard_normal((5, 3)),
                             y=np.zeros(5))
         with pytest.raises(TooFewObservations):
-            t_gamma(ds, build_w(ds), split=True)
+            _split_t_gamma(ds)
 
     def test_cap_bounds_selection(self):
         ds = self._scenario_ds(seed=12, tau2_b=0.5)
         report = t_gamma(ds, build_w(ds), cap=2)
         assert len(report.aux["selected"]) <= 2
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(split=True, split_fraction=1.5),
-        dict(split=True, split_fraction=0.0),
-        dict(cap=-1),
+    @pytest.mark.parametrize("call", [
+        lambda ds: _split_t_gamma(ds, 1.5),
+        lambda ds: _split_t_gamma(ds, 0.0),
+        lambda ds: t_gamma(ds, build_w(ds), cap=-1),
     ], ids=["fraction-above-1", "fraction-0", "negative-cap"])
-    def test_bad_option_raises(self, kwargs):
+    def test_bad_option_raises(self, call):
         ds = self._scenario_ds(seed=12, tau2_b=0.5)
         with pytest.raises(VarestError):
-            t_gamma(ds, build_w(ds), **kwargs)
+            call(ds)
 
     def test_split_recovery_rate(self):
         # With a strong fixed B, split selection should place the largest gap
@@ -160,7 +179,7 @@ class TestTGamma:
         reps = 200
         for r in range(reps):
             ds = generate_dataset(cfg, beta, r)
-            report = t_gamma(ds, build_w(ds), split=True)
+            report = _split_t_gamma(ds)
             n_select = report.aux["n_select_rows"]
             beta2 = beta_squared_estimates(
                 build_w(LabeledDataset(ds.x[:n_select], ds.y[:n_select])))
@@ -183,6 +202,6 @@ class TestReportInvariant:
         full = t_gamma(ds, build_w(ds))
         assert full.tau2 + full.sigma2 == pytest.approx(
             sample_variance_y(ds.y), rel=1e-12)
-        split = t_gamma(ds, build_w(ds), split=True)
+        split = _split_t_gamma(ds)
         assert split.tau2 + split.sigma2 == pytest.approx(
             sample_variance_y(ds.y[40:]), rel=1e-12)

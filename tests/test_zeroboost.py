@@ -3,6 +3,7 @@ import pytest
 
 from varest.errors import DegenerateZeroEstimator, InitialEstimatorFailure
 from varest.estimators import build_single_zero, c_star_oracle
+from varest.harness import DatasetStats
 from varest.model import CoefficientVector, CovariateModel, LabeledDataset
 from varest.simgen import ScenarioConfig, build_beta, generate_dataset
 from varest import zeroboost
@@ -35,7 +36,7 @@ class TestEmpiricalEstimator:
         model = GAUSS(12)
         cfg = BootstrapConfig(n_boot=20, seed=5,
                               initial_estimator=lambda d, m: 0.7)
-        report = empirical_estimator(ds, model, cfg)
+        report = empirical_estimator(DatasetStats(ds, model), cfg)
         assert abs(report.aux["c_tilde"]) < 1e-12
         assert abs(report.tau2 - 0.7) < 1e-12
 
@@ -45,8 +46,8 @@ class TestEmpiricalEstimator:
         ds = make_ds(2)
         model = GAUSS(12)
         cfg = BootstrapConfig(n_boot=40, seed=9, initial_estimator="naive")
-        first = empirical_estimator(ds, model, cfg)
-        second = empirical_estimator(ds, model, cfg)
+        first = empirical_estimator(DatasetStats(ds, model), cfg)
+        second = empirical_estimator(DatasetStats(ds, model), cfg)
         assert first.tau2 == second.tau2
         assert first.aux["c_tilde"] == second.aux["c_tilde"]
         tau2, c_tilde = empirical_loop(ds, model, cfg)
@@ -57,7 +58,7 @@ class TestEmpiricalEstimator:
         g = np.random.default_rng(0)
         ds = LabeledDataset(x=g.standard_normal((10, 1)), y=g.standard_normal(10))
         with pytest.raises(DegenerateZeroEstimator):
-            empirical_estimator(ds, GAUSS(1), BootstrapConfig(n_boot=5, seed=0))
+            empirical_estimator(DatasetStats(ds, GAUSS(1)), BootstrapConfig(n_boot=5, seed=0))
 
     def test_initial_failure_carries_resample_index(self):
         ds = make_ds(3)
@@ -74,7 +75,7 @@ class TestEmpiricalEstimator:
 
         cfg = BootstrapConfig(n_boot=5, seed=0, initial_estimator=flaky)
         with pytest.raises(InitialEstimatorFailure) as err:
-            empirical_estimator(ds, model, cfg)
+            empirical_estimator(DatasetStats(ds, model), cfg)
         assert err.value.resample_index == 0
 
     def test_c_tilde_tracks_oracle_coefficient(self):
@@ -99,7 +100,7 @@ class TestEmpiricalEstimator:
             ds = LabeledDataset(x=x, y=y)
             naive_vals[r] = naive_tau2(build_w(ds))
             cfg = BootstrapConfig(n_boot=n_boot, seed=r, initial_estimator="naive")
-            report = empirical_estimator(ds, model, cfg)
+            report = empirical_estimator(DatasetStats(ds, model), cfg)
             vals[r] = report.aux["c_tilde"]
             emp_vals[r] = report.tau2
         single = build_single_zero(ds, model)
@@ -125,7 +126,7 @@ class TestEmpiricalEstimator:
         ds = make_ds(4)
         model = GAUSS(12)
         cfg = BootstrapConfig(n_boot=25, seed=2, initial_estimator="naive")
-        report = empirical_estimator(ds, model, cfg)
+        report = empirical_estimator(DatasetStats(ds, model), cfg)
         assert report.estimator_id == "empirical"
         assert report.aux["n_boot"] == 25
         assert report.aux["initial"] == "naive"
@@ -144,7 +145,7 @@ class TestCountForms:
         ds = make_ds(seed, n=n, p=p)
         model = GAUSS(p)
         cfg = BootstrapConfig(n_boot=n_boot, seed=seed + 3, initial_estimator="naive")
-        report = empirical_estimator(ds, model, cfg)
+        report = empirical_estimator(DatasetStats(ds, model), cfg)
         tau2, c_tilde = empirical_loop(ds, model, cfg)
         assert report.tau2 == pytest.approx(tau2, rel=1e-12, abs=0)
         assert report.aux["c_tilde"] == pytest.approx(c_tilde, rel=1e-12, abs=0)
@@ -157,7 +158,7 @@ class TestCountForms:
         model = GAUSS(10)
         monkeypatch.setattr(zeroboost, "_BLOCK_ELEMS", per_block * ds.n)
         cfg = BootstrapConfig(n_boot=20, seed=2, initial_estimator="naive")
-        report = empirical_estimator(ds, model, cfg)
+        report = empirical_estimator(DatasetStats(ds, model), cfg)
         tau2, c_tilde = empirical_loop(ds, model, cfg)
         assert report.tau2 == pytest.approx(tau2, rel=1e-12, abs=0)
         assert report.aux["c_tilde"] == pytest.approx(c_tilde, rel=1e-12, abs=0)
@@ -167,8 +168,9 @@ class TestCountForms:
         ("full", True), ("selection", True), ("custom", True),
     ])
     def test_which_initials_run_per_resample(self, monkeypatch, initial, per_resample):
-        # naive is called once, on the full data; every other initial is
-        # called once more per rebuilt resample
+        # naive is never called: its full-data value reads the stats' W and
+        # its resamples come from the count matrix; every other initial is
+        # called on the full data and once more per rebuilt resample
         ds = make_ds(5, n=40, p=8)
         model = GAUSS(8)
         if initial == "custom":
@@ -186,8 +188,8 @@ class TestCountForms:
         else:
             monkeypatch.setitem(zeroboost._INITIALS, initial, counted)
         cfg = BootstrapConfig(n_boot=6, seed=1, initial_estimator=initial)
-        report = empirical_estimator(ds, model, cfg)
-        assert len(calls) == (1 + cfg.n_boot if per_resample else 1)
+        report = empirical_estimator(DatasetStats(ds, model), cfg)
+        assert len(calls) == (1 + cfg.n_boot if per_resample else 0)
         tau2, c_tilde = empirical_loop(ds, model, cfg)
         assert report.tau2 == pytest.approx(tau2, rel=1e-12, abs=0)
         assert report.aux["c_tilde"] == pytest.approx(c_tilde, rel=1e-12, abs=0)
