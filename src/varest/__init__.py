@@ -19,6 +19,7 @@ from .errors import (
     InvalidScenario,
     LengthMismatch,
     NearSingularCovariance,
+    NonFiniteResult,
     TooFewColumns,
     TooFewObservations,
     UnsupportedDependenceStructure,

@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--summary-out", default="summary.csv")
     sim.add_argument("--variance", choices=["gaussian-plugin", "tilde"])
     sim.add_argument("--workers", type=int, default=1,
-                     help="worker processes (capped by VAREST_THREADS)")
+                     help="worker processes (capped at the CPU count)")
     _add_selection_flags(sim)
     _add_empirical_flags(sim)
 

@@ -49,6 +49,10 @@ class InsufficientRecords(VarestError):
     """Summaries need at least two replication records per estimator."""
 
 
+class NonFiniteResult(VarestError):
+    """An estimator's arithmetic overflowed or produced an undefined value."""
+
+
 class InitialEstimatorFailure(VarestError):
     """The initial estimator failed inside a bootstrap resample.
 

@@ -220,9 +220,8 @@ def build_single_zero(ds: LabeledDataset, model: CovariateModel) -> SingleZeroSt
         raise UnsupportedDependenceStructure(
             "the single-zero-estimator path requires independent whitened columns"
         )
-    x_sorted = np.sort(ds.x, axis=1)
-    row_sums = np.sum(x_sorted, axis=1)
-    row_sq_sums = np.sum(x_sorted * x_sorted, axis=1)
+    row_sums = np.sum(ds.x, axis=1)
+    row_sq_sums = np.einsum("ij,ij->i", ds.x, ds.x)
     g = 0.5 * (row_sums * row_sums - row_sq_sums)
     return SingleZeroStat(
         g_per_obs=g,
@@ -253,8 +252,9 @@ def c_hat_star(w: WMatrix, single: SingleZeroStat) -> float:
     """U-statistic estimate of c*.
 
     ``(2 / (n (n-1))) sum_{i1 != i2} sum_j W[i1,j] S[i2,j] / Var(g_i)`` with
-    ``S[i,j] = W[i,j] g_i``; the distinct-pair sum is evaluated per column
-    in O(n) from cached sums.  Same dataset for W and S, no splitting.
+    ``S[i,j] = W[i,j] g_i``; summed over i1 first, the pair sum is
+    ``sum_i g_i (W_i . C - ||W_i||^2)`` with C the cached column sums, an
+    O(np) pass.  Same dataset for W and S, no splitting.
     """
     if w.n < 2:
         raise TooFewObservations("c_hat_star needs n >= 2")
@@ -263,11 +263,8 @@ def c_hat_star(w: WMatrix, single: SingleZeroStat) -> float:
 
 def c_hat_numerator(w: WMatrix, single: SingleZeroStat) -> float:
     """The bracketed pair sum ``(2/(n(n-1))) sum_{i1 != i2} sum_j W S``."""
-    s = w.w * single.g_per_obs[:, None]
-    s_sums = ordered_col_sums(s)
-    cross = ordered_col_sums(w.w * s)
-    per_column = w.column_sums * s_sums - cross
-    return 2.0 * ordered_sum(per_column) / (w.n * (w.n - 1))
+    per_row = np.einsum("ij,j->i", w.w, w.column_sums) - np.einsum("ij,ij->i", w.w, w.w)
+    return 2.0 * ordered_sum(single.g_per_obs * per_row) / (w.n * (w.n - 1))
 
 
 def t_c_hat_star(w: WMatrix, single: SingleZeroStat) -> float:

@@ -6,7 +6,8 @@ single-zero statistic, ``sigma_Y^2`` and the naive variance estimates from
 one ``DatasetStats`` per dataset, so each is built at most once.  Split
 selection selects on the first row block of ``split_rows`` and estimates on
 the second, so its estimate and variance read one ``DatasetStats`` of that
-block instead.
+block instead.  Overflow, invalid operations and division by zero raise
+``NonFiniteResult`` instead of reporting NaN or infinity.
 
 ``run_scenario`` maps (scenario, estimator list) to one record per
 (replication, estimator).  Replications are independent — each derives its
@@ -32,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InsufficientRecords, VarestError
+from .errors import InsufficientRecords, NonFiniteResult, VarestError
 from .estimators import (
     EstimateReport,
     SingleZeroStat,
@@ -66,7 +67,6 @@ __all__ = [
     "read_records_csv",
     "run_scenario",
     "summarize",
-    "worker_count",
     "write_records_csv",
     "write_summary_csv",
 ]
@@ -111,14 +111,6 @@ class HarnessOptions:
     initial: str = "naive"
     variance_method: str | None = None  # None | "gaussian-plugin" | "tilde"
     workers: int = 1
-
-
-def worker_count(requested: int | None = None) -> int:
-    """Effective worker count, capped by the VAREST_THREADS environment variable."""
-    cap = os.environ.get("VAREST_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    want = requested if requested is not None else 1
-    return max(1, min(want, limit))
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,8 +169,22 @@ def estimate(
     ``options.variance_method`` selects the variance estimate; estimators
     without one under that method report None.  ``oracle`` needs the true
     coefficient vector (simulation reference); ``empirical`` derives its
-    bootstrap seed from ``boot_seed``.
+    bootstrap seed from ``boot_seed``.  Floating-point overflow, invalid
+    operations and division by zero raise ``NonFiniteResult``, as does a
+    non-finite reported number; underflow stays quiet.
     """
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            report = _estimate(stats, estimator_id, beta, options, boot_seed)
+    except FloatingPointError as exc:
+        raise NonFiniteResult(f"estimator {estimator_id!r}: {exc}") from exc
+    numbers = (report.tau2, report.sigma2, report.variance_estimate)
+    if not all(v is None or np.isfinite(v) for v in numbers):
+        raise NonFiniteResult(f"estimator {estimator_id!r} produced a non-finite result")
+    return report
+
+
+def _estimate(stats, estimator_id, beta, options, boot_seed) -> EstimateReport:
     ds, model, method = stats.ds, stats.model, options.variance_method
     if method not in (None, "gaussian-plugin", "tilde"):
         raise VarestError(f"unknown variance method {method!r}")
@@ -269,7 +275,7 @@ def run_scenario(
     estimator_ids = list(estimator_ids)
     beta, model = build_beta(cfg), covariate_model_for(cfg)
     jobs = [(cfg, beta, model, estimator_ids, options, rep) for rep in range(cfg.reps)]
-    workers = worker_count(options.workers)
+    workers = max(1, min(options.workers, os.cpu_count() or 1))
     if workers > 1 and cfg.reps > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_rep, jobs, chunksize=max(1, cfg.reps // (4 * workers))))

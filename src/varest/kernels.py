@@ -7,14 +7,20 @@ moment sums, and the test suite pins each one against its brute-force loop.
 
 Reduction discipline
 --------------------
-All reductions go through :func:`ordered_sum` / :func:`ordered_col_sums`,
-which sort the addends into a canonical order before a pairwise (numpy)
-summation.  Two consequences the rest of the library relies on:
+All reductions over observations go through :func:`ordered_sum` /
+:func:`ordered_col_sums`, which sort the addends into a canonical order
+before a pairwise (numpy) summation.  Two consequences the rest of the
+library relies on:
 
 * results are bitwise independent of the order in which observations are
   presented, so row-permutation invariance holds exactly;
 * accumulation error stays at the pairwise-summation level even for the
   ~1e5 mixed-sign terms that show up at n = p = 400.
+
+A sum within one row (over columns) is row-local and needs no sorting, but
+it uses numpy's own loops (``np.einsum``, ``np.sum(axis=1)``), never a BLAS
+``@``: a BLAS matrix-vector product may block rows differently by their
+position, which makes a row's result depend on where the row sits.
 """
 
 from __future__ import annotations

@@ -239,6 +239,22 @@ class TestEstimate:
         assert rc == 2
         assert err.startswith("error:") and ":4:" in err and "finite" in err
 
+    def test_overflow_is_an_error_row(self, tmp_path, toy_dataset, capsys):
+        data = tmp_path / "large.csv"
+        data.write_text("y,x1,x2,x3\n1.0,0.5,1e200,-0.3\n0.2,-1.1,0.4,0.9\n"
+                        "-0.7,0.3,-0.2,1.4\n1.5,0.8,0.1,-0.6\n")
+        estimators = ["naive", "dicker", "full", "single", "selection"]
+        rc = run_cli(["estimate", "--data", str(data), "--model", str(toy_dataset[1]),
+                      "--estimators", ",".join(estimators), "--variance", "tilde"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        rows = captured.out.splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == estimators
+        assert all(",,,,error=NonFiniteResult: " in r for r in rows)
+        assert captured.err.splitlines() == [
+            f"error: {eid}: estimator '{eid}': overflow encountered in multiply"
+            for eid in estimators]
+
     @pytest.mark.parametrize("content", [
         {"covariance": "foo"},
         {"mean": "abc"},

@@ -28,6 +28,7 @@ from varest.model import (
     build_w,
     sample_variance_y,
 )
+from varest.variance import var_tilde_t_chat
 
 from oracles import chat_numerator_loop, naive_loop, psi_loop, single_zero_loop
 
@@ -283,10 +284,18 @@ class TestCHatStar:
         assert c_hat_star(w, single) == 0.0
 
     def test_matches_loop(self):
-        ds, w = make_data(21, 8, 3, beta=np.array([1.0, 0.0, -0.5]))
-        single = build_single_zero(ds, GAUSS(3))
-        expected = chat_numerator_loop(w.w, single.g_per_obs) / single.var_g
-        np.testing.assert_allclose(c_hat_star(w, single), expected, rtol=1e-11)
+        # several shapes, p = 2 and a constant column included
+        for seed, n, p, constant in ((21, 8, 3, False), (22, 5, 2, False), (23, 13, 2, True),
+                                     (24, 17, 7, False), (25, 24, 11, True)):
+            g = np.random.default_rng(seed)
+            x = g.standard_normal((n, p))
+            if constant:
+                x[:, -1] = 1.5
+            ds = LabeledDataset(x=x, y=x[:, 0] - 0.5 * x[:, 1] + g.standard_normal(n))
+            w = build_w(ds)
+            single = build_single_zero(ds, GAUSS(p))
+            expected = chat_numerator_loop(w.w, single.g_per_obs) / single.var_g
+            np.testing.assert_allclose(c_hat_star(w, single), expected, rtol=1e-11)
 
     def test_consistency_small_mc(self):
         # mean of c-hat* near c* = 4/p over replications
@@ -302,6 +311,26 @@ class TestCHatStar:
             vals[r] = c_hat_star(build_w(ds), build_single_zero(ds, GAUSS(p)))
         se = vals.std(ddof=1) / np.sqrt(reps)
         assert abs(vals.mean() - 4.0 / p) < 3 * se
+
+
+class TestSingleRowPermutation:
+    """The single-zero path reduces each row on its own, then sums in canonical order."""
+
+    @pytest.mark.parametrize("p", [3, 17, 64])
+    @pytest.mark.parametrize("n", [7, 13, 37, 401])
+    def test_bitwise(self, n, p):
+        g = np.random.default_rng((n, p))
+        x = g.standard_normal((n, p))
+        y = x @ np.full(p, 1.0 / np.sqrt(p)) + g.standard_normal(n)
+        ds = LabeledDataset(x=x, y=y)
+        w, single = build_w(ds), build_single_zero(ds, GAUSS(p))
+        for _ in range(4):
+            perm = g.permutation(n)
+            ds2 = LabeledDataset(x=x[perm], y=y[perm])
+            w2, single2 = build_w(ds2), build_single_zero(ds2, GAUSS(p))
+            assert np.array_equal(single2.g_per_obs, single.g_per_obs[perm])
+            assert t_c_hat_star(w2, single2) == t_c_hat_star(w, single)
+            assert var_tilde_t_chat(0.5, w2, single2, n) == var_tilde_t_chat(0.5, w, single, n)
 
 
 class TestTCHatStar:

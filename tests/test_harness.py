@@ -1,10 +1,11 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from varest.errors import InsufficientRecords
+from varest.errors import InsufficientRecords, VarestError
 from varest.estimators import (
     ESTIMATOR_IDS,
     EstimateReport,
@@ -24,12 +25,17 @@ from varest.harness import (
     read_records_csv,
     run_scenario,
     summarize,
-    worker_count,
     write_records_csv,
     write_summary_csv,
 )
-from varest.kernels import gram
-from varest.model import LabeledDataset, build_w, sample_variance_y
+from varest.kernels import gram, ordered_col_sums
+from varest.model import (
+    CoefficientVector,
+    CovariateModel,
+    LabeledDataset,
+    build_w,
+    sample_variance_y,
+)
 from varest.selection import beta_squared_estimates, split_rows, t_gamma
 from varest.simgen import ScenarioConfig, build_beta, covariate_model_for, generate_dataset
 from varest.variance import (
@@ -86,7 +92,6 @@ class TestRunScenario:
         cfg_bad = ScenarioConfig(n=4, p=2, tau2=1.0, tau2_b=0.5, b_size=1,
                                  reps=1, seed=1)
         # force an error by requesting oracle without beta through estimate()
-        from varest.errors import VarestError
         ds = generate_dataset(cfg_bad, build_beta(cfg_bad), 0)
         with pytest.raises(VarestError):
             estimate(DatasetStats(ds, covariate_model_for(cfg_bad)), "oracle")
@@ -95,12 +100,6 @@ class TestRunScenario:
         records = run_scenario(small_cfg(reps=2), ["naive"],
                                HarnessOptions(variance_method="gaussian-plugin"))
         assert all(r.variance_estimate is not None for r in records)
-
-    def test_worker_count_env_cap(self, monkeypatch):
-        monkeypatch.setenv("VAREST_THREADS", "1")
-        assert worker_count(8) == 1
-        monkeypatch.delenv("VAREST_THREADS")
-        assert worker_count(1) == 1
 
 
 def two_step(ds, model, eid, beta, options, boot_seed):
@@ -243,12 +242,57 @@ class TestEstimateDispatch:
         assert got.variance_estimate == composed(LabeledDataset(ds.x[k:], ds.y[k:]))
         assert got.variance_estimate != composed(ds)
 
+    @pytest.mark.parametrize("method", [None, "tilde"])
+    def test_single_sorts_no_columns(self, monkeypatch, method):
+        # c-hat's numerator reduces each row of W to a scalar before its one sorted sum
+        import varest.estimators as estimators
+
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return ordered_col_sums(a)
+        monkeypatch.setattr(estimators, "ordered_col_sums", counted)
+        cfg = small_cfg(reps=1)
+        stats = DatasetStats(generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg))
+        estimate(stats, "single", options=HarnessOptions(variance_method=method))
+        assert calls == []
+
     def test_unknown_variance_method(self):
-        from varest.errors import VarestError
         cfg = small_cfg(reps=1)
         stats = DatasetStats(generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg))
         with pytest.raises(VarestError, match="variance method"):
             estimate(stats, "full", options=HarnessOptions(variance_method="bogus"))
+
+
+class TestFiniteOut:
+    """Finite input gives finite reported numbers or a typed error, never a warning."""
+
+    @staticmethod
+    def _dataset(kind):
+        g = np.random.default_rng(5)
+        x, y = g.standard_normal((6, 3)), g.standard_normal(6)
+        if kind == "large-cell":
+            x[2, 1] = 1e200
+        else:
+            x = x * 1e-200
+        return LabeledDataset(x=x, y=y)
+
+    @pytest.mark.parametrize("kind", ["large-cell", "tiny"])
+    @pytest.mark.parametrize("method", [None, "gaussian-plugin", "tilde"])
+    @pytest.mark.parametrize("eid", ESTIMATOR_IDS)
+    def test_finite_or_varest_error(self, eid, method, kind):
+        stats = DatasetStats(self._dataset(kind), CovariateModel.standard_gaussian(3))
+        beta = CoefficientVector(np.full(3, 0.5))
+        options = HarnessOptions(variance_method=method, boot=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                report = estimate(stats, eid, beta=beta, options=options)
+            except VarestError:
+                return
+        numbers = (report.tau2, report.sigma2, report.variance_estimate)
+        assert all(v is None or math.isfinite(v) for v in numbers)
 
 
 class TestSummarize:
@@ -332,6 +376,5 @@ class TestCsvRoundTrip:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("nope,nope\n1,2\n")
-        from varest.errors import VarestError
         with pytest.raises(VarestError):
             read_records_csv(path)
