@@ -8,8 +8,10 @@ scenario file); omitting it is an error, never silent entropy.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -225,19 +227,50 @@ def _load_model(path: str, p: int) -> CovariateModel:
         raise _ConfigError(f"invalid covariate model: {exc}") from exc
 
 
-def _load_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
-    import csv as _csv
-
+def _open_dataset(path: str):
     try:
-        fh = open(path, newline="")
+        return open(path, newline="")
     except OSError as exc:
         raise _ConfigError(str(exc)) from exc
-    with fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "y" or len(header) < 2:
-            raise _ConfigError(f"{path}:1: expected header y,x1,...,xp")
-        width = len(header)
+
+
+def _read_header(path: str, reader) -> int:
+    """Check the ``y,x1,...,xp`` header and return its field count."""
+    header = next(reader, None)
+    if not header or header[0] != "y" or len(header) < 2:
+        raise _ConfigError(f"{path}:1: expected header y,x1,...,xp")
+    return len(header)
+
+
+def _load_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read a ``y,x1,...,xp`` CSV into C-contiguous ``(x, y)``.
+
+    The rows after the header are parsed in one ``np.loadtxt`` call.  A file
+    it rejects, or whose result is not a finite ``n >= 2`` table of the
+    header's width, is re-read line by line by :func:`_load_dataset_by_line`,
+    which decides it: the same arrays (it also accepts quoted numbers and
+    ``1_0``) or the error naming the offending line.  ``comments=None``
+    keeps ``1,2#x`` an error instead of ``1,2``.
+    """
+    with _open_dataset(path) as fh:
+        width = _read_header(path, csv.reader(fh))
+        try:
+            with warnings.catch_warnings():
+                # A header-only file warns "input contained no data".
+                warnings.simplefilter("error")
+                data = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        except (ValueError, Warning):
+            data = None
+    if data is None or data.shape[1] != width or data.shape[0] < 2 or not np.isfinite(data).all():
+        return _load_dataset_by_line(path)
+    return np.ascontiguousarray(data[:, 1:]), np.ascontiguousarray(data[:, 0])
+
+
+def _load_dataset_by_line(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse the CSV with ``csv.reader`` and ``float()`` per cell, one row at a time."""
+    with _open_dataset(path) as fh:
+        reader = csv.reader(fh)
+        width = _read_header(path, reader)
         ys, xs, linenos = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:

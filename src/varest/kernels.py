@@ -119,16 +119,20 @@ def triple_sum_distinct(u, v, w) -> float:
 class GramMatrix:
     """Dense Gram matrix of the rows of a W matrix.
 
-    ``g[i1, i2] = sum_j W[i1, j] * W[i2, j]`` and ``row_sums_offdiag[i]``
-    caches ``sum_{i' != i} g[i, i']`` for the chain kernel.
+    ``g[i1, i2] = sum_j W[i1, j] * W[i2, j]``.  Two read-only row statistics
+    of the off-diagonal are kept for the kernels, each row summed in
+    canonical order: ``row_sums_offdiag[i] = sum_{i' != i} g[i, i']`` and
+    ``row_square_sums_offdiag[i] = sum_{i' != i} g[i, i']^2``.
     """
 
     g: np.ndarray
     row_sums_offdiag: np.ndarray
+    row_square_sums_offdiag: np.ndarray
 
     def __post_init__(self):
         self.g.setflags(write=False)
         self.row_sums_offdiag.setflags(write=False)
+        self.row_square_sums_offdiag.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -151,29 +155,30 @@ def gram(w) -> GramMatrix:
     g = 0.5 * (g + g.T)
     off = g.copy()
     np.fill_diagonal(off, 0.0)
-    row_sums = np.sum(np.ascontiguousarray(np.sort(off, axis=1)), axis=1)
-    return GramMatrix(g=g, row_sums_offdiag=row_sums)
+    # Each row is sorted in place, summed, squared and sorted again: a
+    # row's sum is then a pure function of its multiset of entries.
+    off.sort(axis=1)
+    row_sums = np.sum(off, axis=1)
+    np.square(off, out=off)
+    off.sort(axis=1)
+    row_square_sums = np.sum(off, axis=1)
+    return GramMatrix(g=g, row_sums_offdiag=row_sums, row_square_sums_offdiag=row_square_sums)
 
 
 def offdiag_square_sum(g: GramMatrix) -> float:
     """Evaluate ``sum_{i1 != i2} g[i1, i2]^2`` (unnormalized)."""
     if g.n < 2:
         raise TooFewObservations("offdiag_square_sum needs n >= 2")
-    sq = np.square(g.g)
-    np.fill_diagonal(sq, 0.0)
-    return ordered_sum(sq)
+    return ordered_sum(g.row_square_sums_offdiag)
 
 
 def chain_sum_distinct(g: GramMatrix) -> float:
     """Evaluate ``sum over pairwise-distinct (i1, i2, i3) of g[i1,i2] g[i2,i3]``.
 
-    O(n^2) via ``sum_{i2} (r_{i2}^2 - sum_{i1 != i2} g[i1,i2]^2)`` where
-    ``r`` is the cached off-diagonal row sum.
+    O(n) via ``sum_{i2} (r_{i2}^2 - sum_{i1 != i2} g[i1,i2]^2)`` from the
+    Gram's off-diagonal row sums ``r`` and row square sums.
     """
     if g.n < 3:
         raise TooFewObservations("chain_sum_distinct needs n >= 3")
-    sq = np.square(g.g)
-    np.fill_diagonal(sq, 0.0)
-    row_sq = np.sum(np.ascontiguousarray(np.sort(sq, axis=1)), axis=1)
     r = g.row_sums_offdiag
-    return ordered_sum(r * r - row_sq)
+    return ordered_sum(r * r - g.row_square_sums_offdiag)

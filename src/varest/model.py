@@ -84,17 +84,22 @@ class CovariateModel:
             raise DimensionMismatch(f"fourth_moments must have length {p}")
         if not all(np.all(np.isfinite(a)) for a in (mean, cov, m4)):
             raise ValueError("mean, covariance and fourth moments must be finite")
-        if not np.allclose(cov, cov.T, rtol=1e-12, atol=1e-12):
+        # An exact identity is symmetric and positive definite, and symmetrising
+        # it is a no-op: skip both checks and the symmetrisation.
+        identity_cov = np.array_equal(cov, np.eye(p))
+        if not identity_cov and not np.allclose(cov, cov.T, rtol=1e-12, atol=1e-12):
             raise ValueError("covariance must be symmetric")
         if np.any(m4 < 1.0):
             raise ValueError("fourth moments must be >= 1 after whitening")
         if self.gaussian and not np.all(m4 == 3.0):
             raise ValueError("a Gaussian model must have fourth moments equal to 3")
         object.__setattr__(self, "mean", _readonly(mean))
-        object.__setattr__(self, "covariance", _readonly(0.5 * (cov + cov.T)))
+        if not identity_cov:
+            cov = 0.5 * (cov + cov.T)
+        object.__setattr__(self, "covariance", _readonly(cov))
         object.__setattr__(self, "fourth_moments", _readonly(m4))
         # Positive definiteness is part of the construction contract.
-        if not self.is_identity:
+        if not identity_cov:
             eigvals = np.linalg.eigvalsh(self.covariance)
             if eigvals[0] <= 0.0:
                 raise NearSingularCovariance(

@@ -2,10 +2,12 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from varest import cli
 from varest.cli import main
 
 
@@ -395,3 +397,94 @@ class TestEstimateWhitening:
                       "--estimators", "oracle"])
         assert rc == 2
         assert "oracle" in capsys.readouterr().err
+
+
+_HEAD = "y,x1,x2\n"
+_ROWS = "1.5,-2,3e-1\n4,0.25,-6\n"
+_NON_FINITE = ["nan", "NaN", "-nan", "+NAN", "inf", "-inf", "+Inf", "infinity",
+               "-Infinity", "INFINITY", "1e400", "-1e400"]
+# (case id, file text written byte for byte, whether the per-line parse accepts it)
+_PARSE_CASES = [
+    ("trailing-newline", _HEAD + _ROWS, True),
+    ("no-trailing-newline", _HEAD + _ROWS.rstrip("\n"), True),
+    ("blank-lines", _HEAD + "\n1,2,3\n\n\n4,5,6\n\n", True),
+    ("whitespace-line", _HEAD + "1,2,3\n \t \n4,5,6\n", False),
+    ("whitespace-last-line", _HEAD + _ROWS + "  ", False),
+    ("crlf", (_HEAD + _ROWS).replace("\n", "\r\n"), True),
+    ("cr-only", (_HEAD + _ROWS).replace("\n", "\r"), True),
+    ("mixed-line-ends", _HEAD + "1,2,3\r4,5,6\r\n7,8,9\n", True),
+    ("spaces-around", _HEAD + " 1 , 2,3 \n4 ,  5 ,6\n", True),
+    ("tabs-around", _HEAD + "\t1\t,2,\t3\n4,5\t,6\n", True),
+    ("quoted-number", _HEAD + '"1.5",2,"3"\n4,5,6\n', True),
+    ("underscore", _HEAD + "1_0,2,3\n4,5_000.5,6\n", True),
+    ("hash-in-field", _HEAD + "1,2#x,3\n4,5,6\n", False),
+    ("hash-ends-row", _HEAD + "1,2,3#x\n4,5,6\n", False),
+    ("hash-line", _HEAD + "#1,2,3\n1,2,3\n4,5,6\n", False),
+    ("empty-field", _HEAD + "1,,3\n4,5,6\n", False),
+    ("hex", _HEAD + "0x10,2,3\n4,5,6\n", False),
+    ("underflow", _HEAD + "1e-400,4.9e-324,3\n4,5,-1e-320\n", True),
+    *[(f"non-finite-{v}", _HEAD + f"1,2,3\n4,{v},6\n7,8,9\n", False) for v in _NON_FINITE],
+    ("ragged-long", _HEAD + "1,2,3,4\n5,6,7\n", False),
+    ("ragged-short", _HEAD + "1,2,3\n5,6\n", False),
+    ("every-row-too-wide", _HEAD + "1,2,3,4\n5,6,7,8\n", False),
+    ("one-row", _HEAD + "1,2,3\n", False),
+    ("header-only", _HEAD, False),
+    ("header-only-no-newline", _HEAD.rstrip("\n"), False),
+    ("bad-header", "x,y\n1,2\n3,4\n", False),
+]
+
+
+class TestDatasetParsing:
+    """The one-call parse agrees with the per-line parse on every input."""
+
+    @staticmethod
+    def _outcome(load, path):
+        try:
+            return load(str(path))
+        except cli._ConfigError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("text, accepted",
+                             [c[1:] for c in _PARSE_CASES], ids=[c[0] for c in _PARSE_CASES])
+    def test_parity_with_per_line_parse(self, tmp_path, capsys, text, accepted):
+        data = tmp_path / "data.csv"
+        data.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self._outcome(cli._load_dataset, data)
+        want = self._outcome(cli._load_dataset_by_line, data)
+        assert isinstance(want, tuple) == accepted
+        if not accepted:
+            assert got == want
+            model = tmp_path / "model.json"
+            model.write_text(json.dumps({"covariance": "identity"}))
+            assert run_cli(["estimate", "--data", str(data), "--model", str(model)]) == 2
+            assert capsys.readouterr().err == f"error: {want}\n"
+            return
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.flags.c_contiguous
+            assert a.tobytes() == b.tobytes()
+
+    def test_well_formed_file_skips_per_line_parse(self, tmp_path, monkeypatch):
+        calls = []
+        by_line = cli._load_dataset_by_line
+
+        def counted(path):
+            calls.append(path)
+            return by_line(path)
+
+        monkeypatch.setattr(cli, "_load_dataset_by_line", counted)
+        g = np.random.default_rng(3)
+        table = g.standard_normal((50, 6))
+        cells = [[format(v, ".17g") for v in row] for row in table]
+        data = tmp_path / "data.csv"
+        data.write_text("y,x1,x2,x3,x4,x5\n" + "".join(",".join(r) + "\n" for r in cells))
+        x, y = cli._load_dataset(str(data))
+        assert calls == []
+        assert np.array_equal(x, table[:, 1:]) and np.array_equal(y, table[:, 0])
+        cells[0][0] = f'"{cells[0][0]}"'  # the one-call parse rejects a quoted number
+        data.write_text("y,x1,x2,x3,x4,x5\n" + "".join(",".join(r) + "\n" for r in cells))
+        x, y = cli._load_dataset(str(data))
+        assert len(calls) == 1
+        assert np.array_equal(x, table[:, 1:]) and np.array_equal(y, table[:, 0])
