@@ -228,15 +228,36 @@ def _load_model(path: str, p: int) -> CovariateModel:
 
 
 def _open_dataset(path: str):
+    # A byte that is not UTF-8 decodes to a lone surrogate instead of raising
+    # mid-read, so the line that holds it can be named.
     try:
-        return open(path, newline="")
+        return open(path, newline="", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise _ConfigError(str(exc)) from exc
 
 
+def _check_utf8(path: str, lineno: int, row: list[str]) -> None:
+    """Reject a row holding a byte that did not decode as UTF-8.
+
+    ``errors="surrogateescape"`` decodes such a byte b to the lone surrogate
+    U+DC00 + b, the one kind of character that cannot be encoded back.
+    """
+    text = ",".join(row)
+    try:
+        text.encode()
+    except UnicodeEncodeError as exc:
+        byte = ord(text[exc.start]) - 0xDC00
+        raise _ConfigError(f"{path}:{lineno}: byte {byte:#04x} is not UTF-8") from exc
+
+
 def _read_header(path: str, reader) -> int:
     """Check the ``y,x1,...,xp`` header and return its field count."""
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise _ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
+    if header:
+        _check_utf8(path, 1, header)
     if not header or header[0] != "y" or len(header) < 2:
         raise _ConfigError(f"{path}:1: expected header y,x1,...,xp")
     return len(header)
@@ -253,7 +274,7 @@ def _load_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     keeps ``1,2#x`` an error instead of ``1,2``.
     """
     with _open_dataset(path) as fh:
-        width = _read_header(path, csv.reader(fh))
+        width = _read_header(path, csv.reader(fh, strict=True))
         try:
             with warnings.catch_warnings():
                 # A header-only file warns "input contained no data".
@@ -267,22 +288,27 @@ def _load_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _load_dataset_by_line(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse the CSV with ``csv.reader`` and ``float()`` per cell, one row at a time."""
+    """Parse the CSV with a strict ``csv.reader`` and ``float()`` per cell, one row at a time."""
     with _open_dataset(path) as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, strict=True)
         width = _read_header(path, reader)
         ys, xs, linenos = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise _ConfigError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-            try:
-                ys.append(float(row[0]))
-                xs.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise _ConfigError(f"{path}:{lineno}: {exc}") from exc
-            linenos.append(lineno)
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise _ConfigError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+                try:
+                    ys.append(float(row[0]))
+                    xs.append([float(v) for v in row[1:]])
+                except ValueError as exc:
+                    _check_utf8(path, lineno, row)
+                    raise _ConfigError(f"{path}:{lineno}: {exc}") from exc
+                linenos.append(lineno)
+        except csv.Error as exc:
+            # An unterminated quote, or text after a closing quote.
+            raise _ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
     if len(ys) < 2:
         raise _ConfigError(f"{path}: need at least 2 observations")
     x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)

@@ -157,8 +157,9 @@ def t_full(ds: LabeledDataset, w: WMatrix) -> float:
     k = ds.x @ ds.x.T
     a = k * ds.y[:, None]
     diag = np.diagonal(a).copy()
-    col_sums = ordered_col_sums(a) - diag
-    col_sq_sums = ordered_col_sums(a * a) - diag * diag
+    sums, square_sums = ordered_col_sums(a)
+    col_sums = sums - diag
+    col_sq_sums = square_sums - diag * diag
     triple_a = ordered_sum(col_sums * col_sums - col_sq_sums)
     # sum_{i1 != i2 != i3} G[i1, i2] = (n - 2) * n (n-1) * naive
     triple = triple_a - (n - 2) * (n * (n - 1)) * naive

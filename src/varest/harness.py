@@ -235,12 +235,12 @@ def _estimate(stats, estimator_id, beta, options, boot_seed) -> EstimateReport:
 def _run_rep(args) -> list[RepRecord]:
     cfg, beta, model, estimator_ids, options, rep = args
     stats = DatasetStats(generate_dataset(cfg, beta, rep), model)
+    boot_seed = _boot_seed(cfg.seed, rep)
     records = []
     for eid in estimator_ids:
         start = time.perf_counter()
         try:
-            report = estimate(stats, eid, beta=beta, options=options,
-                              boot_seed=_boot_seed(cfg.seed, rep))
+            report = estimate(stats, eid, beta=beta, options=options, boot_seed=boot_seed)
         except VarestError as exc:
             report = EstimateReport(tau2=float("nan"), sigma2=float("nan"), estimator_id=eid,
                                     aux={"error": f"{type(exc).__name__}: {exc}"})

@@ -17,6 +17,13 @@ library relies on:
 * accumulation error stays at the pairwise-summation level even for the
   ~1e5 mixed-sign terms that show up at n = p = 400.
 
+Every column reduction needs both the sums and the square sums, so
+:func:`ordered_col_sums` returns the pair from one transposed copy and two
+in-place sorts: sort and sum, then square in place, sort and sum again.
+Squaring maps ``±0.0`` to ``+0.0``, so the second sort yields exactly the
+sorted squares.  :func:`gram` reduces the rows of its off-diagonal the same
+way.
+
 A sum within one row (over columns) is row-local and needs no sorting, but
 it uses numpy's own loops (``np.einsum``, ``np.sum(axis=1)``), never a BLAS
 ``@``: a BLAS matrix-vector product may block rows differently by their
@@ -55,18 +62,33 @@ def ordered_sum(values) -> float:
     return float(np.sum(np.sort(a)))
 
 
-def ordered_col_sums(a) -> np.ndarray:
-    """Per-column sums of a 2-D array, each in canonical order.
+def ordered_col_sums(a) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column sums and square sums of a 2-D array, each in canonical order.
 
-    Each column is brought into a contiguous row, sorted in place, and
-    reduced pairwise, keeping the result independent of the row order.
+    Returns ``(sums, square_sums)`` with ``sums[j] = sum_i a[i, j]`` and
+    ``square_sums[j] = sum_i a[i, j]^2``.  The columns are copied once into
+    contiguous rows, which are sorted and reduced pairwise, squared in
+    place, and sorted and reduced again: both results are pure functions of
+    each column's multiset of entries.
     """
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("expected a 2-D array")
-    b = np.array(m.T, order="C")  # always a copy: the sort below is in place
+    # np.array always copies, and the helper overwrites its argument.
+    return _row_sums_and_square_sums(np.array(m.T, order="C"))
+
+
+def _row_sums_and_square_sums(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical-order row sums and row square sums of ``b``, which is overwritten.
+
+    Each row is sorted in place and summed, then squared in place, sorted
+    again and summed.
+    """
     b.sort(axis=-1)
-    return np.sum(b, axis=-1)
+    sums = np.sum(b, axis=-1)
+    b *= b
+    b.sort(axis=-1)
+    return sums, np.sum(b, axis=-1)
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -107,11 +129,11 @@ def triple_sum_distinct(u, v, w) -> float:
         raise LengthMismatch("u, v, w must have equal lengths")
     if n < 3:
         raise TooFewObservations("triple_sum_distinct needs n >= 3")
-    s_u, s_v, s_w = ordered_sum(uv), ordered_sum(vv), ordered_sum(wv)
-    s_uv = ordered_sum(uv * vv)
-    s_uw = ordered_sum(uv * wv)
-    s_vw = ordered_sum(vv * wv)
-    s_uvw = ordered_sum(uv * vv * wv)
+    # One 2-D sort for the seven moment sums: each row is reduced exactly as
+    # ordered_sum reduces it alone.
+    moments = np.stack([uv, vv, wv, uv * vv, uv * wv, vv * wv, uv * vv * wv])
+    moments.sort(axis=-1)
+    s_u, s_v, s_w, s_uv, s_uw, s_vw, s_uvw = np.sum(moments, axis=-1).tolist()
     return s_u * s_v * s_w - s_uv * s_w - s_uw * s_v - s_vw * s_u + 2.0 * s_uvw
 
 
@@ -155,13 +177,7 @@ def gram(w) -> GramMatrix:
     g = 0.5 * (g + g.T)
     off = g.copy()
     np.fill_diagonal(off, 0.0)
-    # Each row is sorted in place, summed, squared and sorted again: a
-    # row's sum is then a pure function of its multiset of entries.
-    off.sort(axis=1)
-    row_sums = np.sum(off, axis=1)
-    np.square(off, out=off)
-    off.sort(axis=1)
-    row_square_sums = np.sum(off, axis=1)
+    row_sums, row_square_sums = _row_sums_and_square_sums(off)
     return GramMatrix(g=g, row_sums_offdiag=row_sums, row_square_sums_offdiag=row_square_sums)
 
 

@@ -42,6 +42,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _is_identity(cov: np.ndarray) -> bool:
+    """``np.array_equal(cov, np.eye(p))`` for a p x p ``cov``, without building ``np.eye(p)``.
+
+    p nonzero entries, all of them on a diagonal of ones, leave every
+    off-diagonal entry ``±0.0``.
+    """
+    return bool(np.count_nonzero(cov) == cov.shape[0] and np.all(np.diagonal(cov) == 1.0))
+
+
 @dataclass(frozen=True)
 class CovariateModel:
     """The known distribution of the covariate vector X.
@@ -86,7 +95,7 @@ class CovariateModel:
             raise ValueError("mean, covariance and fourth moments must be finite")
         # An exact identity is symmetric and positive definite, and symmetrising
         # it is a no-op: skip both checks and the symmetrisation.
-        identity_cov = np.array_equal(cov, np.eye(p))
+        identity_cov = _is_identity(cov)
         if not identity_cov and not np.allclose(cov, cov.T, rtol=1e-12, atol=1e-12):
             raise ValueError("covariance must be symmetric")
         if np.any(m4 < 1.0):
@@ -115,7 +124,7 @@ class CovariateModel:
         """True when the raw distribution is already whitened (mu=0, Sigma=I)."""
         return bool(
             np.array_equal(self.mean, np.zeros(self.p))
-            and np.array_equal(self.covariance, np.eye(self.p))
+            and _is_identity(self.covariance)
         )
 
     @classmethod
@@ -263,11 +272,8 @@ def whiten(x_raw, model: CovariateModel) -> np.ndarray:
 def build_w(ds: LabeledDataset) -> WMatrix:
     """Build the W matrix ``w[i, j] = x[i, j] * y[i]`` with cached column sums."""
     w = ds.x * ds.y[:, None]
-    return WMatrix(
-        w=w,
-        column_sums=ordered_col_sums(w),
-        column_square_sums=ordered_col_sums(w * w),
-    )
+    column_sums, column_square_sums = ordered_col_sums(w)
+    return WMatrix(w=w, column_sums=column_sums, column_square_sums=column_square_sums)
 
 
 def sample_variance_y(y) -> float:

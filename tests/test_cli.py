@@ -431,6 +431,16 @@ _PARSE_CASES = [
     ("header-only", _HEAD, False),
     ("header-only-no-newline", _HEAD.rstrip("\n"), False),
     ("bad-header", "x,y\n1,2\n3,4\n", False),
+    ("unterminated-quote", _HEAD + '1,2,3\n4,5,"6\n', False),
+]
+_LONG = "y,x1\n" + "1.5,2.5\n" * 1500  # 12 KB: past the first 8 KB read chunk
+# (case id, file bytes, line the error names, message after the line)
+_BAD_INPUT_CASES = [
+    ("byte-near-start", b"y,x1\n1,2\n3,\xff4\n", 3, "byte 0xff is not UTF-8"),
+    ("byte-past-first-chunk", _LONG.encode() + b"2.5,\xfe1\n" + b"1,2\n" * 10, 1502,
+     "byte 0xfe is not UTF-8"),
+    ("byte-in-header", b"y,x\xc31\n1,2\n3,4\n", 1, "byte 0xc3 is not UTF-8"),
+    ("unterminated-quote", b'y,x1\n1,2\n3,"4\n', 3, "unexpected end of data"),
 ]
 
 
@@ -465,6 +475,16 @@ class TestDatasetParsing:
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.flags.c_contiguous
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("content, line, message", [c[1:] for c in _BAD_INPUT_CASES],
+                             ids=[c[0] for c in _BAD_INPUT_CASES])
+    def test_bad_input_names_its_line(self, tmp_path, capsys, content, line, message):
+        data = tmp_path / "data.csv"
+        data.write_bytes(content)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"covariance": "identity"}))
+        assert run_cli(["estimate", "--data", str(data), "--model", str(model)]) == 2
+        assert capsys.readouterr().err == f"error: {data}:{line}: {message}\n"
 
     def test_well_formed_file_skips_per_line_parse(self, tmp_path, monkeypatch):
         calls = []

@@ -258,6 +258,25 @@ class TestEstimateDispatch:
         estimate(stats, "single", options=HarnessOptions(variance_method=method))
         assert calls == []
 
+    def test_one_column_pass_per_matrix(self, monkeypatch):
+        # build_w and t_full take both the column sums and square sums from one call
+        import varest.estimators as estimators
+        import varest.model as model
+
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return ordered_col_sums(a)
+        for module in (model, estimators):
+            monkeypatch.setattr(module, "ordered_col_sums", counted)
+        cfg = small_cfg(reps=1)
+        ds = generate_dataset(cfg, build_beta(cfg), 0)
+        w = build_w(ds)
+        assert calls == [(cfg.n, cfg.p)]
+        t_full(ds, w)
+        assert calls == [(cfg.n, cfg.p), (cfg.n, cfg.n)]
+
     def test_unknown_variance_method(self):
         cfg = small_cfg(reps=1)
         stats = DatasetStats(generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg))

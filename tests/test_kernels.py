@@ -8,6 +8,7 @@ from varest.kernels import (
     chain_sum_distinct,
     gram,
     offdiag_square_sum,
+    ordered_col_sums,
     ordered_sum,
     pair_sum_distinct,
     triple_sum_distinct,
@@ -118,6 +119,41 @@ class TestChainSumDistinct:
     def test_too_few(self):
         with pytest.raises(TooFewObservations):
             chain_sum_distinct(gram(np.ones((2, 1))))
+
+
+def _col_sum_cases():
+    g = np.random.default_rng(7)
+    return {
+        "ties-and-signed-zeros": g.choice([-2.5, -0.0, 0.0, 1e-3, 1.5, 7.0], size=(9, 5)),
+        "single-row": np.array([[1.5, -0.0, 0.0, -3.0]]),
+        "one-column": g.standard_normal((17, 1)) * 1e3,
+        "tall": g.standard_normal((4000, 50)) * g.lognormal(0.0, 2.0, (4000, 1)),
+    }
+
+
+_COL_SUM_CASES = _col_sum_cases()
+
+
+class TestOrderedColSums:
+    @pytest.mark.parametrize("name", list(_COL_SUM_CASES))
+    def test_equals_sorted_sum_of_each_column(self, name):
+        a = _COL_SUM_CASES[name]
+        sums, square_sums = ordered_col_sums(a)
+        assert sums.tobytes() == np.array([ordered_sum(c) for c in a.T]).tobytes()
+        assert square_sums.tobytes() == np.array([ordered_sum(c * c) for c in a.T]).tobytes()
+
+    @pytest.mark.parametrize("name", list(_COL_SUM_CASES))
+    def test_row_permutation_bitwise(self, name):
+        a = _COL_SUM_CASES[name]
+        perm = np.random.default_rng(11).permutation(a.shape[0])
+        for got, want in zip(ordered_col_sums(a[perm]), ordered_col_sums(a)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_input_unchanged(self):
+        a = _COL_SUM_CASES["ties-and-signed-zeros"]
+        before = a.tobytes()
+        ordered_col_sums(a)
+        assert a.tobytes() == before
 
 
 class TestReductionStability:

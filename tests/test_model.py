@@ -12,6 +12,7 @@ from varest.model import (
     CoefficientVector,
     CovariateModel,
     LabeledDataset,
+    _is_identity,
     build_w,
     sample_variance_y,
     whiten,
@@ -20,6 +21,19 @@ from varest.model import (
 from oracles import w_loop
 
 rng = np.random.default_rng(42)
+
+
+def _near_identities():
+    eye = np.eye(4)
+    neg_zero, tiny, wide = eye.copy(), eye.copy(), eye.copy()
+    neg_zero[0, 2] = -0.0
+    tiny[1, 3] = 1e-300
+    wide[2, 2] = 1.0 + 2.0**-52
+    return {"identity": eye, "negative-zero": neg_zero, "tiny-off-diagonal": tiny,
+            "diagonal-ulp": wide, "permutation": eye[[1, 2, 3, 0]]}
+
+
+_NEAR_IDENTITIES = _near_identities()
 
 
 class TestCovariateModel:
@@ -54,6 +68,17 @@ class TestCovariateModel:
     def test_scalar_fourth_moment_broadcast(self):
         m = CovariateModel.independent(5, fourth_moment=2.5)
         assert m.fourth_moments.shape == (5,)
+
+    @pytest.mark.parametrize("name", list(_NEAR_IDENTITIES))
+    def test_identity_check_matches_array_equal(self, name):
+        cov = _NEAR_IDENTITIES[name]
+        assert _is_identity(cov) == np.array_equal(cov, np.eye(4))
+
+    @pytest.mark.parametrize("name, expected", [("identity", True), ("negative-zero", True),
+                                                ("diagonal-ulp", False)])
+    def test_is_identity(self, name, expected):
+        m = CovariateModel(mean=np.zeros(4), covariance=_NEAR_IDENTITIES[name], fourth_moments=3.0)
+        assert m.is_identity == expected
 
     def test_immutable(self):
         m = CovariateModel.standard_gaussian(3)
