@@ -64,6 +64,7 @@ from .model import (
     CovariateModel,
     LabeledDataset,
     WMatrix,
+    Whitening,
     build_w,
     sample_variance_y,
     whiten,

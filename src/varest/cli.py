@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DegenerateZeroEstimator, VarestError
+from .errors import DegenerateZeroEstimator, DimensionMismatch, VarestError
 from .estimators import ESTIMATOR_IDS
 from .harness import (
     DatasetStats,
@@ -27,7 +27,7 @@ from .harness import (
     write_records_csv,
     write_summary_csv,
 )
-from .model import CovariateModel, LabeledDataset, whiten
+from .model import CovariateModel, LabeledDataset, Whitening, whiten
 from .simgen import ScenarioConfig
 from .zeroboost import INITIAL_IDS
 
@@ -109,14 +109,20 @@ def _add_empirical_flags(p: argparse.ArgumentParser) -> None:
                    help="bootstrap resamples for --empirical")
 
 
+def _read_json(path: str, kind: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise _ConfigError(f"cannot read {kind} file: {exc}") from exc
+
+
 def _scenario_from_args(args) -> ScenarioConfig:
     fields: dict = {}
     if args.scenario:
-        try:
-            with open(args.scenario) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise _ConfigError(f"cannot read scenario file: {exc}") from exc
+        raw = _read_json(args.scenario, "scenario")
+        if not isinstance(raw, dict):
+            raise _ConfigError("invalid scenario: the file must hold a JSON object")
         unknown = set(raw) - set(_SCENARIO_KEYS)
         if unknown:
             raise _ConfigError(f"unknown scenario fields: {sorted(unknown)}")
@@ -197,12 +203,9 @@ def _print_summary_table(summaries) -> None:
               f"{s.se:>10.4f}{s.rmse:>10.4f}{s.rmse_sd:>10.5f}")
 
 
-def _load_model(path: str, p: int) -> CovariateModel:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _ConfigError(f"cannot read model file: {exc}") from exc
+def _load_model(path: str, p: int) -> tuple[CovariateModel, Whitening | None]:
+    """The file's covariate model, and its whitening unless that is the identity map."""
+    raw = _read_json(path, "model")
     if not isinstance(raw, dict):
         raise _ConfigError("invalid covariate model: the file must hold a JSON object")
     flags = {"independent_columns": raw.get("independent_columns", True),
@@ -214,15 +217,17 @@ def _load_model(path: str, p: int) -> CovariateModel:
         mean = raw.get("mean", 0.0)
         mean = np.full(p, float(mean)) if np.isscalar(mean) else np.asarray(mean, dtype=float)
         cov = raw.get("covariance", "identity")
-        cov = np.eye(p) if cov == "identity" else np.asarray(cov, dtype=float)
+        whitening = None
+        if not (cov == "identity" and mean.shape == (p,) and not mean.any()):
+            cov = np.eye(p) if cov == "identity" else np.asarray(cov, dtype=float)
+            whitening = Whitening(mean, cov)
+            if whitening.p != p:
+                raise DimensionMismatch(f"covariance must be {p}x{p}, got {cov.shape}")
         m4 = raw.get("fourth_moments", 3.0)
         m4 = np.full(p, float(m4)) if np.isscalar(m4) else np.asarray(m4, dtype=float)
-        return CovariateModel(
-            mean=mean,
-            covariance=cov,
-            fourth_moments=m4,
-            **flags,
-        )
+        if m4.shape != (p,):
+            raise DimensionMismatch(f"fourth_moments must have length {p}")
+        return CovariateModel(m4, **flags), whitening
     except (VarestError, ValueError, TypeError) as exc:
         raise _ConfigError(f"invalid covariate model: {exc}") from exc
 
@@ -320,7 +325,7 @@ def _load_dataset_by_line(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _cmd_estimate(args) -> int:
     x, y = _load_dataset(args.data)
-    model = _load_model(args.model, x.shape[1])
+    model, whitening = _load_model(args.model, x.shape[1])
     estimators = _parse_estimators(args.estimators, args.empirical)
     if "oracle" in estimators:
         raise _ConfigError(
@@ -328,8 +333,8 @@ def _cmd_estimate(args) -> int:
             "available in simulations"
         )
     options = _options_from_args(args, estimators)
-    if args.raw_x:
-        x = whiten(x, model)
+    if args.raw_x and whitening is not None:
+        x = whiten(x, whitening)
     ds = LabeledDataset(x=x, y=y)
     if args.center_y:
         ds = ds.center_y()

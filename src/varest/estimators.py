@@ -114,7 +114,7 @@ def t_oracle(ds: LabeledDataset, w: WMatrix, beta: CoefficientVector) -> float:
     """
     if beta.p != ds.p:
         raise DimensionMismatch(f"beta has length {beta.p}, data has p = {ds.p}")
-    xb = ds.x @ beta.beta
+    xb = np.einsum("ij,j->i", ds.x, beta.beta)
     correction = 2.0 * ordered_sum(xb * xb - beta.tau2) / ds.n
     return naive_tau2(w) - correction
 

@@ -2,10 +2,12 @@
 
 The estimators all assume the covariates have been whitened to mean zero and
 identity covariance using the *known* distribution of X.  This module holds
-that known distribution (:class:`CovariateModel`), the whitening transform,
-the observed data container (:class:`LabeledDataset`), and the per-observation
-products ``W[i, j] = X[i, j] * Y[i]`` (:class:`WMatrix`) on which every
-estimator downstream is built.
+what they read of that distribution (:class:`CovariateModel`: the whitened
+fourth moments and the independence and Gaussian flags), the raw mean and
+covariance that whitening removes (:class:`Whitening`, applied by
+:func:`whiten`), the observed data container (:class:`LabeledDataset`), and
+the per-observation products ``W[i, j] = X[i, j] * Y[i]`` (:class:`WMatrix`)
+on which every estimator downstream is built.
 
 All types are immutable after construction (arrays are marked read-only) and
 every operation is a pure function, so instances are safe to share across
@@ -14,7 +16,8 @@ threads and worker processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +30,7 @@ __all__ = [
     "LabeledDataset",
     "SINGULARITY_RTOL",
     "WMatrix",
+    "Whitening",
     "build_w",
     "sample_variance_y",
     "whiten",
@@ -42,26 +46,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _is_identity(cov: np.ndarray) -> bool:
-    """``np.array_equal(cov, np.eye(p))`` for a p x p ``cov``, without building ``np.eye(p)``.
-
-    p nonzero entries, all of them on a diagonal of ones, leave every
-    off-diagonal entry ``±0.0``.
-    """
-    return bool(np.count_nonzero(cov) == cov.shape[0] and np.all(np.diagonal(cov) == 1.0))
-
-
 @dataclass(frozen=True)
 class CovariateModel:
-    """The known distribution of the covariate vector X.
+    """The known distribution of the whitened covariate vector X.
+
+    E X = 0 and Cov X = I by construction; the raw mean and covariance that
+    whitening removes are a :class:`Whitening`, which no estimator reads.
 
     Parameters
     ----------
-    mean : array of shape (p,)
-        Population mean of the raw covariates.
-    covariance : array of shape (p, p)
-        Population covariance of the raw covariates; must be symmetric
-        positive definite.
     fourth_moments : array of shape (p,)
         ``E[X_j^4]`` per column *after* whitening.  Each entry must be >= 1
         (Cauchy-Schwarz, given unit second moments).
@@ -73,59 +66,25 @@ class CovariateModel:
         Whether X is Gaussian; forces fourth moments of exactly 3.
     """
 
-    mean: np.ndarray
-    covariance: np.ndarray
     fourth_moments: np.ndarray
     independent_columns: bool = True
     gaussian: bool = False
-    _sqrt_inv_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
-        cov = np.asarray(self.covariance, dtype=np.float64)
-        p = mean.shape[0]
-        if cov.shape != (p, p):
-            raise DimensionMismatch(f"covariance must be {p}x{p}, got {cov.shape}")
         m4 = np.asarray(self.fourth_moments, dtype=np.float64)
-        if m4.ndim == 0:
-            m4 = np.full(p, float(m4))
-        if m4.shape != (p,):
-            raise DimensionMismatch(f"fourth_moments must have length {p}")
-        if not all(np.all(np.isfinite(a)) for a in (mean, cov, m4)):
+        if m4.ndim != 1:
+            raise DimensionMismatch(f"fourth_moments must be a vector, got shape {m4.shape}")
+        if not np.all(np.isfinite(m4)):
             raise ValueError("mean, covariance and fourth moments must be finite")
-        # An exact identity is symmetric and positive definite, and symmetrising
-        # it is a no-op: skip both checks and the symmetrisation.
-        identity_cov = _is_identity(cov)
-        if not identity_cov and not np.allclose(cov, cov.T, rtol=1e-12, atol=1e-12):
-            raise ValueError("covariance must be symmetric")
         if np.any(m4 < 1.0):
             raise ValueError("fourth moments must be >= 1 after whitening")
         if self.gaussian and not np.all(m4 == 3.0):
             raise ValueError("a Gaussian model must have fourth moments equal to 3")
-        object.__setattr__(self, "mean", _readonly(mean))
-        if not identity_cov:
-            cov = 0.5 * (cov + cov.T)
-        object.__setattr__(self, "covariance", _readonly(cov))
         object.__setattr__(self, "fourth_moments", _readonly(m4))
-        # Positive definiteness is part of the construction contract.
-        if not identity_cov:
-            eigvals = np.linalg.eigvalsh(self.covariance)
-            if eigvals[0] <= 0.0:
-                raise NearSingularCovariance(
-                    f"covariance has a non-positive eigenvalue ({eigvals[0]:g})"
-                )
 
     @property
     def p(self) -> int:
-        return self.mean.shape[0]
-
-    @property
-    def is_identity(self) -> bool:
-        """True when the raw distribution is already whitened (mu=0, Sigma=I)."""
-        return bool(
-            np.array_equal(self.mean, np.zeros(self.p))
-            and _is_identity(self.covariance)
-        )
+        return self.fourth_moments.shape[0]
 
     @classmethod
     def standard_gaussian(cls, p: int) -> "CovariateModel":
@@ -135,33 +94,57 @@ class CovariateModel:
     @classmethod
     def independent(cls, p: int, fourth_moment: float, gaussian: bool = False) -> "CovariateModel":
         """Whitened independent columns with a common fourth moment."""
-        return cls(
-            mean=np.zeros(p),
-            covariance=np.eye(p),
-            fourth_moments=np.full(p, float(fourth_moment)),
-            independent_columns=True,
-            gaussian=gaussian,
-        )
+        return cls(np.full(p, float(fourth_moment)), gaussian=gaussian)
 
+
+@dataclass(frozen=True)
+class Whitening:
+    """The raw covariates' known mean (p,) and covariance (p, p), which :func:`whiten` removes.
+
+    The covariance must be symmetric positive definite.
+    """
+
+    mean: np.ndarray
+    covariance: np.ndarray
+
+    def __post_init__(self):
+        mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
+        cov = np.asarray(self.covariance, dtype=np.float64)
+        p = mean.shape[0]
+        if cov.shape != (p, p):
+            raise DimensionMismatch(f"covariance must be {p}x{p}, got {cov.shape}")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("mean, covariance and fourth moments must be finite")
+        if not np.allclose(cov, cov.T, rtol=1e-12, atol=1e-12):
+            raise ValueError("covariance must be symmetric")
+        object.__setattr__(self, "mean", _readonly(mean))
+        object.__setattr__(self, "covariance", _readonly(0.5 * (cov + cov.T)))
+        # Positive definiteness is part of the construction contract.
+        eigvals = np.linalg.eigvalsh(self.covariance)
+        if eigvals[0] <= 0.0:
+            raise NearSingularCovariance(
+                f"covariance has a non-positive eigenvalue ({eigvals[0]:g})"
+            )
+
+    @property
+    def p(self) -> int:
+        return self.mean.shape[0]
+
+    @cached_property
     def sqrt_inverse_covariance(self) -> np.ndarray:
         """The unique symmetric inverse square root of the covariance.
 
-        Computed once per model via symmetric eigendecomposition and cached.
+        Computed on first use via symmetric eigendecomposition, then kept.
         Raises :class:`NearSingularCovariance` when any eigenvalue falls
         below ``SINGULARITY_RTOL`` times the largest.
         """
-        cached = self._sqrt_inv_cache.get("m")
-        if cached is not None:
-            return cached
         eigvals, eigvecs = np.linalg.eigh(self.covariance)
         if eigvals[0] <= SINGULARITY_RTOL * eigvals[-1]:
             raise NearSingularCovariance(
                 f"smallest eigenvalue {eigvals[0]:g} below tolerance "
                 f"{SINGULARITY_RTOL:g} * {eigvals[-1]:g}"
             )
-        m = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
-        self._sqrt_inv_cache["m"] = m
-        return m
+        return (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
 
 
 @dataclass(frozen=True)
@@ -252,21 +235,17 @@ class WMatrix:
         return self.w.shape[1]
 
 
-def whiten(x_raw, model: CovariateModel) -> np.ndarray:
-    """Whiten raw covariate rows with the model's known mean and covariance.
+def whiten(x_raw, whitening: Whitening) -> np.ndarray:
+    """Whiten raw covariate rows with their known mean and covariance.
 
     Each row is mapped to ``Sigma^{-1/2} (x - mu)`` using the symmetric
-    square root, so the output rows have identity population covariance
-    under the model.  Whitening already-whitened data (mu = 0, Sigma = I)
-    is the identity map, bitwise.
+    square root, so the output rows have identity population covariance.
+    Covariates that are already whitened need no :class:`Whitening` at all.
     """
     x = np.asarray(x_raw, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.p:
-        raise DimensionMismatch(f"x_raw must be n x {model.p}, got {x.shape}")
-    if model.is_identity:
-        return x.copy()
-    m = model.sqrt_inverse_covariance()
-    return (x - model.mean) @ m.T
+    if x.ndim != 2 or x.shape[1] != whitening.p:
+        raise DimensionMismatch(f"x_raw must be n x {whitening.p}, got {x.shape}")
+    return (x - whitening.mean) @ whitening.sqrt_inverse_covariance.T
 
 
 def build_w(ds: LabeledDataset) -> WMatrix:

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -99,6 +100,50 @@ class TestSimulate:
             "--summary-out", str(tmp_path / "s.csv"),
         ])
         assert rc == 0
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "-1"], "seed must be nonnegative, got -1"),
+        (["--seed", "1", "--sigma2", "inf"], "sigma2 must be finite, got inf"),
+        (["--seed", "1", "--tau2", "inf", "--tau2b", "1"], "tau2 must be finite, got inf"),
+    ], ids=["negative-seed", "infinite-sigma2", "infinite-tau2"])
+    def test_bad_scenario_value_exits_2(self, tmp_path, capsys, flags, message):
+        rc = run_cli([
+            "simulate", "--n", "10", "--p", "4", "--tau2", "1", "--tau2b", "0.2",
+            "--b-size", "2", *flags,
+            "--records-out", str(tmp_path / "r.csv"),
+            "--summary-out", str(tmp_path / "s.csv"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_scenario_file_wrong_type_exits_2(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"n": "10", "p": 4, "tau2": 1.0, "tau2_b": 0.2,
+                                        "b_size": 2, "seed": 1}))
+        rc = run_cli(["simulate", "--scenario", str(scenario),
+                      "--records-out", str(tmp_path / "r.csv"),
+                      "--summary-out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: n must be an integer, got '10'\n"
+
+    def test_scenario_file_not_object_exits_2(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text("5")
+        rc = run_cli(["simulate", "--scenario", str(scenario), "--seed", "1",
+                      "--records-out", str(tmp_path / "r.csv"),
+                      "--summary-out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            "error: invalid scenario: the file must hold a JSON object\n"
+
+    def test_scenario_file_not_utf8_exits_2(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_bytes(b'{"n": 20, "p": 5, "tau2": 1.0, "tau2_b": 0.4, "x": "\xff"}')
+        rc = run_cli(["simulate", "--scenario", str(scenario), "--seed", "1",
+                      "--records-out", str(tmp_path / "r.csv"),
+                      "--summary-out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: cannot read scenario file: 'utf-8'")
 
     def test_unknown_estimator_exits_2(self, tmp_path, capsys):
         rc = run_cli([
@@ -275,6 +320,27 @@ class TestEstimate:
         assert rc == 2
         assert err.startswith("error: invalid covariate model")
 
+    def test_model_not_utf8_exits_2(self, tmp_path, toy_dataset, capsys):
+        model = tmp_path / "bad_model.json"
+        model.write_bytes(b'{"covariance": "identity", "x": "\xff"}')
+        rc = run_cli(["estimate", "--data", str(toy_dataset[0]), "--model", str(model)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: cannot read model file: 'utf-8'")
+
+    def test_identity_model_builds_no_whitening(self, tmp_path):
+        # 2000 x 2000 doubles are 32 MB; the model itself is one length-p vector.
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"mean": 0.0, "covariance": "identity"}))
+        tracemalloc.start()
+        try:
+            covariates, whitening = cli._load_model(str(model), 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert whitening is None
+        assert covariates.p == 2000
+        assert peak < 1_000_000
+
     def test_selection_aux_lists_columns(self, tmp_path, capsys):
         g = np.random.default_rng(0)
         n, p = 60, 6
@@ -363,7 +429,7 @@ class TestEntryPoint:
 class TestEstimateWhitening:
     def test_raw_x_whitens_with_model(self, tmp_path, capsys):
         from varest.estimators import naive_tau2
-        from varest.model import CovariateModel, LabeledDataset, build_w, whiten
+        from varest.model import LabeledDataset, Whitening, build_w, whiten
 
         g = np.random.default_rng(21)
         n, p = 30, 2
@@ -386,9 +452,7 @@ class TestEstimateWhitening:
                       "--estimators", "naive", "--raw-x"])
         assert rc == 0
         got = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
-        model = CovariateModel(mean=mu, covariance=cov, fourth_moments=3.0,
-                               gaussian=True)
-        want = naive_tau2(build_w(LabeledDataset(x=whiten(x_raw, model), y=y)))
+        want = naive_tau2(build_w(LabeledDataset(x=whiten(x_raw, Whitening(mu, cov)), y=y)))
         assert got == pytest.approx(want, rel=1e-5)
 
     def test_oracle_rejected_for_data(self, toy_dataset, capsys):

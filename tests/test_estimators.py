@@ -28,6 +28,7 @@ from varest.model import (
     build_w,
     sample_variance_y,
 )
+from varest.simgen import ScenarioConfig, build_beta, generate_dataset
 from varest.variance import var_tilde_t_chat
 
 from oracles import chat_numerator_loop, naive_loop, psi_loop, single_zero_loop
@@ -109,6 +110,18 @@ class TestOracle:
         ds, w = make_data(7, 5, 2)
         with pytest.raises(DimensionMismatch):
             t_oracle(ds, w, CoefficientVector(np.zeros(3)))
+
+    @pytest.mark.parametrize("x_dist", ["gaussian", "rademacher-mix"])
+    @pytest.mark.parametrize("n, p", [(60, 40), (150, 300), (400, 400), (7, 64)])
+    def test_row_permutation_bitwise(self, n, p, x_dist):
+        # X beta is a row-local sum, so a row's result does not depend on its position
+        for seed in range(6):
+            cfg = ScenarioConfig(n=n, p=p, tau2=1.0, tau2_b=0.5, seed=seed, x_dist=x_dist)
+            beta = build_beta(cfg)
+            ds = generate_dataset(cfg, beta, 0)
+            perm = np.random.default_rng(seed).permutation(n)
+            ds2 = LabeledDataset(x=ds.x[perm], y=ds.y[perm])
+            assert t_oracle(ds2, build_w(ds2), beta) == t_oracle(ds, build_w(ds), beta)
 
     def test_unbiased_and_lower_variance(self):
         # small monte carlo: mean near tau2 and variance below naive
@@ -237,8 +250,7 @@ class TestSingleZero:
 
     def test_dependent_columns_rejected(self):
         ds, _ = make_data(18, 5, 3)
-        model = CovariateModel(mean=np.zeros(3), covariance=np.eye(3),
-                               fourth_moments=3.0, independent_columns=False)
+        model = CovariateModel(np.full(3, 3.0), independent_columns=False)
         with pytest.raises(UnsupportedDependenceStructure):
             build_single_zero(ds, model)
 

@@ -284,6 +284,29 @@ class TestEstimateDispatch:
             estimate(stats, "full", options=HarnessOptions(variance_method="bogus"))
 
 
+class TestScaling:
+    """Scaling y by 2^k scales tau2 and sigma2 by exactly 4^k and a variance estimate by 16^k."""
+
+    @pytest.mark.parametrize("select_split", [False, True], ids=["whole", "split"])
+    @pytest.mark.parametrize("method", [None, "gaussian-plugin", "tilde"])
+    @pytest.mark.parametrize("eid", ["naive", "dicker", "full", "single", "selection",
+                                     "empirical"])
+    def test_y_power_of_two_scales_exactly(self, eid, method, select_split):
+        options = HarnessOptions(variance_method=method, boot=20, select_split=select_split)
+        for x_dist in sorted(DISPATCH_CASES):
+            cfg = small_cfg(x_dist=x_dist, reps=1, **DISPATCH_CASES[x_dist])
+            ds, model = generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg)
+            base = estimate(DatasetStats(ds, model), eid, options=options, boot_seed=7)
+            for k in (-3, 5):
+                scaled = LabeledDataset(x=ds.x, y=ds.y * 2.0**k)
+                got = estimate(DatasetStats(scaled, model), eid, options=options, boot_seed=7)
+                assert (got.tau2, got.sigma2) == (base.tau2 * 4.0**k, base.sigma2 * 4.0**k)
+                if base.variance_estimate is None:
+                    assert got.variance_estimate is None
+                else:
+                    assert got.variance_estimate == base.variance_estimate * 16.0**k
+
+
 class TestFiniteOut:
     """Finite input gives finite reported numbers or a typed error, never a warning."""
 

@@ -28,6 +28,20 @@ class TestScenarioConfig:
         with pytest.raises(InvalidScenario):
             ScenarioConfig(n=10, p=8, tau2=1.0, tau2_b=0.5, x_dist="scaled-t(4)", seed=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", "10"), ("n", 10.0), ("reps", True), ("seed", -1), ("tau2", "1"),
+        ("tau2", float("nan")), ("sigma2", float("inf")), ("tau2_b", False), ("x_dist", None),
+    ])
+    def test_rejects_bad_field(self, field, value):
+        fields = dict(n=10, p=8, tau2=1.0, tau2_b=0.5, seed=0)
+        fields[field] = value
+        with pytest.raises(InvalidScenario, match=field):
+            ScenarioConfig(**fields)
+
+    def test_accepts_numpy_numbers(self):
+        cfg = ScenarioConfig(n=np.int64(10), p=8, tau2=np.float64(1.0), tau2_b=1, seed=0)
+        assert (cfg.n, cfg.tau2, cfg.tau2_b) == (10, 1.0, 1)
+
 
 class TestBuildBeta:
     def test_point_mass_layout(self):

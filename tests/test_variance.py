@@ -54,8 +54,7 @@ class TestMomentMatrixA:
         np.testing.assert_allclose(a.a, [[4.0]])
 
     def test_requires_independent_columns(self):
-        model = CovariateModel(mean=np.zeros(2), covariance=np.eye(2),
-                               fourth_moments=3.0, independent_columns=False)
+        model = CovariateModel(np.full(2, 3.0), independent_columns=False)
         with pytest.raises(UnsupportedDependenceStructure):
             moment_matrix_a(CoefficientVector(np.zeros(2)), 1.0, model)
 
@@ -137,9 +136,7 @@ class TestVarOracleTheory:
             p = int(g.integers(2, 10))
             beta = CoefficientVector(g.standard_normal(p))
             m4 = 1.0 + g.lognormal(0, 1, p)
-            model = CovariateModel.independent(p, fourth_moment=1.0)
-            model = CovariateModel(mean=np.zeros(p), covariance=np.eye(p),
-                                   fourth_moments=m4)
+            model = CovariateModel(fourth_moments=m4)
             assert var_t_oracle_theory(beta, 0.7, model, 40) <= \
                 var_naive_theory(beta, 0.7, model, 40) + 1e-15
 
