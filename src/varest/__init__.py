@@ -16,6 +16,7 @@ from .errors import (
     IndexOutOfRange,
     InitialEstimatorFailure,
     InsufficientRecords,
+    InvalidInput,
     InvalidScenario,
     LengthMismatch,
     NearSingularCovariance,

@@ -9,6 +9,13 @@ class VarestError(Exception):
     """Base class for all varest errors."""
 
 
+class InvalidInput(VarestError, ValueError):
+    """An argument has an invalid value: non-finite, out of range or of the wrong shape.
+
+    Also a ``ValueError``, so callers that catch that keep working.
+    """
+
+
 class NearSingularCovariance(VarestError):
     """Covariance matrix has an eigenvalue below the relative tolerance."""
 

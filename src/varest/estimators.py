@@ -149,15 +149,17 @@ def t_full(ds: LabeledDataset, w: WMatrix) -> float:
     reduces to distinct-index sums of ``a``, an O(n^2 p) evaluation instead
     of O(p^2 n).  Unbiased, but when p is of the order of n the estimation
     of all p^2 coefficients adds more variance than the correction removes.
+    ``X X'`` of the dataset's contiguous X is exactly symmetric, so scaling
+    its columns by Y in place builds ``a'`` bit for bit, and ``a`` is its view.
     """
     n = ds.n
     if n < 3:
         raise TooFewObservations("t_full needs n >= 3")
     naive = naive_tau2(w)
-    k = ds.x @ ds.x.T
-    a = k * ds.y[:, None]
-    diag = np.diagonal(a).copy()
-    sums, square_sums = ordered_col_sums(a)
+    a_t = ds.x @ ds.x.T
+    a_t *= ds.y
+    diag = np.diagonal(a_t).copy()
+    sums, square_sums = ordered_col_sums(a_t.T)
     col_sums = sums - diag
     col_sq_sums = square_sums - diag * diag
     triple_a = ordered_sum(col_sums * col_sums - col_sq_sums)

@@ -1,8 +1,8 @@
 """Monte Carlo driver: one estimate dispatch, scenario runs and summaries.
 
 ``estimate`` runs one estimator by id together with its variance estimate
-(``HarnessOptions.variance_method``).  It reads W, the Gram matrix, the
-single-zero statistic, ``sigma_Y^2`` and the naive variance estimates from
+(``HarnessOptions.variance_method``).  It reads W, the Gram row statistics,
+the single-zero statistic, ``sigma_Y^2`` and the naive variance estimates from
 one ``DatasetStats`` per dataset, so each is built at most once.  Split
 selection selects on the first row block of ``split_rows`` and estimates on
 the second, so its estimate and variance read one ``DatasetStats`` of that
@@ -118,7 +118,7 @@ class DatasetStats:
     """The per-dataset statistics every estimator and variance estimate reads.
 
     Each member is built on first use and then kept, so one object serves all
-    estimators on a dataset: W, its Gram matrix, the single-zero statistic,
+    estimators on a dataset: W, its Gram row statistics, the single-zero statistic,
     ``sigma_Y^2`` and the naive variance estimate of each method.
     """
 
@@ -291,6 +291,9 @@ def summarize(records, true_tau2: float) -> list[SummaryStats]:
     ``se`` uses the n-1 divisor, ``rmse`` the mean of squared errors, and
     ``rmse_sd`` the first-order delta method for the square root of a mean.
     Records are grouped by estimator; input order does not matter.
+    Arithmetic that overflows, or a statistic of finite records that is not
+    finite, raises ``NonFiniteResult``; a NaN record (a failed replication)
+    still gives NaN statistics.
     """
     by_estimator: dict[str, list[float]] = {}
     order: list[str] = []
@@ -306,22 +309,34 @@ def summarize(records, true_tau2: float) -> list[SummaryStats]:
         m = values.shape[0]
         if m < 2:
             raise InsufficientRecords(f"estimator {eid!r} has {m} record(s); need >= 2")
-        mean = ordered_sum(values) / m
-        bias = true_tau2 - mean
-        dev = values - mean
-        se = float(np.sqrt(ordered_sum(dev * dev) / (m - 1)))
-        err_sq = (values - true_tau2) ** 2
-        rmse = float(np.sqrt(ordered_sum(err_sq) / m))
-        if rmse > 0.0:
-            sq_dev = err_sq - ordered_sum(err_sq) / m
-            sd_err_sq = float(np.sqrt(ordered_sum(sq_dev * sq_dev) / (m - 1)))
-            rmse_sd = sd_err_sq / (2.0 * rmse * np.sqrt(m))
-        else:
-            rmse_sd = 0.0
-        out.append(SummaryStats(
-            estimator_id=eid, mean=mean, bias=bias, se=se, rmse=rmse, rmse_sd=rmse_sd,
-        ))
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                row = _summary_row(eid, values, true_tau2)
+        except FloatingPointError as exc:
+            raise NonFiniteResult(f"summary of estimator {eid!r}: {exc}") from exc
+        numbers = (row.mean, row.bias, row.se, row.rmse, row.rmse_sd)
+        if np.isfinite(values).all() and not np.isfinite(numbers).all():
+            raise NonFiniteResult(f"summary of estimator {eid!r} is not finite")
+        out.append(row)
     return out
+
+
+def _summary_row(eid: str, values: np.ndarray, true_tau2: float) -> SummaryStats:
+    m = values.shape[0]
+    mean = ordered_sum(values) / m
+    bias = true_tau2 - mean
+    dev = values - mean
+    se = float(np.sqrt(ordered_sum(dev * dev) / (m - 1)))
+    err_sq = (values - true_tau2) ** 2
+    rmse = float(np.sqrt(ordered_sum(err_sq) / m))
+    if rmse > 0.0:
+        sq_dev = err_sq - ordered_sum(err_sq) / m
+        sd_err_sq = float(np.sqrt(ordered_sum(sq_dev * sq_dev) / (m - 1)))
+        rmse_sd = sd_err_sq / (2.0 * rmse * np.sqrt(m))
+    else:
+        rmse_sd = 0.0
+    return SummaryStats(estimator_id=eid, mean=mean, bias=bias, se=se, rmse=rmse,
+                        rmse_sd=rmse_sd)
 
 
 def _fmt(x: float | None) -> str:

@@ -22,7 +22,7 @@ Every column reduction needs both the sums and the square sums, so
 in-place sorts: sort and sum, then square in place, sort and sum again.
 Squaring maps ``±0.0`` to ``+0.0``, so the second sort yields exactly the
 sorted squares.  :func:`gram` reduces the rows of its off-diagonal the same
-way.
+way, in place, and keeps only those two row statistics.
 
 A sum within one row (over columns) is row-local and needs no sorting, but
 it uses numpy's own loops (``np.einsum``, ``np.sum(axis=1)``), never a BLAS
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, TooFewObservations
+from .errors import InvalidInput, LengthMismatch, TooFewObservations
 
 __all__ = [
     "GramMatrix",
@@ -73,7 +73,7 @@ def ordered_col_sums(a) -> tuple[np.ndarray, np.ndarray]:
     """
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
-        raise ValueError("expected a 2-D array")
+        raise InvalidInput("expected a 2-D array")
     # np.array always copies, and the helper overwrites its argument.
     return _row_sums_and_square_sums(np.array(m.T, order="C"))
 
@@ -94,7 +94,7 @@ def _row_sums_and_square_sums(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _as_vector(x, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
+        raise InvalidInput(f"{name} must be one-dimensional")
     return v
 
 
@@ -139,46 +139,41 @@ def triple_sum_distinct(u, v, w) -> float:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Dense Gram matrix of the rows of a W matrix.
+    """The two row statistics of the Gram matrix of a W matrix that the kernels read.
 
-    ``g[i1, i2] = sum_j W[i1, j] * W[i2, j]``.  Two read-only row statistics
-    of the off-diagonal are kept for the kernels, each row summed in
+    With ``g[i1, i2] = sum_j W[i1, j] * W[i2, j]``, each row summed in
     canonical order: ``row_sums_offdiag[i] = sum_{i' != i} g[i, i']`` and
-    ``row_square_sums_offdiag[i] = sum_{i' != i} g[i, i']^2``.
+    ``row_square_sums_offdiag[i] = sum_{i' != i} g[i, i']^2``.  The n x n
+    matrix itself is not kept.
     """
 
-    g: np.ndarray
     row_sums_offdiag: np.ndarray
     row_square_sums_offdiag: np.ndarray
 
     def __post_init__(self):
-        self.g.setflags(write=False)
         self.row_sums_offdiag.setflags(write=False)
         self.row_square_sums_offdiag.setflags(write=False)
 
     @property
     def n(self) -> int:
-        return self.g.shape[0]
+        return self.row_sums_offdiag.shape[0]
 
 
 def gram(w) -> GramMatrix:
-    """Build the row Gram matrix of ``w`` (a WMatrix or plain 2-D array).
+    """The off-diagonal row statistics of the Gram matrix of ``w`` (a WMatrix or 2-D array).
 
-    Cost O(n^2 p).  The product is symmetrized exactly so downstream kernels
-    may rely on ``g == g.T``.
+    Cost O(n^2 p).  The diagonal of the product is zeroed and its rows are
+    reduced in the buffer the product returns, so one n x n array is held
+    while it runs and none after.
     """
     rows = np.asarray(getattr(w, "w", w), dtype=np.float64)
     if rows.ndim != 2:
-        raise ValueError("expected an n x p matrix")
-    n = rows.shape[0]
-    if n < 2:
+        raise InvalidInput("expected an n x p matrix")
+    if rows.shape[0] < 2:
         raise TooFewObservations("gram needs n >= 2")
     g = rows @ rows.T
-    g = 0.5 * (g + g.T)
-    off = g.copy()
-    np.fill_diagonal(off, 0.0)
-    row_sums, row_square_sums = _row_sums_and_square_sums(off)
-    return GramMatrix(g=g, row_sums_offdiag=row_sums, row_square_sums_offdiag=row_square_sums)
+    np.fill_diagonal(g, 0.0)
+    return GramMatrix(*_row_sums_and_square_sums(g))
 
 
 def offdiag_square_sum(g: GramMatrix) -> float:

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NearSingularCovariance, TooFewObservations
+from .errors import DimensionMismatch, InvalidInput, NearSingularCovariance, TooFewObservations
 from .kernels import ordered_col_sums, ordered_sum
 
 __all__ = [
@@ -75,11 +75,11 @@ class CovariateModel:
         if m4.ndim != 1:
             raise DimensionMismatch(f"fourth_moments must be a vector, got shape {m4.shape}")
         if not np.all(np.isfinite(m4)):
-            raise ValueError("mean, covariance and fourth moments must be finite")
+            raise InvalidInput("mean, covariance and fourth moments must be finite")
         if np.any(m4 < 1.0):
-            raise ValueError("fourth moments must be >= 1 after whitening")
+            raise InvalidInput("fourth moments must be >= 1 after whitening")
         if self.gaussian and not np.all(m4 == 3.0):
-            raise ValueError("a Gaussian model must have fourth moments equal to 3")
+            raise InvalidInput("a Gaussian model must have fourth moments equal to 3")
         object.__setattr__(self, "fourth_moments", _readonly(m4))
 
     @property
@@ -114,9 +114,9 @@ class Whitening:
         if cov.shape != (p, p):
             raise DimensionMismatch(f"covariance must be {p}x{p}, got {cov.shape}")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise ValueError("mean, covariance and fourth moments must be finite")
+            raise InvalidInput("mean, covariance and fourth moments must be finite")
         if not np.allclose(cov, cov.T, rtol=1e-12, atol=1e-12):
-            raise ValueError("covariance must be symmetric")
+            raise InvalidInput("covariance must be symmetric")
         object.__setattr__(self, "mean", _readonly(mean))
         object.__setattr__(self, "covariance", _readonly(0.5 * (cov + cov.T)))
         # Positive definiteness is part of the construction contract.
@@ -166,7 +166,7 @@ class LabeledDataset:
         if x.shape[0] < 2:
             raise TooFewObservations("a dataset needs n >= 2 observations")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValueError("dataset entries must all be finite")
+            raise InvalidInput("dataset entries must all be finite")
         object.__setattr__(self, "x", _readonly(x))
         object.__setattr__(self, "y", _readonly(y))
 
@@ -200,7 +200,7 @@ class CoefficientVector:
         if b.ndim != 1:
             raise DimensionMismatch("beta must be a vector")
         if not np.all(np.isfinite(b)):
-            raise ValueError("beta must be finite")
+            raise InvalidInput("beta must be finite")
         object.__setattr__(self, "beta", _readonly(b))
 
     @property

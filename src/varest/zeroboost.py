@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
 
-from .errors import InitialEstimatorFailure
+from .errors import InitialEstimatorFailure, InvalidInput
 from .estimators import (
     EstimateReport,
     build_single_zero,
@@ -117,7 +117,7 @@ def resolve_initial(initial: Union[str, InitialEstimator]) -> InitialEstimator:
     try:
         return _INITIALS[initial]
     except KeyError:
-        raise ValueError(
+        raise InvalidInput(
             f"unknown initial estimator {initial!r}; expected one of "
             f"{sorted(_INITIALS)} or a callable"
         ) from None
@@ -133,7 +133,7 @@ class BootstrapConfig:
 
     def __post_init__(self):
         if self.n_boot < 2:
-            raise ValueError("empirical covariance needs n_boot >= 2")
+            raise InvalidInput("empirical covariance needs n_boot >= 2")
 
 
 def _resample_rows(n: int, cfg: BootstrapConfig, b: int) -> np.ndarray:

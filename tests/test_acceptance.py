@@ -120,12 +120,12 @@ def test_c01_kernel_oracle_equivalence():
         close(triple_sum_distinct(u, v, z), oracles.triple_sum_loop(u, v, z),
               np.abs(u).sum() * np.abs(v).sum() * np.abs(z).sum())
 
-        gm = gram(w)
-        frob_scale = float(np.sum(gm.g ** 2))
-        close(offdiag_square_sum(gm), oracles.offdiag_square_sum_loop(gm.g),
+        gm, g_loop = gram(w), oracles.gram_loop(w.w)
+        frob_scale = float(np.sum(g_loop ** 2))
+        close(offdiag_square_sum(gm), oracles.offdiag_square_sum_loop(g_loop),
               frob_scale)
-        close(chain_sum_distinct(gm), oracles.chain_sum_loop(gm.g),
-              float(np.sum(np.abs(gm.g))) ** 2)
+        close(chain_sum_distinct(gm), oracles.chain_sum_loop(g_loop),
+              float(np.sum(np.abs(g_loop))) ** 2)
 
         model = GAUSS(p)
         j = int(rng.integers(0, p))

@@ -416,6 +416,30 @@ class TestSummarizeCommand:
         assert float(row[4]) == pytest.approx(np.sqrt(0.02), rel=1e-5)
 
 
+    def test_overflowing_records_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("rep,estimator,tau2_hat,sigma2_hat,var_hat,wall_ms\n"
+                        "0,naive,1e308,0,,0\n1,naive,-1e308,0,,0\n")
+        rc = run_cli(["summarize", "--records", str(path), "--true-tau2", "1.0",
+                      "--out", str(tmp_path / "s.csv")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: summary of estimator 'naive': overflow")
+
+    def test_simulate_huge_noise_exits_1(self, tmp_path, capsys):
+        rc = run_cli([
+            "simulate", "--n", "10", "--p", "5", "--tau2", "1", "--tau2b", "0.5",
+            "--sigma2", "1e300", "--b-size", "2", "--reps", "3", "--seed", "1",
+            "--records-out", str(tmp_path / "r.csv"),
+            "--summary-out", str(tmp_path / "s.csv"),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: summary of estimator ")
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,17 @@ class TestTFull:
         ds = LabeledDataset(x=[[1.0], [2.0]], y=[1.0, 1.0])
         with pytest.raises(TooFewObservations):
             t_full(ds, build_w(ds))
+
+    def test_holds_fewer_than_three_n_by_n_arrays(self):
+        n = 1000
+        ds, w = make_data(10, n, 20)
+        tracemalloc.start()
+        try:
+            t_full(ds, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * n * 8) < 2.5
 
 
 class TestTB:

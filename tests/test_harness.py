@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from varest.errors import InsufficientRecords, VarestError
+from varest.errors import InsufficientRecords, NonFiniteResult, VarestError
 from varest.estimators import (
     ESTIMATOR_IDS,
     EstimateReport,
@@ -307,6 +307,69 @@ class TestScaling:
                     assert got.variance_estimate == base.variance_estimate * 16.0**k
 
 
+# Row permutation: 2 designs x 3 shapes x 4 seeds, each under one random
+# permutation of its rows.
+PERMUTATION_SHAPES = ((60, 40), (150, 300), (7, 64))
+# Not row-permutation invariant by design, so not in the table below.
+NOT_PERMUTATION_INVARIANT = {
+    "empirical": "its bootstrap resamples index row positions",
+    "selection (split)": "its selection and estimation blocks are row positions",
+}
+# Where a BLAS product (X X' in `full`, the Gram matrix of W in every tilde
+# variance) blocks rows by position, agreement is to rounding, not bitwise.
+PERMUTATION_RTOL = 1e-14
+
+
+@pytest.fixture(scope="module")
+def permuted_datasets():
+    cases = []
+    for x_dist in ("gaussian", "rademacher-mix"):
+        for n, p in PERMUTATION_SHAPES:
+            for seed in range(4):
+                cfg = small_cfg(n=n, p=p, seed=seed, reps=1, b_size=5, x_dist=x_dist)
+                beta, model = build_beta(cfg), covariate_model_for(cfg)
+                ds = generate_dataset(cfg, beta, 0)
+                perm = np.random.default_rng(seed).permutation(n)
+                cases.append((beta, model, ds, LabeledDataset(x=ds.x[perm], y=ds.y[perm])))
+    return cases
+
+
+class TestRowPermutation:
+    """Which reported numbers are bitwise invariant under a row permutation.
+
+    Bitwise: the tau2 and sigma2 of every estimator but ``full``, and every
+    ``gaussian-plugin`` variance.  To ``PERMUTATION_RTOL``: ``full`` (of
+    sigma_Y^2) and every ``tilde`` variance (of itself).  Not invariant:
+    ``NOT_PERMUTATION_INVARIANT``.
+    """
+
+    @pytest.mark.parametrize("method", [None, "gaussian-plugin", "tilde"])
+    @pytest.mark.parametrize("eid", ["naive", "dicker", "oracle", "full", "single",
+                                     "selection"])
+    def test_table(self, permuted_datasets, eid, method):
+        options = HarnessOptions(variance_method=method)
+        for beta, model, ds, permuted in permuted_datasets:
+            stats = DatasetStats(ds, model)
+            want = estimate(stats, eid, beta=beta, options=options)
+            got = estimate(DatasetStats(permuted, model), eid, beta=beta, options=options)
+            if eid == "full":
+                # tau2 and sigma2 = sigma_Y^2 - tau2 move together, on the scale of sigma_Y^2
+                for a, b in ((got.tau2, want.tau2), (got.sigma2, want.sigma2)):
+                    assert abs(a - b) <= PERMUTATION_RTOL * stats.sigma_y2
+            else:
+                assert (got.tau2, got.sigma2) == (want.tau2, want.sigma2)
+            if method == "tilde" and want.variance_estimate is not None:
+                assert abs(got.variance_estimate - want.variance_estimate) <= \
+                    PERMUTATION_RTOL * abs(want.variance_estimate)
+            else:
+                assert got.variance_estimate == want.variance_estimate
+
+    def test_covers_every_estimator(self):
+        excluded = {key.split()[0] for key in NOT_PERMUTATION_INVARIANT}
+        assert excluded | {"naive", "dicker", "oracle", "full", "single", "selection"} == \
+            set(ESTIMATOR_IDS)
+
+
 class TestFiniteOut:
     """Finite input gives finite reported numbers or a typed error, never a warning."""
 
@@ -384,6 +447,24 @@ class TestSummarize:
     def test_insufficient_records(self):
         with pytest.raises(InsufficientRecords):
             summarize(self._records([1.0]), 1.0)
+
+    def test_overflow_raises_non_finite(self):
+        # se and rmse_sd of these two finite records overflow
+        with pytest.raises(NonFiniteResult, match="'naive'"):
+            summarize(self._records([1e308, -1e308]), 1.0)
+
+    def test_huge_spread_raises_non_finite(self):
+        # records of a sigma2 = 1e300 scenario: the mean is finite, the squares are not
+        with pytest.raises(NonFiniteResult, match="'single'"):
+            summarize(self._records([3.1e299, -2.4e299, 1.2e299], eid="single"), 1.0)
+
+    def test_non_finite_truth_raises(self):
+        with pytest.raises(NonFiniteResult, match="not finite"):
+            summarize(self._records([1.0, 2.0]), float("nan"))
+
+    def test_failed_replication_stays_nan(self):
+        s = summarize(self._records([float("nan"), 1.0, 2.0]), 1.0)[0]
+        assert math.isnan(s.mean) and math.isnan(s.se)
 
     def test_rmse_sd_scales_with_reps(self):
         g = np.random.default_rng(10)

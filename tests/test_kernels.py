@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,28 +66,56 @@ class TestTripleSumDistinct:
             triple_sum_distinct([1.0, 2.0], [1.0, 2.0], [1.0, 2.0])
 
 
+def _loop_row_stats(rows):
+    off = gram_loop(rows)
+    np.fill_diagonal(off, 0.0)
+    return off.sum(axis=1), (off * off).sum(axis=1)
+
+
 class TestGram:
     def test_hand(self):
         g = gram(np.array([[1.0], [2.0]]))
-        np.testing.assert_array_equal(g.g, [[1.0, 2.0], [2.0, 4.0]])
+        np.testing.assert_array_equal(g.row_sums_offdiag, [2.0, 2.0])
+        np.testing.assert_array_equal(g.row_square_sums_offdiag, [4.0, 4.0])
+        assert g.n == 2
 
     def test_orthogonal_rows(self):
         g = gram(np.eye(3))
-        assert np.all(g.g[~np.eye(3, dtype=bool)] == 0.0)
+        assert np.all(g.row_sums_offdiag == 0.0)
+        assert np.all(g.row_square_sums_offdiag == 0.0)
 
     def test_matches_loop(self):
         rows = rng.standard_normal((10, 4))
-        np.testing.assert_allclose(gram(rows).g, gram_loop(rows), rtol=1e-12)
+        g = gram(rows)
+        sums, square_sums = _loop_row_stats(rows)
+        np.testing.assert_allclose(g.row_sums_offdiag, sums, rtol=1e-12)
+        np.testing.assert_allclose(g.row_square_sums_offdiag, square_sums, rtol=1e-12)
 
     def test_row_sums_cached(self):
         rows = rng.standard_normal((8, 3))
         g = gram(rows)
-        expected = g.g.sum(axis=1) - np.diagonal(g.g)
+        loop = gram_loop(rows)
+        expected = loop.sum(axis=1) - np.diagonal(loop)
         np.testing.assert_allclose(g.row_sums_offdiag, expected, rtol=1e-12)
 
-    def test_symmetry_exact(self):
-        g = gram(rng.standard_normal((12, 5)))
-        np.testing.assert_array_equal(g.g, g.g.T)
+    @staticmethod
+    def _traced_gram(n=1000, p=20):
+        """(bytes kept after ``gram`` returns, peak bytes while it runs) over n x n doubles."""
+        rows = np.random.default_rng(3).standard_normal((n, p))
+        tracemalloc.start()
+        try:
+            g = gram(rows)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.n == n
+        return kept, peak / (n * n * 8)
+
+    def test_keeps_no_n_by_n_matrix(self):
+        assert self._traced_gram()[0] < 1_000_000
+
+    def test_holds_one_n_by_n_matrix(self):
+        assert self._traced_gram()[1] < 1.5
 
 
 class TestOffdiagSquareSum:
@@ -100,7 +130,7 @@ class TestOffdiagSquareSum:
         rows = rng.standard_normal((15, 4))
         g = gram(rows)
         np.testing.assert_allclose(
-            offdiag_square_sum(g), offdiag_square_sum_loop(g.g), rtol=1e-12
+            offdiag_square_sum(g), offdiag_square_sum_loop(gram_loop(rows)), rtol=1e-12
         )
 
 
@@ -114,7 +144,8 @@ class TestChainSumDistinct:
     def test_matches_loop(self):
         rows = rng.standard_normal((12, 4))
         g = gram(rows)
-        np.testing.assert_allclose(chain_sum_distinct(g), chain_sum_loop(g.g), rtol=1e-12)
+        np.testing.assert_allclose(chain_sum_distinct(g), chain_sum_loop(gram_loop(rows)),
+                                   rtol=1e-12)
 
     def test_too_few(self):
         with pytest.raises(TooFewObservations):
@@ -194,8 +225,8 @@ def test_kernel_battery_random_sizes(trial):
                                rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(triple_sum_distinct(u, v, w), triple_sum_loop(u, v, w),
                                rtol=1e-10, atol=1e-10)
-    gm = gram(rows)
-    np.testing.assert_allclose(offdiag_square_sum(gm), offdiag_square_sum_loop(gm.g),
+    gm, loop = gram(rows), gram_loop(rows)
+    np.testing.assert_allclose(offdiag_square_sum(gm), offdiag_square_sum_loop(loop),
                                rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(chain_sum_distinct(gm), chain_sum_loop(gm.g),
+    np.testing.assert_allclose(chain_sum_distinct(gm), chain_sum_loop(loop),
                                rtol=1e-10, atol=1e-10)

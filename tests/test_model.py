@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varest
 from varest.errors import (
     DimensionMismatch,
+    InvalidInput,
     NearSingularCovariance,
     TooFewObservations,
+    VarestError,
 )
+from varest.kernels import gram, ordered_col_sums
 from varest.model import (
     CoefficientVector,
     CovariateModel,
@@ -124,6 +128,27 @@ class TestWhiten:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             whiten(np.zeros((4, 2)), Whitening(np.zeros(3), np.eye(3)))
+
+
+class TestInvalidInput:
+    """Bad argument values raise ``InvalidInput``, a ``VarestError`` and a ``ValueError``."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: LabeledDataset(x=[[1.0], [np.nan]], y=[0.0, 0.0]),
+        lambda: CoefficientVector(beta=[np.inf]),
+        lambda: CovariateModel(np.array([0.5, 3.0])),
+        lambda: Whitening(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]])),
+        lambda: gram(np.ones(3)),
+        lambda: ordered_col_sums(np.ones(3)),
+        lambda: varest.BootstrapConfig(n_boot=1),
+    ], ids=["dataset", "beta", "fourth-moments", "covariance", "gram", "col-sums", "boot"])
+    def test_typed(self, make):
+        with pytest.raises(InvalidInput) as info:
+            make()
+        assert isinstance(info.value, VarestError) and isinstance(info.value, ValueError)
+
+    def test_exported(self):
+        assert varest.InvalidInput is InvalidInput
 
 
 class TestLabeledDataset:

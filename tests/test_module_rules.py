@@ -4,20 +4,31 @@
   the package: a helper that two modules need is public in one of them.
 * Every ``__all__`` entry names something its module defines or imports at
   the top level.
+* The package raises no plain ``ValueError`` or ``TypeError``: every error
+  it raises derives from ``VarestError`` (``InvalidInput`` is also a
+  ``ValueError``).
 * Every ``module.function`` that the benchmark traces (``TARGETS`` in
   ``perfbench/run.py``) is a public callable of ``varest.<module>``: a traced
   run reports a missing one as ``null``, which the benchmark cannot compare.
+  Run through the CLI under the benchmark's own tracer, every target is
+  called and every per-layer measure still fits its target's arguments.
 """
 
 import ast
 import importlib
+import importlib.util
+import json
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "varest").glob("*.py"))
 BENCHMARK_RUNNER = ROOT / "perfbench" / "run.py"
+BENCHMARK_TRACER = ROOT / "perfbench" / "tracer.py"
+BUILTIN_ERRORS = ("ValueError", "TypeError")
 
 
 def _tree(path):
@@ -61,6 +72,17 @@ def test_all_names_defined(path):
     assert not [name for name in _exported(tree) if name not in _top_level_names(tree)]
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_raises_only_varest_errors(path):
+    bad = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in BUILTIN_ERRORS:
+                bad.append(f"{path.name}:{node.lineno}: {exc.id}")
+    assert not bad
+
+
 def _traced_targets(path):
     for node in _tree(path).body:
         if (isinstance(node, ast.Assign)
@@ -85,13 +107,65 @@ def test_benchmark_targets_are_public_callables():
     assert not _missing_targets(targets)
 
 
+def _load_benchmark_module(path):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def _benchmark_calls(tmp_path):
+    """Argv of a `table`-like, a `bootstrap`-like and a `csv-estimate`-like call at n = p = 20."""
+    g = np.random.default_rng(0)
+    x = g.standard_normal((20, 20))
+    data, model = tmp_path / "data.csv", tmp_path / "model.json"
+    np.savetxt(data, np.column_stack([x @ np.full(20, 0.3) + g.standard_normal(20), x]),
+               delimiter=",", header="y," + ",".join(f"x{j + 1}" for j in range(20)),
+               comments="")
+    model.write_text(json.dumps({"covariance": "identity", "gaussian": True}))
+    simulate = ["simulate", "--n", "20", "--p", "20", "--tau2", "2", "--tau2b", "1.32",
+                "--sigma2", "1", "--b-size", "5", "--reps", "2", "--seed", "3",
+                "--workers", "1", "--records-out", str(tmp_path / "r.csv"),
+                "--summary-out", str(tmp_path / "s.csv")]
+    return [
+        [*simulate, "--estimators", "naive,single,selection,oracle"],
+        [*simulate, "--estimators", "empirical", "--boot", "20"],
+        ["estimate", "--data", str(data), "--model", str(model), "--estimators",
+         "naive,dicker,full,single,selection", "--variance", "tilde",
+         "--out", str(tmp_path / "e.csv")],
+    ]
+
+
+def test_benchmark_measures_fit_their_targets(tmp_path):
+    import varest.cli
+
+    tracer_module = _load_benchmark_module(BENCHMARK_TRACER)
+    run = _load_benchmark_module(BENCHMARK_RUNNER)
+    tracer = tracer_module.Tracer(run.TARGETS, run.MEASURES, run.ON_ENTER)
+    tracer.dataset = (0, 0)  # the generate_dataset hook updates a (call, rep) pair
+    try:
+        tracer.install()
+        codes = [varest.cli.main(argv) for argv in _benchmark_calls(tmp_path)]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0, 0]
+    assert tracer.absent == []
+    assert tracer.broken == set()
+    assert sorted(set(run.TARGETS) - set(tracer.summary())) == []
+
+
 def test_rules_catch_violations(tmp_path):
     path = tmp_path / "bad.py"
-    path.write_text("from .kernels import _helper\n__all__ = ['missing', '_helper']\n")
+    path.write_text("from .kernels import _helper\n__all__ = ['missing', '_helper']\n"
+                    "def f(x):\n    if x:\n        raise ValueError('bad')\n"
+                    "    raise TypeError\n")
     with pytest.raises(AssertionError):
         test_no_private_import_across_modules(path)
     with pytest.raises(AssertionError):
         test_all_names_defined(path)
+    with pytest.raises(AssertionError):
+        test_raises_only_varest_errors(path)
     runner = tmp_path / "run.py"
     runner.write_text('TARGETS = ("model.build_w", "model.no_such_function",\n'
                       '    "kernels._row_sums_and_square_sums", "model.SINGULARITY_RTOL")\n')

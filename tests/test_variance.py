@@ -27,7 +27,7 @@ from varest.variance import (
     var_tilde_t_gamma,
 )
 
-from oracles import chain_sum_loop, chat_numerator_loop, offdiag_square_sum_loop
+from oracles import chain_sum_loop, chat_numerator_loop, gram_loop, offdiag_square_sum_loop
 
 GAUSS = CovariateModel.standard_gaussian
 
@@ -273,10 +273,10 @@ class TestVarTildeNaive:
         x = g0.standard_normal((10, 3))
         y = x @ np.array([0.8, 0.0, -0.3]) + g0.standard_normal(10)
         w = build_w(LabeledDataset(x=x, y=y))
-        g = gram(w)
+        g, g_loop = gram(w), gram_loop(w.w)
         n = 10
-        beta_quad_hat = chain_sum_loop(g.g) / (n * (n - 1) * (n - 2))
-        frob_hat = offdiag_square_sum_loop(g.g) / (n * (n - 1))
+        beta_quad_hat = chain_sum_loop(g_loop) / (n * (n - 1) * (n - 2))
+        frob_hat = offdiag_square_sum_loop(g_loop) / (n * (n - 1))
         b4 = naive_tau2(w) ** 2
         expected = (4.0 * (n - 2) / (n * (n - 1))) * (beta_quad_hat - b4) \
             + (2.0 / (n * (n - 1))) * (frob_hat - b4)
