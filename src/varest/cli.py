@@ -217,12 +217,12 @@ def _load_model(path: str, p: int) -> tuple[CovariateModel, Whitening | None]:
         mean = raw.get("mean", 0.0)
         mean = np.full(p, float(mean)) if np.isscalar(mean) else np.asarray(mean, dtype=float)
         cov = raw.get("covariance", "identity")
+        identity = cov == "identity"
         whitening = None
-        if not (cov == "identity" and mean.shape == (p,) and not mean.any()):
-            cov = np.eye(p) if cov == "identity" else np.asarray(cov, dtype=float)
-            whitening = Whitening(mean, cov)
+        if not (identity and mean.shape == (p,) and not mean.any()):
+            whitening = Whitening(mean, None if identity else np.asarray(cov, dtype=float))
             if whitening.p != p:
-                raise DimensionMismatch(f"covariance must be {p}x{p}, got {cov.shape}")
+                raise DimensionMismatch(f"mean and covariance must be of size {p}")
         m4 = raw.get("fourth_moments", 3.0)
         m4 = np.full(p, float(m4)) if np.isscalar(m4) else np.asarray(m4, dtype=float)
         if m4.shape != (p,):

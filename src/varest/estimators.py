@@ -38,7 +38,7 @@ from .errors import (
     TooFewObservations,
     UnsupportedDependenceStructure,
 )
-from .kernels import ordered_col_sums, ordered_sum, triple_sum_distinct
+from .kernels import ordered_sum, triple_sum_distinct
 from .model import CoefficientVector, CovariateModel, LabeledDataset, WMatrix
 
 __all__ = [
@@ -149,8 +149,8 @@ def t_full(ds: LabeledDataset, w: WMatrix) -> float:
     reduces to distinct-index sums of ``a``, an O(n^2 p) evaluation instead
     of O(p^2 n).  Unbiased, but when p is of the order of n the estimation
     of all p^2 coefficients adds more variance than the correction removes.
-    ``X X'`` of the dataset's contiguous X is exactly symmetric, so scaling
-    its columns by Y in place builds ``a'`` bit for bit, and ``a`` is its view.
+    Scaling the columns of ``X X'`` by Y in place builds ``a'``, whose rows
+    are reduced in the same buffer: one n x n array is held, none kept.
     """
     n = ds.n
     if n < 3:
@@ -158,11 +158,10 @@ def t_full(ds: LabeledDataset, w: WMatrix) -> float:
     naive = naive_tau2(w)
     a_t = ds.x @ ds.x.T
     a_t *= ds.y
-    diag = np.diagonal(a_t).copy()
-    sums, square_sums = ordered_col_sums(a_t.T)
-    col_sums = sums - diag
-    col_sq_sums = square_sums - diag * diag
-    triple_a = ordered_sum(col_sums * col_sums - col_sq_sums)
+    np.fill_diagonal(a_t, 0.0)
+    col_sums = np.sum(a_t, axis=1)
+    a_t *= a_t
+    triple_a = ordered_sum(col_sums * col_sums - np.sum(a_t, axis=1))
     # sum_{i1 != i2 != i3} G[i1, i2] = (n - 2) * n (n-1) * naive
     triple = triple_a - (n - 2) * (n * (n - 1)) * naive
     correction = 2.0 * triple / (n * (n - 1) * (n - 2))

@@ -322,6 +322,9 @@ def summarize(records, true_tau2: float) -> list[SummaryStats]:
 
 
 def _summary_row(eid: str, values: np.ndarray, true_tau2: float) -> SummaryStats:
+    # Replications have no canonical order of their own: sorting them makes
+    # every sum below independent of the order of the records.
+    values = np.sort(values)
     m = values.shape[0]
     mean = ordered_sum(values) / m
     bias = true_tau2 - mean

@@ -7,27 +7,21 @@ moment sums, and the test suite pins each one against its brute-force loop.
 
 Reduction discipline
 --------------------
-All reductions over observations go through :func:`ordered_sum` /
-:func:`ordered_col_sums`, which sort the addends into a canonical order
-before a pairwise (numpy) summation.  Two consequences the rest of the
-library relies on:
+A :class:`~varest.model.LabeledDataset` stores its rows in a canonical order
+that depends only on the multiset of rows, and every array reduced here is
+in that order.  So every reduction over observations is a plain numpy sum,
+BLAS products included, and its result is a pure function of the multiset
+of rows: bitwise independent of the order in which the caller gave them.
+Nothing here sorts.
 
-* results are bitwise independent of the order in which observations are
-  presented, so row-permutation invariance holds exactly;
-* accumulation error stays at the pairwise-summation level even for the
-  ~1e5 mixed-sign terms that show up at n = p = 400.
+Accuracy is that of numpy's own loops.  A 1-D sum (:func:`ordered_sum`) and
+a sum along a contiguous row are pairwise, with error growing like
+``log n``; a column sum (:func:`ordered_col_sums`) adds the rows one after
+another, with error growing like ``n``.
 
-Every column reduction needs both the sums and the square sums, so
-:func:`ordered_col_sums` returns the pair from one transposed copy and two
-in-place sorts: sort and sum, then square in place, sort and sum again.
-Squaring maps ``±0.0`` to ``+0.0``, so the second sort yields exactly the
-sorted squares.  :func:`gram` reduces the rows of its off-diagonal the same
-way, in place, and keeps only those two row statistics.
-
-A sum within one row (over columns) is row-local and needs no sorting, but
-it uses numpy's own loops (``np.einsum``, ``np.sum(axis=1)``), never a BLAS
-``@``: a BLAS matrix-vector product may block rows differently by their
-position, which makes a row's result depend on where the row sits.
+:func:`gram` reduces the rows of its off-diagonal in the buffer the product
+returns and keeps only those two row statistics.  Products within one row
+(over columns) use ``np.einsum``, which reduces each row by itself.
 """
 
 from __future__ import annotations
@@ -51,44 +45,25 @@ __all__ = [
 
 
 def ordered_sum(values) -> float:
-    """Sum a 1-D array in a canonical (sorted ascending) order.
+    """Sum a 1-D array in the order given (numpy's pairwise summation).
 
-    numpy's reduction over a contiguous last axis is pairwise, so sorting
-    first makes the result a pure function of the multiset of addends.
+    Every caller in this package passes addends in an order that depends
+    only on its inputs: the dataset's canonical row order, column order, or
+    (in ``summarize``) sorted replication values.
     """
-    a = np.asarray(values, dtype=np.float64).ravel()
-    if a.size == 0:
-        return 0.0
-    return float(np.sum(np.sort(a)))
+    return float(np.sum(np.asarray(values, dtype=np.float64)))
 
 
 def ordered_col_sums(a) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column sums and square sums of a 2-D array, each in canonical order.
+    """Per-column sums and square sums of a 2-D array, rows added in the order given.
 
     Returns ``(sums, square_sums)`` with ``sums[j] = sum_i a[i, j]`` and
-    ``square_sums[j] = sum_i a[i, j]^2``.  The columns are copied once into
-    contiguous rows, which are sorted and reduced pairwise, squared in
-    place, and sorted and reduced again: both results are pure functions of
-    each column's multiset of entries.
+    ``square_sums[j] = sum_i a[i, j]^2``.  No copy of ``a`` is made.
     """
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise InvalidInput("expected a 2-D array")
-    # np.array always copies, and the helper overwrites its argument.
-    return _row_sums_and_square_sums(np.array(m.T, order="C"))
-
-
-def _row_sums_and_square_sums(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical-order row sums and row square sums of ``b``, which is overwritten.
-
-    Each row is sorted in place and summed, then squared in place, sorted
-    again and summed.
-    """
-    b.sort(axis=-1)
-    sums = np.sum(b, axis=-1)
-    b *= b
-    b.sort(axis=-1)
-    return sums, np.sum(b, axis=-1)
+    return np.sum(m, axis=0), np.einsum("ij,ij->j", m, m)
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -129,10 +104,8 @@ def triple_sum_distinct(u, v, w) -> float:
         raise LengthMismatch("u, v, w must have equal lengths")
     if n < 3:
         raise TooFewObservations("triple_sum_distinct needs n >= 3")
-    # One 2-D sort for the seven moment sums: each row is reduced exactly as
-    # ordered_sum reduces it alone.
+    # Each row of the stack is reduced exactly as ordered_sum reduces it alone.
     moments = np.stack([uv, vv, wv, uv * vv, uv * wv, vv * wv, uv * vv * wv])
-    moments.sort(axis=-1)
     s_u, s_v, s_w, s_uv, s_uw, s_vw, s_uvw = np.sum(moments, axis=-1).tolist()
     return s_u * s_v * s_w - s_uv * s_w - s_uw * s_v - s_vw * s_u + 2.0 * s_uvw
 
@@ -141,8 +114,8 @@ def triple_sum_distinct(u, v, w) -> float:
 class GramMatrix:
     """The two row statistics of the Gram matrix of a W matrix that the kernels read.
 
-    With ``g[i1, i2] = sum_j W[i1, j] * W[i2, j]``, each row summed in
-    canonical order: ``row_sums_offdiag[i] = sum_{i' != i} g[i, i']`` and
+    With ``g[i1, i2] = sum_j W[i1, j] * W[i2, j]``:
+    ``row_sums_offdiag[i] = sum_{i' != i} g[i, i']`` and
     ``row_square_sums_offdiag[i] = sum_{i' != i} g[i, i']^2``.  The n x n
     matrix itself is not kept.
     """
@@ -173,7 +146,9 @@ def gram(w) -> GramMatrix:
         raise TooFewObservations("gram needs n >= 2")
     g = rows @ rows.T
     np.fill_diagonal(g, 0.0)
-    return GramMatrix(*_row_sums_and_square_sums(g))
+    row_sums = np.sum(g, axis=1)
+    g *= g
+    return GramMatrix(row_sums, np.sum(g, axis=1))
 
 
 def offdiag_square_sum(g: GramMatrix) -> float:

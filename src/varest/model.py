@@ -9,6 +9,12 @@ covariance that whitening removes (:class:`Whitening`, applied by
 the per-observation products ``W[i, j] = X[i, j] * Y[i]`` (:class:`WMatrix`)
 on which every estimator downstream is built.
 
+Every estimator is a U-statistic over distinct observation tuples, so it is
+symmetric in the rows.  :class:`LabeledDataset` stores its rows in a
+canonical order that depends only on the multiset of rows, so every
+reduction downstream is a plain numpy sum whose result, bit for bit, does not
+depend on the order in which the caller supplied the rows.
+
 All types are immutable after construction (arrays are marked read-only) and
 every operation is a pure function, so instances are safe to share across
 threads and worker processes.
@@ -16,7 +22,7 @@ threads and worker processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -101,23 +107,29 @@ class CovariateModel:
 class Whitening:
     """The raw covariates' known mean (p,) and covariance (p, p), which :func:`whiten` removes.
 
-    The covariance must be symmetric positive definite.
+    The covariance must be symmetric positive definite.  ``None`` stands for
+    the identity: no p x p array is held, and :func:`whiten` only subtracts
+    the mean.
     """
 
     mean: np.ndarray
-    covariance: np.ndarray
+    covariance: np.ndarray | None = None
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
+        if not np.all(np.isfinite(mean)):
+            raise InvalidInput("mean, covariance and fourth moments must be finite")
+        object.__setattr__(self, "mean", _readonly(mean))
+        if self.covariance is None:
+            return
         cov = np.asarray(self.covariance, dtype=np.float64)
         p = mean.shape[0]
         if cov.shape != (p, p):
             raise DimensionMismatch(f"covariance must be {p}x{p}, got {cov.shape}")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        if not np.all(np.isfinite(cov)):
             raise InvalidInput("mean, covariance and fourth moments must be finite")
         if not np.allclose(cov, cov.T, rtol=1e-12, atol=1e-12):
             raise InvalidInput("covariance must be symmetric")
-        object.__setattr__(self, "mean", _readonly(mean))
         object.__setattr__(self, "covariance", _readonly(0.5 * (cov + cov.T)))
         # Positive definiteness is part of the construction contract.
         eigvals = np.linalg.eigvalsh(self.covariance)
@@ -131,13 +143,15 @@ class Whitening:
         return self.mean.shape[0]
 
     @cached_property
-    def sqrt_inverse_covariance(self) -> np.ndarray:
-        """The unique symmetric inverse square root of the covariance.
+    def sqrt_inverse_covariance(self) -> np.ndarray | None:
+        """The unique symmetric inverse square root of the covariance (None: identity).
 
         Computed on first use via symmetric eigendecomposition, then kept.
         Raises :class:`NearSingularCovariance` when any eigenvalue falls
         below ``SINGULARITY_RTOL`` times the largest.
         """
+        if self.covariance is None:
+            return None
         eigvals, eigvecs = np.linalg.eigh(self.covariance)
         if eigvals[0] <= SINGULARITY_RTOL * eigvals[-1]:
             raise NearSingularCovariance(
@@ -147,12 +161,43 @@ class Whitening:
         return (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
 
 
+def _canonical_rows(x: np.ndarray, y: np.ndarray):
+    """``(x, y)`` in the row order that depends only on the multiset of rows, and that order.
+
+    Rows sort by the bytes of their C-contiguous ``x`` row; rows with
+    byte-identical ``x`` sort by ``y``'s value and then by ``y``'s bit
+    pattern (which puts +0.0 before -0.0).  Scaling ``y`` by a power of two
+    keeps the order.  Returns new arrays ``x[order]``, ``y[order]`` and
+    ``order``.
+    """
+    n, p = x.shape
+    row_bytes = np.dtype((np.void, 8 * p))
+    order = np.argsort(x.view(row_bytes).ravel(), kind="stable") if p else np.arange(n)
+    x = x[order]
+    rows = x.view(row_bytes).ravel() if p else np.zeros(n, dtype=np.int8)
+    new_row = rows[1:] != rows[:-1]
+    if not new_row.all():
+        # Reordering within a run of byte-identical x rows leaves x as it is.
+        group = np.concatenate(([0], np.cumsum(new_row)))
+        y_in_order = y[order]
+        order = order[np.lexsort((y_in_order.view(np.uint64), y_in_order, group))]
+    return x, y[order], order
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Whitened design matrix X (n x p) plus the response vector Y (n)."""
+    """Whitened design matrix X (n x p) plus the response vector Y (n).
+
+    The rows are stored in a canonical order (:func:`_canonical_rows`), not
+    in the order given: two datasets that hold the same multiset of rows have
+    byte-identical ``x`` and ``y``.  ``rank[i]`` is the stored position of
+    the caller's row ``i``, so ``x[rank]`` gives the rows back in the
+    caller's order.
+    """
 
     x: np.ndarray
     y: np.ndarray
+    rank: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
@@ -167,8 +212,13 @@ class LabeledDataset:
             raise TooFewObservations("a dataset needs n >= 2 observations")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise InvalidInput("dataset entries must all be finite")
-        object.__setattr__(self, "x", _readonly(x))
-        object.__setattr__(self, "y", _readonly(y))
+        # The gathered arrays are the dataset's own copies of the caller's.
+        x, y, order = _canonical_rows(np.ascontiguousarray(x), y)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.shape[0])
+        for name, value in (("x", x), ("y", y), ("rank", rank)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -183,10 +233,11 @@ class LabeledDataset:
 
         Zero intercept is a model assumption; centering enforces it
         in-sample.  Off by default everywhere (the simulation design
-        generates zero-intercept data).
+        generates zero-intercept data).  The copy's ``rank`` still maps the
+        caller's original rows.
         """
         ybar = ordered_sum(self.y) / self.n
-        return LabeledDataset(x=self.x, y=self.y - ybar)
+        return LabeledDataset(x=self.x[self.rank], y=(self.y - ybar)[self.rank])
 
 
 @dataclass(frozen=True)
@@ -239,13 +290,15 @@ def whiten(x_raw, whitening: Whitening) -> np.ndarray:
     """Whiten raw covariate rows with their known mean and covariance.
 
     Each row is mapped to ``Sigma^{-1/2} (x - mu)`` using the symmetric
-    square root, so the output rows have identity population covariance.
-    Covariates that are already whitened need no :class:`Whitening` at all.
+    square root, so the output rows have identity population covariance; an
+    identity covariance only subtracts the mean.  Covariates that are already
+    whitened need no :class:`Whitening` at all.
     """
     x = np.asarray(x_raw, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != whitening.p:
         raise DimensionMismatch(f"x_raw must be n x {whitening.p}, got {x.shape}")
-    return (x - whitening.mean) @ whitening.sqrt_inverse_covariance.T
+    root = whitening.sqrt_inverse_covariance
+    return x - whitening.mean if root is None else (x - whitening.mean) @ root.T
 
 
 def build_w(ds: LabeledDataset) -> WMatrix:

@@ -84,10 +84,11 @@ def gap_select(beta2) -> SelectionResult:
 def split_rows(ds: LabeledDataset, fraction: float = 0.5) -> tuple[LabeledDataset, LabeledDataset]:
     """The selection and estimation row blocks of a sample split.
 
-    The leading ``fraction`` of the rows (a fraction in (0, 1), rounded, at
-    least 2 rows and leaving at least 3) selects; the rest estimates.  Rows
-    are i.i.d., so a leading block is statistically equivalent to a random
-    subset.
+    The caller's leading ``fraction`` of the rows (a fraction in (0, 1),
+    rounded, at least 2 rows and leaving at least 3) selects; the rest
+    estimates.  The blocks follow the order the dataset was built from (read
+    through ``ds.rank``), not its canonical order.  Rows are i.i.d., so a
+    leading block is statistically equivalent to a random subset.
     """
     if not 0.0 < fraction < 1.0:
         raise VarestError(f"split_fraction must be in (0, 1), got {fraction}")
@@ -95,7 +96,8 @@ def split_rows(ds: LabeledDataset, fraction: float = 0.5) -> tuple[LabeledDatase
     if n < 6:
         raise TooFewObservations("split selection needs n >= 6")
     k = min(max(int(round(fraction * n)), 2), n - 3)
-    return LabeledDataset(ds.x[:k], ds.y[:k]), LabeledDataset(ds.x[k:], ds.y[k:])
+    lead, rest = ds.rank[:k], ds.rank[k:]
+    return LabeledDataset(ds.x[lead], ds.y[lead]), LabeledDataset(ds.x[rest], ds.y[rest])
 
 
 def t_gamma(

@@ -14,9 +14,13 @@ approximates that covariance from bootstrap resamples:
 4. return ``initial - c * g_n`` (both full-data values).
 
 Resample b draws its row indices from its own stream,
-``SeedSequence((seed, b))``.  The ``naive`` initial is a count-weighted
-quadratic form, so it only needs each resample's count vector
-``m_b[i] = #{k : idx_b[k] = i}``, stacked into a count matrix ``M`` (Efron
+``SeedSequence((seed, b))``.  The indices are positions in the caller's row
+order; ``ds.rank`` maps them to the dataset's canonical rows, so a resample
+holds the same rows whatever order the dataset stores them in.
+
+The ``naive`` initial is a count-weighted quadratic form, so it only needs
+each resample's count vector ``m_b[i] = #{k : idx_b[k] = i}`` (over stored
+rows i), stacked into a count matrix ``M`` (Efron
 1979; the count-weight form follows Chamandy et al. 2012), and its resampled
 values come out of matrix products: with ``W = X o Y``, ``r = rowsq(W)``, ``g`` the
 per-row zero-estimator and ``C = M W``,
@@ -143,7 +147,7 @@ def _resample_rows(n: int, cfg: BootstrapConfig, b: int) -> np.ndarray:
 
 
 def _naive_stars(
-    w: np.ndarray, cfg: BootstrapConfig, g: np.ndarray
+    w: np.ndarray, rank: np.ndarray, cfg: BootstrapConfig, g: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``naive*`` and ``g_n*`` of every resample, from blocks of the count matrix."""
     n = w.shape[0]
@@ -155,7 +159,7 @@ def _naive_stars(
     for start in range(0, cfg.n_boot, per_block):
         block = counts[: min(per_block, cfg.n_boot - start)]
         for k in range(len(block)):
-            block[k] = np.bincount(_resample_rows(n, cfg, start + k), minlength=n)
+            block[k] = np.bincount(rank[_resample_rows(n, cfg, start + k)], minlength=n)
         stop = start + len(block)
         tau_stars[start:stop] = (_rowsq(block @ w) - block @ r) / (n * (n - 1))
         g_stars[start:stop] = block @ g / n
@@ -173,7 +177,7 @@ def _rebuilt_stars(
     tau_stars = np.empty(cfg.n_boot)
     g_stars = np.empty(cfg.n_boot)
     for b in range(cfg.n_boot):
-        rows = _resample_rows(ds.n, cfg, b)
+        rows = ds.rank[_resample_rows(ds.n, cfg, b)]
         resampled = LabeledDataset(ds.x[rows], ds.y[rows])
         try:
             tau_stars[b] = initial(resampled, model)
@@ -201,7 +205,7 @@ def empirical_estimator(stats: DatasetStats, cfg: BootstrapConfig) -> EstimateRe
 
     if initial_id == "naive":
         tau2_init = naive_tau2(stats.w)
-        tau_stars, g_stars = _naive_stars(stats.w.w, cfg, single.g_per_obs)
+        tau_stars, g_stars = _naive_stars(stats.w.w, ds.rank, cfg, single.g_per_obs)
     else:
         tau2_init = initial(ds, model)
         tau_stars, g_stars = _rebuilt_stars(ds, model, cfg, initial, single.g_per_obs)

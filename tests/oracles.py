@@ -164,7 +164,8 @@ def empirical_loop(ds, model, cfg):
     """The bootstrap-coefficient estimator evaluated literally.
 
     Each resample is rebuilt as a dataset from its ``SeedSequence((seed, b))``
-    row indices and the initial estimator is called on it.  Returns
+    row indices, positions in the caller's row order that ``ds.rank`` maps to
+    stored rows, and the initial estimator is called on it.  Returns
     ``(tau2, c_tilde)``.
     """
     from varest.estimators import build_single_zero
@@ -178,7 +179,7 @@ def empirical_loop(ds, model, cfg):
     g_stars = np.empty(cfg.n_boot)
     for b in range(cfg.n_boot):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, b)))
-        idx = rng.integers(0, n, size=n)
+        idx = ds.rank[rng.integers(0, n, size=n)]
         resampled = LabeledDataset(ds.x[idx], ds.y[idx])
         tau_stars[b] = initial(resampled, model)
         g_stars[b] = np.mean(single.g_per_obs[idx])

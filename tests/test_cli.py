@@ -479,6 +479,28 @@ class TestEstimateWhitening:
         want = naive_tau2(build_w(LabeledDataset(x=whiten(x_raw, Whitening(mu, cov)), y=y)))
         assert got == pytest.approx(want, rel=1e-5)
 
+    def test_raw_x_identity_covariance_only_centres(self, tmp_path, capsys):
+        # An identity covariance with a non-zero mean prints what the data centred
+        # by hand prints under the zero-mean identity model.
+        g = np.random.default_rng(22)
+        n, p = 40, 6
+        mu = g.standard_normal(p)
+        x_raw, y = g.standard_normal((n, p)) + mu, g.standard_normal(n)
+        outputs = []
+        for name, x, mean, flags in (("raw", x_raw, list(mu), ["--raw-x"]),
+                                     ("centred", x_raw - mu, 0.0, [])):
+            rows = ["y," + ",".join(f"x{j + 1}" for j in range(p))]
+            rows += [",".join(repr(float(v)) for v in [y[i], *x[i]]) for i in range(n)]
+            data, model = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            data.write_text("\n".join(rows) + "\n")
+            model.write_text(json.dumps({"mean": mean, "covariance": "identity"}))
+            rc = run_cli(["estimate", "--data", str(data), "--model", str(model),
+                          "--estimators", "naive,dicker,full,single,selection",
+                          "--variance", "tilde", *flags])
+            assert rc == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_oracle_rejected_for_data(self, toy_dataset, capsys):
         data, model = toy_dataset
         rc = run_cli(["estimate", "--data", str(data), "--model", str(model),

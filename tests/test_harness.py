@@ -239,28 +239,14 @@ class TestEstimateDispatch:
             base = var_tilde_naive(w, gram(w), n)
             return var_tilde_t_gamma(base, beta_squared_estimates(w), selected, model, n)
 
-        assert got.variance_estimate == composed(LabeledDataset(ds.x[k:], ds.y[k:]))
+        rest = ds.rank[k:]  # the caller's trailing rows
+        assert got.variance_estimate == composed(LabeledDataset(ds.x[rest], ds.y[rest]))
         assert got.variance_estimate != composed(ds)
 
     @pytest.mark.parametrize("method", [None, "tilde"])
     def test_single_sorts_no_columns(self, monkeypatch, method):
-        # c-hat's numerator reduces each row of W to a scalar before its one sorted sum
-        import varest.estimators as estimators
-
-        calls = []
-
-        def counted(a):
-            calls.append(a.shape)
-            return ordered_col_sums(a)
-        monkeypatch.setattr(estimators, "ordered_col_sums", counted)
-        cfg = small_cfg(reps=1)
-        stats = DatasetStats(generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg))
-        estimate(stats, "single", options=HarnessOptions(variance_method=method))
-        assert calls == []
-
-    def test_one_column_pass_per_matrix(self, monkeypatch):
-        # build_w and t_full take both the column sums and square sums from one call
-        import varest.estimators as estimators
+        # c-hat's numerator reduces each row of W to a scalar before its one sum; no
+        # column pass runs after W is built
         import varest.model as model
 
         calls = []
@@ -268,14 +254,31 @@ class TestEstimateDispatch:
         def counted(a):
             calls.append(a.shape)
             return ordered_col_sums(a)
-        for module in (model, estimators):
-            monkeypatch.setattr(module, "ordered_col_sums", counted)
+        monkeypatch.setattr(model, "ordered_col_sums", counted)
+        cfg = small_cfg(reps=1)
+        stats = DatasetStats(generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg))
+        assert stats.w.n == cfg.n and calls == [(cfg.n, cfg.p)]
+        calls.clear()
+        estimate(stats, "single", options=HarnessOptions(variance_method=method))
+        assert calls == []
+
+    def test_one_column_pass_per_matrix(self, monkeypatch):
+        # build_w takes both the column sums and square sums from one call;
+        # t_full reduces its pair matrix in place, with no column pass
+        import varest.model as model
+
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return ordered_col_sums(a)
+        monkeypatch.setattr(model, "ordered_col_sums", counted)
         cfg = small_cfg(reps=1)
         ds = generate_dataset(cfg, build_beta(cfg), 0)
         w = build_w(ds)
         assert calls == [(cfg.n, cfg.p)]
         t_full(ds, w)
-        assert calls == [(cfg.n, cfg.p), (cfg.n, cfg.n)]
+        assert calls == [(cfg.n, cfg.p)]
 
     def test_unknown_variance_method(self):
         cfg = small_cfg(reps=1)
@@ -298,7 +301,8 @@ class TestScaling:
             ds, model = generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg)
             base = estimate(DatasetStats(ds, model), eid, options=options, boot_seed=7)
             for k in (-3, 5):
-                scaled = LabeledDataset(x=ds.x, y=ds.y * 2.0**k)
+                # in the generated row order, which split blocks and resamples index
+                scaled = LabeledDataset(x=ds.x[ds.rank], y=ds.y[ds.rank] * 2.0**k)
                 got = estimate(DatasetStats(scaled, model), eid, options=options, boot_seed=7)
                 assert (got.tau2, got.sigma2) == (base.tau2 * 4.0**k, base.sigma2 * 4.0**k)
                 if base.variance_estimate is None:
@@ -312,12 +316,9 @@ class TestScaling:
 PERMUTATION_SHAPES = ((60, 40), (150, 300), (7, 64))
 # Not row-permutation invariant by design, so not in the table below.
 NOT_PERMUTATION_INVARIANT = {
-    "empirical": "its bootstrap resamples index row positions",
-    "selection (split)": "its selection and estimation blocks are row positions",
+    "empirical": "its bootstrap resamples index the caller's row positions",
+    "selection (split)": "its selection and estimation blocks are the caller's row positions",
 }
-# Where a BLAS product (X X' in `full`, the Gram matrix of W in every tilde
-# variance) blocks rows by position, agreement is to rounding, not bitwise.
-PERMUTATION_RTOL = 1e-14
 
 
 @pytest.fixture(scope="module")
@@ -335,12 +336,10 @@ def permuted_datasets():
 
 
 class TestRowPermutation:
-    """Which reported numbers are bitwise invariant under a row permutation.
+    """Every reported number is bitwise invariant under a row permutation.
 
-    Bitwise: the tau2 and sigma2 of every estimator but ``full``, and every
-    ``gaussian-plugin`` variance.  To ``PERMUTATION_RTOL``: ``full`` (of
-    sigma_Y^2) and every ``tilde`` variance (of itself).  Not invariant:
-    ``NOT_PERMUTATION_INVARIANT``.
+    A dataset stores its rows in a canonical order, so a permuted dataset
+    holds byte-identical arrays.  Not invariant: ``NOT_PERMUTATION_INVARIANT``.
     """
 
     @pytest.mark.parametrize("method", [None, "gaussian-plugin", "tilde"])
@@ -349,20 +348,10 @@ class TestRowPermutation:
     def test_table(self, permuted_datasets, eid, method):
         options = HarnessOptions(variance_method=method)
         for beta, model, ds, permuted in permuted_datasets:
-            stats = DatasetStats(ds, model)
-            want = estimate(stats, eid, beta=beta, options=options)
+            want = estimate(DatasetStats(ds, model), eid, beta=beta, options=options)
             got = estimate(DatasetStats(permuted, model), eid, beta=beta, options=options)
-            if eid == "full":
-                # tau2 and sigma2 = sigma_Y^2 - tau2 move together, on the scale of sigma_Y^2
-                for a, b in ((got.tau2, want.tau2), (got.sigma2, want.sigma2)):
-                    assert abs(a - b) <= PERMUTATION_RTOL * stats.sigma_y2
-            else:
-                assert (got.tau2, got.sigma2) == (want.tau2, want.sigma2)
-            if method == "tilde" and want.variance_estimate is not None:
-                assert abs(got.variance_estimate - want.variance_estimate) <= \
-                    PERMUTATION_RTOL * abs(want.variance_estimate)
-            else:
-                assert got.variance_estimate == want.variance_estimate
+            assert (got.tau2, got.sigma2, got.variance_estimate) == \
+                (want.tau2, want.sigma2, want.variance_estimate)
 
     def test_covers_every_estimator(self):
         excluded = {key.split()[0] for key in NOT_PERMUTATION_INVARIANT}

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from varest.kernels import (
     pair_sum_distinct,
     triple_sum_distinct,
 )
+from varest.model import LabeledDataset, build_w
 
 from oracles import (
     chain_sum_loop,
@@ -165,20 +167,35 @@ def _col_sum_cases():
 _COL_SUM_CASES = _col_sum_cases()
 
 
+def _sum_error_bound(a, axis=None):
+    """A bound on the rounding error of any order of summing ``a`` (along ``axis``)."""
+    n = a.size if axis is None else a.shape[axis]
+    return n * np.finfo(float).eps * np.sum(np.abs(a), axis=axis)
+
+
+def _exact_col_sums(a):
+    return np.array([math.fsum(c) for c in a.T]), np.array([math.fsum(c * c) for c in a.T])
+
+
 class TestOrderedColSums:
     @pytest.mark.parametrize("name", list(_COL_SUM_CASES))
-    def test_equals_sorted_sum_of_each_column(self, name):
+    def test_matches_exact_sum_of_each_column(self, name):
         a = _COL_SUM_CASES[name]
-        sums, square_sums = ordered_col_sums(a)
-        assert sums.tobytes() == np.array([ordered_sum(c) for c in a.T]).tobytes()
-        assert square_sums.tobytes() == np.array([ordered_sum(c * c) for c in a.T]).tobytes()
+        for got, exact, terms in zip(ordered_col_sums(a), _exact_col_sums(a), (a, a * a)):
+            assert np.all(np.abs(got - exact) <= _sum_error_bound(terms, axis=0))
 
     @pytest.mark.parametrize("name", list(_COL_SUM_CASES))
     def test_row_permutation_bitwise(self, name):
+        # At the dataset level: the column sums of W do not depend on the order in
+        # which the rows were given.  Every row appears twice, with two responses.
         a = _COL_SUM_CASES[name]
-        perm = np.random.default_rng(11).permutation(a.shape[0])
-        for got, want in zip(ordered_col_sums(a[perm]), ordered_col_sums(a)):
-            assert got.tobytes() == want.tobytes()
+        x = np.vstack([a, a])
+        y = np.repeat([2.0, -0.5], a.shape[0])
+        perm = np.random.default_rng(11).permutation(x.shape[0])
+        want = build_w(LabeledDataset(x, y))
+        got = build_w(LabeledDataset(x[perm], y[perm]))
+        assert got.column_sums.tobytes() == want.column_sums.tobytes()
+        assert got.column_square_sums.tobytes() == want.column_square_sums.tobytes()
 
     def test_input_unchanged(self):
         a = _COL_SUM_CASES["ties-and-signed-zeros"]
@@ -190,17 +207,19 @@ class TestOrderedColSums:
 class TestReductionStability:
     def test_reversal_tolerance(self):
         x = rng.standard_normal(10_000) * rng.lognormal(0.0, 2.0, 10_000)
-        a = ordered_sum(x)
-        b = ordered_sum(x[::-1])
-        assert a == b  # canonical order: reversal is bitwise identical
+        exact = math.fsum(x)
+        bound = _sum_error_bound(x)
+        assert abs(ordered_sum(x) - exact) <= bound
+        assert abs(ordered_sum(x[::-1]) - exact) <= bound
 
     def test_permutation_bitwise(self):
-        u = rng.standard_normal(200)
-        v = rng.standard_normal(200)
+        # At the dataset level: the kernels read the columns of a dataset, whose
+        # rows are stored in the same order however they were given.
+        x = rng.standard_normal((200, 3))
         perm = rng.permutation(200)
-        assert pair_sum_distinct(u, v) == pair_sum_distinct(u[perm], v[perm])
-        w = rng.standard_normal(200)
-        assert triple_sum_distinct(u, v, w) == triple_sum_distinct(u[perm], v[perm], w[perm])
+        a, b = LabeledDataset(x, x[:, 0]), LabeledDataset(x[perm], x[perm, 0])
+        assert pair_sum_distinct(a.x[:, 0], a.x[:, 1]) == pair_sum_distinct(b.x[:, 0], b.x[:, 1])
+        assert triple_sum_distinct(*a.x.T) == triple_sum_distinct(*b.x.T)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=50))
     @settings(max_examples=100, deadline=None)

@@ -129,6 +129,24 @@ class TestWhiten:
         with pytest.raises(DimensionMismatch):
             whiten(np.zeros((4, 2)), Whitening(np.zeros(3), np.eye(3)))
 
+    def test_identity_covariance_only_subtracts_the_mean(self):
+        mu = rng.standard_normal(3)
+        x = rng.standard_normal((6, 3))
+        wh = Whitening(mu)
+        assert wh.covariance is None and wh.sqrt_inverse_covariance is None
+        assert whiten(x, wh).tobytes() == (x - mu).tobytes()
+
+    def test_identity_covariance_builds_no_p_by_p_array(self):
+        # 2000 x 2000 doubles are 32 MB
+        tracemalloc.start()
+        try:
+            out = whiten(np.ones((2, 2000)), Whitening(np.ones(2000)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not out.any()
+        assert peak < 1_000_000
+
 
 class TestInvalidInput:
     """Bad argument values raise ``InvalidInput``, a ``VarestError`` and a ``ValueError``."""
@@ -163,13 +181,57 @@ class TestLabeledDataset:
     def test_center_y(self):
         ds = LabeledDataset(x=[[1.0], [2.0]], y=[1.0, 3.0])
         centered = ds.center_y()
-        np.testing.assert_allclose(centered.y, [-1.0, 1.0])
+        np.testing.assert_allclose(centered.y[centered.rank], [-1.0, 1.0])
+        assert centered.rank.tobytes() == ds.rank.tobytes()
+
+
+_ENTRIES = (-2.5, -1.0, -0.0, 0.0, 1e-3, 1.5, 7.0)
+
+
+@st.composite
+def _shuffled_rows(draw):
+    """(x, y, a row permutation, k): rows drawn from a small pool, so x rows
+    repeat, with and without equal y, and entries include +0.0 and -0.0."""
+    n, p = draw(st.integers(2, 30)), draw(st.integers(0, 30))
+    entry = st.sampled_from(_ENTRIES)
+    pool = draw(st.lists(st.lists(entry, min_size=p, max_size=p), min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    x = np.array([pool[i] for i in picks], dtype=float).reshape(n, p)
+    y = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.intp)
+    return x, y, perm, draw(st.integers(-3, 5))
+
+
+class TestCanonicalOrder:
+    """A dataset stores its rows in an order that depends only on the multiset of rows."""
+
+    @given(_shuffled_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_order_depends_only_on_the_rows(self, case):
+        x, y, perm, k = case
+        ds = LabeledDataset(x=x, y=y)
+        assert ds.x.flags.c_contiguous and not ds.x.flags.writeable
+        assert ds.x[ds.rank].tobytes() == x.tobytes()
+        assert ds.y[ds.rank].tobytes() == y.tobytes()
+        permuted = LabeledDataset(x=x[perm], y=y[perm])
+        assert permuted.x.tobytes() == ds.x.tobytes()
+        assert permuted.y.tobytes() == ds.y.tobytes()
+        scaled = LabeledDataset(x=x, y=y * 2.0**k)
+        assert scaled.rank.tobytes() == ds.rank.tobytes()
+
+    def test_rows_sort_by_x_bytes_then_y(self):
+        # byte order, not numeric order: 2.0's bytes sort before 1.0's
+        ds = LabeledDataset(x=[[1.0], [2.0], [1.0], [1.0]], y=[3.0, 0.0, -0.0, 0.0])
+        assert ds.x[:, 0].tolist() == [2.0, 1.0, 1.0, 1.0]
+        assert [v.hex() for v in ds.y.tolist()] == [v.hex() for v in (0.0, 0.0, -0.0, 3.0)]
+        assert ds.rank.tolist() == [3, 0, 2, 1]
 
 
 class TestBuildW:
     def test_hand_example(self):
-        w = build_w(LabeledDataset(x=[[1.0], [2.0]], y=[1.0, 1.0]))
-        np.testing.assert_array_equal(w.w, [[1.0], [2.0]])
+        ds = LabeledDataset(x=[[1.0], [2.0]], y=[1.0, 1.0])
+        w = build_w(ds)
+        np.testing.assert_array_equal(w.w[ds.rank], [[1.0], [2.0]])
         np.testing.assert_array_equal(w.column_sums, [3.0])
 
     def test_zero_response(self):
@@ -179,8 +241,8 @@ class TestBuildW:
     def test_matches_loop(self):
         x = rng.standard_normal((6, 4))
         y = rng.standard_normal(6)
-        w = build_w(LabeledDataset(x=x, y=y))
-        np.testing.assert_array_equal(w.w, w_loop(x, y))
+        ds = LabeledDataset(x=x, y=y)
+        np.testing.assert_array_equal(build_w(ds).w[ds.rank], w_loop(x, y))
 
     def test_cached_sums_match_recomputation(self):
         x = rng.standard_normal((30, 7))

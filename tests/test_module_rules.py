@@ -7,6 +7,10 @@
 * The package raises no plain ``ValueError`` or ``TypeError``: every error
   it raises derives from ``VarestError`` (``InvalidInput`` is also a
   ``ValueError``).
+* Nothing sorts rows but the canonical order of ``LabeledDataset``: every
+  reduction over observations is a plain sum over rows in that order.
+  ``kernels`` calls no ``sort``, ``argsort`` or ``lexsort``, and the package
+  calls them only at the sites in ``SORT_SITES``, each for its stated reason.
 * Every ``module.function`` that the benchmark traces (``TARGETS`` in
   ``perfbench/run.py``) is a public callable of ``varest.<module>``: a traced
   run reports a missing one as ``null``, which the benchmark cannot compare.
@@ -29,6 +33,14 @@ MODULES = sorted((ROOT / "src" / "varest").glob("*.py"))
 BENCHMARK_RUNNER = ROOT / "perfbench" / "run.py"
 BENCHMARK_TRACER = ROOT / "perfbench" / "tracer.py"
 BUILTIN_ERRORS = ("ValueError", "TypeError")
+SORTS = ("sort", "argsort", "lexsort")
+# (module, function) -> what it sorts.
+SORT_SITES = {
+    ("model.py", "_canonical_rows"): "the dataset's rows, into their canonical order",
+    ("selection.py", "gap_select"): "the per-column estimates, for their order statistics",
+    ("harness.py", "_summary_row"): "the replication values of a summary, which have no "
+                                    "row order of their own",
+}
 
 
 def _tree(path):
@@ -81,6 +93,44 @@ def test_raises_only_varest_errors(path):
             if isinstance(exc, ast.Name) and exc.id in BUILTIN_ERRORS:
                 bad.append(f"{path.name}:{node.lineno}: {exc.id}")
     assert not bad
+
+
+def _sort_sites(path):
+    """``(module, enclosing function)`` of every call of a numpy sort in ``path``."""
+    sites = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                fn = child.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if name in SORTS:
+                    sites.append((path.name, function))
+            visit(child, function)
+
+    visit(_tree(path), "<module>")
+    return sites
+
+
+def test_kernels_sort_nothing():
+    assert _sort_sites(ROOT / "src" / "varest" / "kernels.py") == []
+
+
+def test_only_sorts_are_the_listed_sites():
+    sites = {site for path in MODULES for site in _sort_sites(path)}
+    assert sites == set(SORT_SITES)
+
+
+def test_sort_rule_catches_violations(tmp_path):
+    path = tmp_path / "kernels.py"
+    path.write_text("import numpy as np\n"
+                    "def f(a):\n    a.sort(axis=-1)\n    return np.argsort(a)\n"
+                    "ORDER = np.lexsort([[1.0]])\n")
+    assert _sort_sites(path) == [("kernels.py", "f"), ("kernels.py", "f"),
+                                 ("kernels.py", "<module>")]
 
 
 def _traced_targets(path):

@@ -94,11 +94,13 @@ class TestSplitRows:
     ])
     def test_block_sizes(self, n, fraction, k):
         g = np.random.default_rng(n)
-        ds = LabeledDataset(x=g.standard_normal((n, 3)), y=g.standard_normal(n))
-        select, est = split_rows(ds, fraction)
+        x, y = g.standard_normal((n, 3)), g.standard_normal(n)
+        select, est = split_rows(LabeledDataset(x=x, y=y), fraction)
         assert select.n == k and est.n == n - k
-        np.testing.assert_array_equal(np.vstack([select.x, est.x]), ds.x)
-        np.testing.assert_array_equal(np.concatenate([select.y, est.y]), ds.y)
+        # the caller's leading and trailing rows, whatever order the dataset stores
+        for block, rows in ((select, slice(None, k)), (est, slice(k, None))):
+            np.testing.assert_array_equal(block.x[block.rank], x[rows])
+            np.testing.assert_array_equal(block.y[block.rank], y[rows])
 
 
 class TestTGamma:
@@ -134,7 +136,8 @@ class TestTGamma:
         assert report.aux["split"] is True
         assert report.aux["n_select_rows"] == 60
         # the estimate must match recomputing on the second block alone
-        est = LabeledDataset(x=ds.x[60:], y=ds.y[60:])
+        rest = ds.rank[60:]  # the generated rows after the first 60
+        est = LabeledDataset(x=ds.x[rest], y=ds.y[rest])
         w_est = build_w(est)
         sel = report.aux["selected"]
         expected = naive_tau2(w_est) - 2.0 * sum(
@@ -181,8 +184,8 @@ class TestTGamma:
             ds = generate_dataset(cfg, beta, r)
             report = _split_t_gamma(ds)
             n_select = report.aux["n_select_rows"]
-            beta2 = beta_squared_estimates(
-                build_w(LabeledDataset(ds.x[:n_select], ds.y[:n_select])))
+            lead = ds.rank[:n_select]  # the generated rows that selected
+            beta2 = beta_squared_estimates(build_w(LabeledDataset(ds.x[lead], ds.y[lead])))
             at_or_above = tuple(int(j) for j in
                                 np.flatnonzero(beta2 >= report.aux["threshold"]))
             weakest = min(b_set, key=lambda j: beta2[j])
@@ -204,4 +207,4 @@ class TestReportInvariant:
             sample_variance_y(ds.y), rel=1e-12)
         split = _split_t_gamma(ds)
         assert split.tau2 + split.sigma2 == pytest.approx(
-            sample_variance_y(ds.y[40:]), rel=1e-12)
+            sample_variance_y(ds.y[ds.rank[40:]]), rel=1e-12)

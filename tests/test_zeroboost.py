@@ -54,6 +54,23 @@ class TestEmpiricalEstimator:
         assert first.tau2 == pytest.approx(tau2, rel=1e-12, abs=0)
         assert first.aux["c_tilde"] == pytest.approx(c_tilde, rel=1e-12, abs=0)
 
+    def test_criterion_11_scenario_matches_pinned_values(self):
+        # (tau2, c_tilde) of replications 0-3 of the acceptance criterion-11
+        # scenario as computed with every reduction sorted per column; the
+        # canonical row order and plain sums reproduce them to 1e-12.
+        pinned = [(1.8611156295916622, 0.021115551420066516),
+                  (2.2311788156367864, 0.023115155441869505),
+                  (1.6104045303203647, 0.027425276438774154),
+                  (2.2877551145335757, 0.018808340800218183)]
+        cfg = ScenarioConfig(n=400, p=400, tau2=2.0, tau2_b=2.0 / 3.0, sigma2=1.0,
+                             b_size=5, reps=1, seed=1111)
+        beta, model = build_beta(cfg), GAUSS(400)
+        for rep, (tau2, c_tilde) in enumerate(pinned):
+            stats = DatasetStats(generate_dataset(cfg, beta, rep), model)
+            report = empirical_estimator(stats, BootstrapConfig(n_boot=200, seed=1000 + rep))
+            assert report.tau2 == pytest.approx(tau2, rel=1e-12, abs=0)
+            assert report.aux["c_tilde"] == pytest.approx(c_tilde, rel=1e-12, abs=0)
+
     def test_requires_p_at_least_two(self):
         g = np.random.default_rng(0)
         ds = LabeledDataset(x=g.standard_normal((10, 1)), y=g.standard_normal(10))
