@@ -44,6 +44,7 @@ from .estimators import (
     t_oracle,
 )
 from .harness import (
+    INITIAL_IDS,
     DatasetStats,
     HarnessOptions,
     RepRecord,
@@ -67,6 +68,7 @@ from .model import (
     WMatrix,
     Whitening,
     build_w,
+    column_set,
     sample_variance_y,
     whiten,
 )

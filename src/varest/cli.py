@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import warnings
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import DegenerateZeroEstimator, DimensionMismatch, VarestError
 from .estimators import ESTIMATOR_IDS
 from .harness import (
+    INITIAL_IDS,
     DatasetStats,
     HarnessOptions,
     estimate,
@@ -29,7 +31,6 @@ from .harness import (
 )
 from .model import CovariateModel, LabeledDataset, Whitening, whiten
 from .simgen import ScenarioConfig
-from .zeroboost import INITIAL_IDS
 
 _SCENARIO_KEYS = ("n", "p", "tau2", "tau2_b", "sigma2", "b_size", "reps", "seed", "x_dist")
 
@@ -38,7 +39,9 @@ class _ConfigError(Exception):
     """User-input problem; mapped to exit code 2."""
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and then reused: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="varest",
         description="Signal/noise variance estimation for high-dimensional "
@@ -104,7 +107,7 @@ def _add_empirical_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--empirical", action="store_true",
                    help="append the bootstrap empirical estimator")
     p.add_argument("--initial", default="naive",
-                   help="initial estimator for --empirical")
+                   help="initial estimator for --empirical: " + ",".join(INITIAL_IDS))
     p.add_argument("--boot", type=int, default=200,
                    help="bootstrap resamples for --empirical")
 
@@ -382,8 +385,7 @@ def _cmd_summarize(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "simulate":
             return _cmd_simulate(args)

@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedDependenceStructure,
 )
 from .kernels import ordered_sum, triple_sum_distinct
-from .model import CoefficientVector, CovariateModel, LabeledDataset, WMatrix
+from .model import CoefficientVector, CovariateModel, LabeledDataset, WMatrix, column_set
 
 __all__ = [
     "ESTIMATOR_IDS",
@@ -175,10 +175,8 @@ def t_b(ds: LabeledDataset, w: WMatrix, b_set) -> float:
     data-independent B, cost O(|B|^2 n).  B is a set of 0-based column
     indices; an empty B returns the naive estimator.
     """
-    n, p = ds.n, ds.p
-    indices = sorted(set(int(j) for j in b_set))
-    if any(j < 0 or j >= p for j in indices):
-        raise IndexOutOfRange(f"b_set must be within range(0, {p})")
+    n = ds.n
+    indices = column_set(b_set, ds.p)
     naive = naive_tau2(w)
     if not indices:
         return naive

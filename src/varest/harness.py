@@ -6,8 +6,10 @@ the single-zero statistic, ``sigma_Y^2`` and the naive variance estimates from
 one ``DatasetStats`` per dataset, so each is built at most once.  Split
 selection selects on the first row block of ``split_rows`` and estimates on
 the second, so its estimate and variance read one ``DatasetStats`` of that
-block instead.  Overflow, invalid operations and division by zero raise
-``NonFiniteResult`` instead of reporting NaN or infinity.
+block instead.  One id -> estimate table serves both ``estimate`` and the
+bootstrap's named initials (``INITIAL_IDS``).  Overflow, invalid operations
+and division by zero raise ``NonFiniteResult`` instead of reporting NaN or
+infinity.
 
 ``run_scenario`` maps (scenario, estimator list) to one record per
 (replication, estimator).  Replications are independent — each derives its
@@ -33,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InsufficientRecords, NonFiniteResult, VarestError
+from .errors import InsufficientRecords, InvalidInput, NonFiniteResult, VarestError
 from .estimators import (
     EstimateReport,
     SingleZeroStat,
@@ -61,6 +63,7 @@ from .zeroboost import BootstrapConfig, empirical_estimator
 __all__ = [
     "DatasetStats",
     "HarnessOptions",
+    "INITIAL_IDS",
     "RepRecord",
     "SummaryStats",
     "estimate",
@@ -156,6 +159,20 @@ class DatasetStats:
         return self.plugin_base if method == "gaussian-plugin" else self.tilde_base
 
 
+# The estimators that read nothing but a dataset's statistics, by id.
+_TAU2 = {
+    "naive": lambda st: naive_tau2(st.w),
+    "dicker": lambda st: dicker_tau2(st.ds, st.w),
+    "full": lambda st: t_full(st.ds, st.w),
+    "single": lambda st: t_c_hat_star(st.w, st.single),
+}
+# The named initials of the bootstrap: selection runs with ``t_gamma``'s
+# defaults, unsplit and capped.
+_INITIALS = {**_TAU2, "selection": lambda st: t_gamma(st.ds, st.w).tau2}
+# Identifiers accepted for the initial estimator (the CLI's --initial).
+INITIAL_IDS = tuple(_INITIALS)
+
+
 def estimate(
     stats: DatasetStats,
     estimator_id: str,
@@ -202,33 +219,39 @@ def _estimate(stats, estimator_id, beta, options, boot_seed) -> EstimateReport:
                         if method == "gaussian-plugin"
                         else var_tilde_t_gamma(base, beta2, selected, model, n))
     elif estimator_id == "empirical":
-        cfg = BootstrapConfig(n_boot=options.boot, seed=boot_seed,
-                              initial_estimator=options.initial)
-        report = empirical_estimator(stats, cfg)
+        if options.initial not in _INITIALS:
+            raise InvalidInput(f"unknown initial estimator {options.initial!r}; "
+                               f"expected one of {list(INITIAL_IDS)}")
+        entry = _INITIALS[options.initial]
+        initial = "naive" if options.initial == "naive" else (
+            lambda d, m: entry(DatasetStats(d, m)))
+        report = empirical_estimator(stats, BootstrapConfig(
+            n_boot=options.boot, seed=boot_seed, initial_estimator=initial))
+        report.aux["initial"] = options.initial
     else:
-        if estimator_id in ("naive", "dicker"):
-            tau2 = naive_tau2(stats.w) if estimator_id == "naive" else dicker_tau2(ds, stats.w)
-            variance = stats.naive_variance(method)
-        elif estimator_id == "full":
-            tau2 = t_full(ds, stats.w)
-        elif estimator_id == "single":
-            tau2 = t_c_hat_star(stats.w, stats.single)
-            if method == "tilde":
-                variance = var_tilde_t_chat(stats.tilde_base, stats.w, stats.single, ds.n)
+        if estimator_id in _TAU2:
+            tau2 = _TAU2[estimator_id](stats)
         elif estimator_id == "oracle":
             if beta is None:
                 raise VarestError("the oracle estimator needs the true beta")
             tau2 = t_oracle(ds, stats.w, beta)
         else:
             raise VarestError(f"unknown estimator id {estimator_id!r}")
+        if estimator_id in ("naive", "dicker"):
+            variance = stats.naive_variance(method)
+        elif estimator_id == "single" and method == "tilde":
+            variance = var_tilde_t_chat(stats.tilde_base, stats.w, stats.single, ds.n)
         report = EstimateReport(tau2=tau2, sigma2=sigma2_from(tau2, stats.sigma_y2),
                                 estimator_id=estimator_id)
 
-    aux = dict(report.aux)
+    warned = []
     if method == "gaussian-plugin" and not model.gaussian:
-        aux["variance_warning"] = "gaussian-plugin requested for a non-gaussian model"
+        warned.append("gaussian-plugin requested for a non-gaussian model")
     if variance is not None and variance < 0.0:
-        aux["variance_warning"] = "negative variance estimate (reported raw)"
+        warned.append("negative variance estimate (reported raw)")
+    aux = dict(report.aux)
+    if warned:
+        aux["variance_warning"] = " and ".join(warned)
     return replace(report, variance_estimate=variance, aux=aux)
 
 
@@ -332,12 +355,12 @@ def _summary_row(eid: str, values: np.ndarray, true_tau2: float) -> SummaryStats
     se = float(np.sqrt(ordered_sum(dev * dev) / (m - 1)))
     err_sq = (values - true_tau2) ** 2
     rmse = float(np.sqrt(ordered_sum(err_sq) / m))
-    if rmse > 0.0:
+    if rmse == 0.0:
+        rmse_sd = 0.0
+    else:  # a NaN record (a failed replication) gives NaN here too
         sq_dev = err_sq - ordered_sum(err_sq) / m
         sd_err_sq = float(np.sqrt(ordered_sum(sq_dev * sq_dev) / (m - 1)))
         rmse_sd = sd_err_sq / (2.0 * rmse * np.sqrt(m))
-    else:
-        rmse_sd = 0.0
     return SummaryStats(estimator_id=eid, mean=mean, bias=bias, se=se, rmse=rmse,
                         rmse_sd=rmse_sd)
 

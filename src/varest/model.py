@@ -27,7 +27,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput, NearSingularCovariance, TooFewObservations
+from .errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    InvalidInput,
+    NearSingularCovariance,
+    TooFewObservations,
+)
 from .kernels import ordered_col_sums, ordered_sum
 
 __all__ = [
@@ -38,6 +44,7 @@ __all__ = [
     "WMatrix",
     "Whitening",
     "build_w",
+    "column_set",
     "sample_variance_y",
     "whiten",
 ]
@@ -81,7 +88,7 @@ class CovariateModel:
         if m4.ndim != 1:
             raise DimensionMismatch(f"fourth_moments must be a vector, got shape {m4.shape}")
         if not np.all(np.isfinite(m4)):
-            raise InvalidInput("mean, covariance and fourth moments must be finite")
+            raise InvalidInput("fourth moments must be finite")
         if np.any(m4 < 1.0):
             raise InvalidInput("fourth moments must be >= 1 after whitening")
         if self.gaussian and not np.all(m4 == 3.0):
@@ -118,7 +125,7 @@ class Whitening:
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
         if not np.all(np.isfinite(mean)):
-            raise InvalidInput("mean, covariance and fourth moments must be finite")
+            raise InvalidInput("mean must be finite")
         object.__setattr__(self, "mean", _readonly(mean))
         if self.covariance is None:
             return
@@ -127,7 +134,7 @@ class Whitening:
         if cov.shape != (p, p):
             raise DimensionMismatch(f"covariance must be {p}x{p}, got {cov.shape}")
         if not np.all(np.isfinite(cov)):
-            raise InvalidInput("mean, covariance and fourth moments must be finite")
+            raise InvalidInput("covariance must be finite")
         if not np.allclose(cov, cov.T, rtol=1e-12, atol=1e-12):
             raise InvalidInput("covariance must be symmetric")
         object.__setattr__(self, "covariance", _readonly(0.5 * (cov + cov.T)))
@@ -317,3 +324,19 @@ def sample_variance_y(y) -> float:
     ybar = ordered_sum(yv) / n
     d = yv - ybar
     return ordered_sum(d * d) / (n - 1)
+
+
+def column_set(b_set, p: int) -> list[int]:
+    """The integer column indices of ``b_set``, unique and sorted, each in ``range(p)``.
+
+    A float or bool entry raises ``InvalidInput``; a negative index or one of
+    at least p raises ``IndexOutOfRange``.
+    """
+    indices = set()
+    for j in b_set:
+        if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+            raise InvalidInput(f"column indices must be integers, got {j!r}")
+        if not 0 <= j < p:
+            raise IndexOutOfRange(f"column index {j} is outside range(0, {p})")
+        indices.add(int(j))
+    return sorted(indices)

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .estimators import SingleZeroStat, c_hat_numerator, naive_tau2
 from .kernels import GramMatrix, chain_sum_distinct, offdiag_square_sum, ordered_sum
-from .model import CoefficientVector, CovariateModel, WMatrix
+from .model import CoefficientVector, CovariateModel, WMatrix, column_set
 
 __all__ = [
     "MomentMatrixA",
@@ -155,7 +155,7 @@ def var_t_b_theory(
     b_set,
 ) -> float:
     """Leading-order variance of T_B for a fixed set B (O(n^-2) dropped)."""
-    indices = sorted(set(int(j) for j in b_set))
+    indices = column_set(b_set, beta.p)
     if not indices:
         return var_naive_theory(beta, sigma2, model, n)
     idx = np.asarray(indices, dtype=np.intp)
@@ -247,10 +247,10 @@ def var_hat_t_gamma(var_hat_naive: float, beta2, b_gamma, n: int) -> float:
     Subtracts ``(8/n) (sum_{j in B_gamma} beta_j^2-hat)^2``; may be negative
     (reported raw, flagged by callers).
     """
-    indices = sorted(set(int(j) for j in b_gamma))
+    b2 = np.asarray(beta2, dtype=np.float64)
+    indices = column_set(b_gamma, len(b2))
     if not indices:
         return var_hat_naive
-    b2 = np.asarray(beta2, dtype=np.float64)
     tau2_b = ordered_sum(b2[np.asarray(indices, dtype=np.intp)])
     return var_hat_naive - 8.0 / n * tau2_b * tau2_b
 
@@ -283,11 +283,12 @@ def var_tilde_t_gamma(
     Subtracts the reduction term with estimated coefficients and the model's
     known fourth moments over the selected set.
     """
-    indices = sorted(set(int(j) for j in b_gamma))
+    b2 = np.asarray(beta2, dtype=np.float64)
+    indices = column_set(b_gamma, len(b2))
     if not indices:
         return var_tilde
     idx = np.asarray(indices, dtype=np.intp)
-    b2 = np.asarray(beta2, dtype=np.float64)[idx]
+    b2 = b2[idx]
     mass_sq = ordered_sum(b2) ** 2
     return var_tilde - _reduction_term(b2 * b2, model.fourth_moments[idx], mass_sq, n)
 

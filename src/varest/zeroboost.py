@@ -38,10 +38,10 @@ diagonal, leaving ``sum_k m_k (m_k - 1) ||W_k||^2``.  That term inflates the
 fitted coefficient at p of the order of n (acceptance criterion 11); its
 mend replaces ``M r`` with ``(M o M) r`` over the distinct-row pair count.
 
-Every other initial (``dicker``, ``single``, ``full``, ``selection`` and
-user callables) keeps the generic path: it is called on the full data, then
-each resample is rebuilt as a dataset and the initial is called on it,
-serially.
+Any other initial is a callable ``(ds, model) -> float``, such as the
+harness's ``dicker``, ``single``, ``full`` and ``selection``: it is called on
+the full data, then each resample is rebuilt as a dataset and it is called
+on that, serially.
 """
 
 from __future__ import annotations
@@ -52,57 +52,15 @@ from typing import TYPE_CHECKING, Callable, Union
 import numpy as np
 
 from .errors import InitialEstimatorFailure, InvalidInput
-from .estimators import (
-    EstimateReport,
-    build_single_zero,
-    dicker_tau2,
-    naive_tau2,
-    sigma2_from,
-    t_c_hat_star,
-    t_full,
-)
-from .model import CovariateModel, LabeledDataset, build_w
-from .selection import t_gamma
+from .estimators import EstimateReport, naive_tau2, sigma2_from
+from .model import CovariateModel, LabeledDataset
 
 if TYPE_CHECKING:
     from .harness import DatasetStats
 
-__all__ = ["BootstrapConfig", "INITIAL_IDS", "empirical_estimator", "resolve_initial"]
+__all__ = ["BootstrapConfig", "empirical_estimator"]
 
 InitialEstimator = Callable[[LabeledDataset, CovariateModel], float]
-
-
-def _naive(ds: LabeledDataset, model: CovariateModel) -> float:
-    return naive_tau2(build_w(ds))
-
-
-def _dicker(ds: LabeledDataset, model: CovariateModel) -> float:
-    return dicker_tau2(ds, build_w(ds))
-
-
-def _single(ds: LabeledDataset, model: CovariateModel) -> float:
-    w = build_w(ds)
-    return t_c_hat_star(w, build_single_zero(ds, model))
-
-
-def _selection(ds: LabeledDataset, model: CovariateModel) -> float:
-    return t_gamma(ds, build_w(ds)).tau2
-
-
-def _full(ds: LabeledDataset, model: CovariateModel) -> float:
-    return t_full(ds, build_w(ds))
-
-
-_INITIALS: dict[str, InitialEstimator] = {
-    "naive": _naive,
-    "dicker": _dicker,
-    "single": _single,
-    "selection": _selection,
-    "full": _full,
-}
-
-# Identifiers accepted for the initial estimator (the CLI's --initial).
-INITIAL_IDS = tuple(_INITIALS)
 
 
 def _rowsq(a: np.ndarray) -> np.ndarray:
@@ -114,22 +72,9 @@ def _rowsq(a: np.ndarray) -> np.ndarray:
 _BLOCK_ELEMS = 1 << 22
 
 
-def resolve_initial(initial: Union[str, InitialEstimator]) -> InitialEstimator:
-    """Map an estimator identifier to a function; callables pass through."""
-    if callable(initial):
-        return initial
-    try:
-        return _INITIALS[initial]
-    except KeyError:
-        raise InvalidInput(
-            f"unknown initial estimator {initial!r}; expected one of "
-            f"{sorted(_INITIALS)} or a callable"
-        ) from None
-
-
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Resampling plan: number of resamples, seed, and the initial estimator."""
+    """Resampling plan: number of resamples, seed, and the initial, ``"naive"`` or a callable."""
 
     n_boot: int = 200
     seed: int = 0
@@ -138,6 +83,10 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.n_boot < 2:
             raise InvalidInput("empirical covariance needs n_boot >= 2")
+        initial = self.initial_estimator
+        if not (callable(initial) or (isinstance(initial, str) and initial == "naive")):
+            raise InvalidInput(
+                f"initial estimator must be 'naive' or a callable, got {initial!r}")
 
 
 def _resample_rows(n: int, cfg: BootstrapConfig, b: int) -> np.ndarray:
@@ -192,23 +141,22 @@ def empirical_estimator(stats: DatasetStats, cfg: BootstrapConfig) -> EstimateRe
 
     ``stats`` holds the dataset and its W, g and ``sigma_Y^2``.  The ``naive``
     initial reads W there and is evaluated on all resamples from the count
-    matrix (see the module docstring); other initials, callables included,
-    are called on the dataset and then on each rebuilt resample in index
-    order, and a failure there raises :class:`InitialEstimatorFailure`
-    carrying the resample index.  Returns a report with ``aux`` recording the
-    fitted coefficient, the bootstrap count, and the initial estimator's id.
+    matrix (see the module docstring).  A callable initial is called on the
+    dataset and then on each rebuilt resample in index order, and a failure
+    there raises :class:`InitialEstimatorFailure` carrying the resample
+    index.  Returns a report with ``aux`` recording the fitted coefficient,
+    the bootstrap count, and the initial: ``"naive"`` or ``"custom"``.
     """
     ds, model, single = stats.ds, stats.model, stats.single
-    initial = resolve_initial(cfg.initial_estimator)
-    initial_id = cfg.initial_estimator if isinstance(cfg.initial_estimator, str) else "custom"
+    initial = cfg.initial_estimator
     n = ds.n
 
-    if initial_id == "naive":
-        tau2_init = naive_tau2(stats.w)
-        tau_stars, g_stars = _naive_stars(stats.w.w, ds.rank, cfg, single.g_per_obs)
-    else:
+    if callable(initial):
         tau2_init = initial(ds, model)
         tau_stars, g_stars = _rebuilt_stars(ds, model, cfg, initial, single.g_per_obs)
+    else:
+        tau2_init = naive_tau2(stats.w)
+        tau_stars, g_stars = _naive_stars(stats.w.w, ds.rank, cfg, single.g_per_obs)
 
     cov = float(np.cov(tau_stars, g_stars, ddof=1)[0, 1])
     var_g_n = single.var_g / n
@@ -219,5 +167,6 @@ def empirical_estimator(stats: DatasetStats, cfg: BootstrapConfig) -> EstimateRe
         tau2=tau2,
         sigma2=sigma2_from(tau2, stats.sigma_y2),
         estimator_id="empirical",
-        aux={"c_tilde": c_tilde, "n_boot": cfg.n_boot, "initial": initial_id},
+        aux={"c_tilde": c_tilde, "n_boot": cfg.n_boot,
+             "initial": "custom" if callable(initial) else "naive"},
     )

@@ -160,19 +160,36 @@ def gap_select_loop(beta2):
     return sorted(j for j in range(p) if beta2[j] > threshold), threshold
 
 
-def empirical_loop(ds, model, cfg):
+def _named_initial(name):
+    """The library calls behind each named bootstrap initial, as the README documents them."""
+    from varest.estimators import build_single_zero, dicker_tau2, naive_tau2, t_c_hat_star, t_full
+    from varest.model import build_w
+    from varest.selection import t_gamma
+
+    return {
+        "naive": lambda d, m: naive_tau2(build_w(d)),
+        "dicker": lambda d, m: dicker_tau2(d, build_w(d)),
+        "single": lambda d, m: t_c_hat_star(build_w(d), build_single_zero(d, m)),
+        "full": lambda d, m: t_full(d, build_w(d)),
+        "selection": lambda d, m: t_gamma(d, build_w(d)).tau2,
+    }[name]
+
+
+def empirical_loop(ds, model, cfg, initial=None):
     """The bootstrap-coefficient estimator evaluated literally.
 
     Each resample is rebuilt as a dataset from its ``SeedSequence((seed, b))``
     row indices, positions in the caller's row order that ``ds.rank`` maps to
-    stored rows, and the initial estimator is called on it.  Returns
-    ``(tau2, c_tilde)``.
+    stored rows, and the initial estimator is called on it.  ``initial`` is
+    a named initial or a callable ``(ds, model) -> float``; by default
+    ``cfg.initial_estimator``.  Returns ``(tau2, c_tilde)``.
     """
     from varest.estimators import build_single_zero
     from varest.model import LabeledDataset
-    from varest.zeroboost import resolve_initial
 
-    initial = resolve_initial(cfg.initial_estimator)
+    initial = cfg.initial_estimator if initial is None else initial
+    if isinstance(initial, str):
+        initial = _named_initial(initial)
     single = build_single_zero(ds, model)
     n = ds.n
     tau_stars = np.empty(cfg.n_boot)

@@ -449,6 +449,40 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "simulate" in proc.stdout
 
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        # the parser is built once per process: flags of one call, set or
+        # left at their defaults, must not carry over into the next
+        g = np.random.default_rng(4)
+        x = g.standard_normal((12, 3))
+        data, model = tmp_path / "data.csv", tmp_path / "model.json"
+        np.savetxt(data, np.column_stack([x.sum(axis=1) + g.standard_normal(12), x]),
+                   delimiter=",", header="y,x1,x2,x3", comments="")
+        model.write_text(json.dumps({"covariance": "identity", "gaussian": True}))
+        estimate = ["estimate", "--data", str(data), "--model", str(model)]
+        simulate = ["simulate", "--n", "20", "--p", "4", "--tau2", "1", "--tau2b", "0.5",
+                    "--reps", "3", "--seed", "2", "--records-out", str(tmp_path / "r.csv"),
+                    "--summary-out", str(tmp_path / "s.csv")]
+        calls = [
+            [*estimate, "--estimators", "naive,selection", "--clamp", "--select-cap", "1",
+             "--empirical", "--initial", "dicker", "--boot", "5"],
+            [*estimate, "--estimators", "dicker,selection,empirical", "--variance", "tilde"],
+            [*simulate, "--estimators", "naive,single", "--variance", "gaussian-plugin"],
+            [*simulate, "--estimators", "selection"],
+            [*estimate, "--estimators", "naive,selection", "--clamp", "--select-cap", "1",
+             "--empirical", "--initial", "dicker", "--boot", "5"],
+        ]
+        in_process = []
+        for argv in calls:
+            code = main(argv)
+            in_process.append((code, capsys.readouterr().out))
+        fresh = []
+        for argv in calls:
+            proc = subprocess.run([sys.executable, "-m", "varest.cli", *argv],
+                                  capture_output=True, text=True)
+            fresh.append((proc.returncode, proc.stdout))
+        assert in_process == fresh
+        assert in_process[0] == in_process[-1] and in_process[0] != in_process[1]
+
 
 class TestEstimateWhitening:
     def test_raw_x_whitens_with_model(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ from varest.errors import (
     DegenerateZeroEstimator,
     DimensionMismatch,
     IndexOutOfRange,
+    InvalidInput,
     TooFewObservations,
     UnsupportedDependenceStructure,
 )
@@ -234,6 +235,14 @@ class TestTB:
         ds, w = make_data(12, 8, 3)
         with pytest.raises(IndexOutOfRange):
             t_b(ds, w, [3])
+
+    def test_checks_columns(self):
+        ds, w = make_data(12, 8, 3, beta=np.ones(3))
+        assert t_b(ds, w, np.array([2, 0, 2])) == t_b(ds, w, [0, 2])
+        with pytest.raises(IndexOutOfRange):
+            t_b(ds, w, [-1])
+        with pytest.raises(InvalidInput):
+            t_b(ds, w, [1.7])
 
     def test_row_permutation_bitwise(self):
         ds, w = make_data(13, 20, 4, beta=np.full(4, 0.4))

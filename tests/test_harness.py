@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from varest.errors import InsufficientRecords, NonFiniteResult, VarestError
+from varest.errors import InsufficientRecords, InvalidInput, NonFiniteResult, VarestError
 from varest.estimators import (
     ESTIMATOR_IDS,
     EstimateReport,
@@ -18,6 +18,7 @@ from varest.estimators import (
     t_oracle,
 )
 from varest.harness import (
+    INITIAL_IDS,
     DatasetStats,
     HarnessOptions,
     RepRecord,
@@ -130,11 +131,11 @@ def two_step(ds, model, eid, beta, options, boot_seed):
     method = options.variance_method
     if method is None:
         return report
-    aux, value = dict(report.aux), None
+    aux, value, warned = dict(report.aux), None, []
     selected = aux.get("selected", ())
     if method == "gaussian-plugin":
         if not model.gaussian:
-            aux["variance_warning"] = "gaussian-plugin requested for a non-gaussian model"
+            warned.append("gaussian-plugin requested for a non-gaussian model")
         base = var_hat_naive_gaussian(naive_tau2(w), sample_variance_y(ds.y), ds.n, ds.p)
         if eid in ("naive", "dicker"):
             value = base
@@ -149,7 +150,9 @@ def two_step(ds, model, eid, beta, options, boot_seed):
         elif eid == "single":
             value = var_tilde_t_chat(base, w, build_single_zero(ds, model), ds.n)
     if value is not None and value < 0.0:
-        aux["variance_warning"] = "negative variance estimate (reported raw)"
+        warned.append("negative variance estimate (reported raw)")
+    if warned:
+        aux["variance_warning"] = " and ".join(warned)
     return replace(report, variance_estimate=value, aux=aux)
 
 
@@ -279,6 +282,38 @@ class TestEstimateDispatch:
         assert calls == [(cfg.n, cfg.p)]
         t_full(ds, w)
         assert calls == [(cfg.n, cfg.p)]
+
+    def test_accepts_every_estimator_id(self):
+        cfg = small_cfg(reps=1)
+        beta = build_beta(cfg)
+        stats = DatasetStats(generate_dataset(cfg, beta, 0), covariate_model_for(cfg))
+        for eid in ESTIMATOR_IDS:
+            report = estimate(stats, eid, beta=beta if eid == "oracle" else None,
+                              options=HarnessOptions(boot=5))
+            assert report.estimator_id == eid and math.isfinite(report.tau2)
+
+    def test_initials_are_estimator_ids(self):
+        assert "naive" in INITIAL_IDS
+        assert set(INITIAL_IDS) <= set(ESTIMATOR_IDS)
+
+    @pytest.mark.parametrize("initial", ["oracle", "empirical", "custom"])
+    def test_unknown_initial_rejected(self, initial):
+        cfg = small_cfg(reps=1)
+        stats = DatasetStats(generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg))
+        with pytest.raises(InvalidInput, match="unknown initial estimator"):
+            estimate(stats, "empirical", options=HarnessOptions(boot=5, initial=initial))
+
+    def test_keeps_both_variance_warnings(self):
+        # a negative plug-in variance on a non-gaussian model carries both warnings
+        cfg = ScenarioConfig(n=200, p=2, tau2=0.001, tau2_b=0.0005, b_size=1, reps=40,
+                             seed=3, x_dist="rademacher-mix")
+        records = run_scenario(cfg, ["naive"], HarnessOptions(variance_method="gaussian-plugin"))
+        non_gaussian = "gaussian-plugin requested for a non-gaussian model"
+        negative = "negative variance estimate (reported raw)"
+        warnings_seen = [r.aux["variance_warning"] for r in records]
+        assert sum(r.variance_estimate < 0.0 for r in records) == 8
+        assert warnings_seen == [f"{non_gaussian} and {negative}" if r.variance_estimate < 0.0
+                                 else non_gaussian for r in records]
 
     def test_unknown_variance_method(self):
         cfg = small_cfg(reps=1)
@@ -453,7 +488,7 @@ class TestSummarize:
 
     def test_failed_replication_stays_nan(self):
         s = summarize(self._records([float("nan"), 1.0, 2.0]), 1.0)[0]
-        assert math.isnan(s.mean) and math.isnan(s.se)
+        assert all(math.isnan(v) for v in (s.mean, s.bias, s.se, s.rmse, s.rmse_sd))
 
     def test_rmse_sd_scales_with_reps(self):
         g = np.random.default_rng(10)

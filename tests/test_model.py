@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import varest
 from varest.errors import (
     DimensionMismatch,
+    IndexOutOfRange,
     InvalidInput,
     NearSingularCovariance,
     TooFewObservations,
@@ -20,6 +21,7 @@ from varest.model import (
     LabeledDataset,
     Whitening,
     build_w,
+    column_set,
     sample_variance_y,
     whiten,
 )
@@ -258,6 +260,23 @@ class TestBuildW:
         w1 = build_w(LabeledDataset(x=x[:, perm], y=y))
         w2 = build_w(LabeledDataset(x=x, y=y))
         np.testing.assert_array_equal(w1.w, w2.w[:, perm])
+
+
+class TestColumnSet:
+    def test_sorted_unique(self):
+        assert column_set([3, 1, 3, np.int64(0), np.int32(1)], 4) == [0, 1, 3]
+        assert all(type(j) is int for j in column_set(np.array([2, 0]), 4))
+        assert column_set([], 0) == []
+
+    @pytest.mark.parametrize("b_set", [[-1], [4], [0, 7]])
+    def test_out_of_range(self, b_set):
+        with pytest.raises(IndexOutOfRange):
+            column_set(b_set, 4)
+
+    @pytest.mark.parametrize("b_set", [[2.7], [2.0], [True], ["1"], [np.float64(1.0)]])
+    def test_non_integer(self, b_set):
+        with pytest.raises(InvalidInput):
+            column_set(b_set, 4)
 
 
 class TestSampleVarianceY:

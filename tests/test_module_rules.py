@@ -11,6 +11,10 @@
   reduction over observations is a plain sum over rows in that order.
   ``kernels`` calls no ``sort``, ``argsort`` or ``lexsort``, and the package
   calls them only at the sites in ``SORT_SITES``, each for its stated reason.
+* ``zeroboost`` dispatches no estimator ids: it takes its initial as
+  ``"naive"`` or a callable, imports only ``ZEROBOOST_ESTIMATORS`` from
+  ``estimators`` and nothing from ``selection`` or ``model.build_w``, and
+  defines no id table; the named initials live in ``harness``.
 * Every ``module.function`` that the benchmark traces (``TARGETS`` in
   ``perfbench/run.py``) is a public callable of ``varest.<module>``: a traced
   run reports a missing one as ``null``, which the benchmark cannot compare.
@@ -41,6 +45,10 @@ SORT_SITES = {
     ("harness.py", "_summary_row"): "the replication values of a summary, which have no "
                                     "row order of their own",
 }
+
+ZEROBOOST = ROOT / "src" / "varest" / "zeroboost.py"
+ZEROBOOST_ESTIMATORS = {"EstimateReport", "naive_tau2", "sigma2_from"}
+ID_TABLE_NAMES = {"INITIAL_IDS", "_INITIALS", "resolve_initial"}
 
 
 def _tree(path):
@@ -133,6 +141,22 @@ def test_sort_rule_catches_violations(tmp_path):
                                  ("kernels.py", "<module>")]
 
 
+def _zeroboost_violations(path):
+    tree = _tree(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            imported.setdefault(node.module, set()).update(a.name for a in node.names)
+    bad = sorted(imported.get("estimators", set()) - ZEROBOOST_ESTIMATORS)
+    bad += sorted(imported.get("selection", set()))
+    bad += sorted(imported.get("model", set()) & {"build_w"})
+    return bad + sorted(_top_level_names(tree) & ID_TABLE_NAMES)
+
+
+def test_zeroboost_dispatches_no_estimator_ids():
+    assert _zeroboost_violations(ZEROBOOST) == []
+
+
 def _traced_targets(path):
     for node in _tree(path).body:
         if (isinstance(node, ast.Assign)
@@ -216,6 +240,12 @@ def test_rules_catch_violations(tmp_path):
         test_all_names_defined(path)
     with pytest.raises(AssertionError):
         test_raises_only_varest_errors(path)
+    zeroboost = tmp_path / "zeroboost.py"
+    zeroboost.write_text("from .estimators import EstimateReport, t_full\n"
+                         "from .model import LabeledDataset, build_w\n"
+                         "def f():\n    from .selection import t_gamma\n"
+                         "INITIAL_IDS = ('naive',)\n")
+    assert _zeroboost_violations(zeroboost) == ["t_full", "t_gamma", "build_w", "INITIAL_IDS"]
     runner = tmp_path / "run.py"
     runner.write_text('TARGETS = ("model.build_w", "model.no_such_function",\n'
                       '    "kernels._row_sums_and_square_sums", "model.SINGULARITY_RTOL")\n')

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from varest.errors import UnsupportedDependenceStructure
+from varest.errors import IndexOutOfRange, InvalidInput, UnsupportedDependenceStructure
 from varest.estimators import (
     build_single_zero,
     c_star_oracle,
@@ -142,6 +142,15 @@ class TestVarOracleTheory:
 
 
 class TestVarTBTheory:
+    def test_checks_columns(self):
+        beta = CoefficientVector(np.array([0.5, 0.1, 0.3, 0.2]))
+        args = (beta, 1.0, GAUSS(4), 25)
+        assert var_t_b_theory(*args, np.array([3, 1, 3])) == var_t_b_theory(*args, [1, 3])
+        with pytest.raises(IndexOutOfRange):
+            var_t_b_theory(*args, [-1])
+        with pytest.raises(InvalidInput):
+            var_t_b_theory(*args, [2.7])
+
     def test_empty_set(self):
         p = 4
         beta = CoefficientVector(np.full(p, 0.5))
@@ -247,6 +256,15 @@ class TestVarHatNaiveGaussian:
 
 
 class TestVarHatTGamma:
+    def test_checks_columns(self):
+        beta2 = np.array([0.6, 0.4, 0.1, 0.0])
+        assert var_hat_t_gamma(0.05, beta2, np.array([3, 1, 3]), 400) == \
+            var_hat_t_gamma(0.05, beta2, [1, 3], 400)
+        with pytest.raises(IndexOutOfRange):
+            var_hat_t_gamma(0.05, beta2, [-1], 400)
+        with pytest.raises(InvalidInput):
+            var_hat_t_gamma(0.05, beta2, [2.7], 400)
+
     def test_empty_set_identity(self):
         assert var_hat_t_gamma(0.05, np.array([0.1, 0.2]), [], 400) == 0.05
 
@@ -297,6 +315,16 @@ class TestVarTildeNaive:
 
 
 class TestVarTildeTGamma:
+    def test_checks_columns(self):
+        beta2 = np.array([0.6, 0.4, 0.1, 0.0])
+        args = (0.05, beta2)
+        assert var_tilde_t_gamma(*args, np.array([3, 1, 3]), GAUSS(4), 200) == \
+            var_tilde_t_gamma(*args, [1, 3], GAUSS(4), 200)
+        with pytest.raises(IndexOutOfRange):
+            var_tilde_t_gamma(*args, [4], GAUSS(4), 200)
+        with pytest.raises(InvalidInput):
+            var_tilde_t_gamma(*args, [2.7], GAUSS(4), 200)
+
     def test_empty_identity(self):
         assert var_tilde_t_gamma(0.04, np.array([0.5]), [], GAUSS(1), 100) == 0.04
 

@@ -1,13 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from varest.errors import DegenerateZeroEstimator, InitialEstimatorFailure
+from varest.errors import DegenerateZeroEstimator, InitialEstimatorFailure, InvalidInput
 from varest.estimators import build_single_zero, c_star_oracle
-from varest.harness import DatasetStats
+from varest.harness import DatasetStats, HarnessOptions, estimate
 from varest.model import CoefficientVector, CovariateModel, LabeledDataset
 from varest.simgen import ScenarioConfig, build_beta, generate_dataset
-from varest import zeroboost
-from varest.zeroboost import BootstrapConfig, empirical_estimator, resolve_initial
+from varest import harness, zeroboost
+from varest.zeroboost import BootstrapConfig, empirical_estimator
 
 from oracles import empirical_loop
 
@@ -25,8 +27,10 @@ class TestBootstrapConfig:
             BootstrapConfig(n_boot=1, seed=0)
 
     def test_unknown_initial_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_initial("oracle")  # oracle needs beta; not a feasible initial
+        # the bootstrap takes "naive" or a callable; named initials are the harness's
+        for initial in ("oracle", "dicker", None, 0.5):
+            with pytest.raises(InvalidInput, match="'naive' or a callable"):
+                BootstrapConfig(n_boot=2, seed=0, initial_estimator=initial)
 
 
 class TestEmpiricalEstimator:
@@ -190,23 +194,28 @@ class TestCountForms:
         # called on the full data and once more per rebuilt resample
         ds = make_ds(5, n=40, p=8)
         model = GAUSS(8)
-        if initial == "custom":
-            named = lambda d, m: float(d.y[0] ** 2)  # noqa: E731
-        else:
-            named = resolve_initial(initial)
+        stats = DatasetStats(ds, model)
+        cfg = BootstrapConfig(n_boot=6, seed=1)
         calls = []
-
-        def counted(d, m):
-            calls.append(d.n)
-            return named(d, m)
-
         if initial == "custom":
-            initial = counted
+            def custom(d, m):
+                calls.append(d.n)
+                return float(d.y[0] ** 2)
+
+            report = empirical_estimator(stats, replace(cfg, initial_estimator=custom))
+            initial = custom
         else:
-            monkeypatch.setitem(zeroboost._INITIALS, initial, counted)
-        cfg = BootstrapConfig(n_boot=6, seed=1, initial_estimator=initial)
-        report = empirical_estimator(DatasetStats(ds, model), cfg)
+            entry = harness._INITIALS[initial]
+
+            def counted(st):
+                calls.append(st.ds.n)
+                return entry(st)
+
+            monkeypatch.setitem(harness._INITIALS, initial, counted)
+            options = HarnessOptions(boot=cfg.n_boot, initial=initial)
+            report = estimate(stats, "empirical", options=options, boot_seed=cfg.seed)
+            assert report.aux["initial"] == initial
         assert len(calls) == (1 + cfg.n_boot if per_resample else 0)
-        tau2, c_tilde = empirical_loop(ds, model, cfg)
+        tau2, c_tilde = empirical_loop(ds, model, cfg, initial)
         assert report.tau2 == pytest.approx(tau2, rel=1e-12, abs=0)
         assert report.aux["c_tilde"] == pytest.approx(c_tilde, rel=1e-12, abs=0)
