@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import sys
 import warnings
@@ -359,16 +360,18 @@ def _cmd_estimate(args) -> int:
             rows.append((eid, None, None, None, f"error={type(exc).__name__}: {exc}"))
             errors.append(f"{eid}: {exc}")
 
-    lines = ["estimator,tau2,sigma2,var_hat,aux"]
+    # csv quotes a field that holds a comma, such as ``selected=(1, 3)`` in aux
+    fmt = lambda v: "" if v is None else format(v, ".6g")
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["estimator", "tau2", "sigma2", "var_hat", "aux"])
     for eid, tau2, sigma2, var_hat, aux in rows:
-        fmt = lambda v: "" if v is None else format(v, ".6g")
-        lines.append(f"{eid},{fmt(tau2)},{fmt(sigma2)},{fmt(var_hat)},{aux}")
-    text = "\n".join(lines) + "\n"
+        writer.writerow([eid, fmt(tau2), fmt(sigma2), fmt(var_hat), aux])
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.write(text.getvalue())
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text.getvalue())
     for message in errors:
         print(f"error: {message}", file=sys.stderr)
     return 1 if errors else 0

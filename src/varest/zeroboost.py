@@ -13,10 +13,17 @@ approximates that covariance from bootstrap resamples:
    known analytically from the covariate model;
 4. return ``initial - c * g_n`` (both full-data values).
 
-Resample b draws its row indices from its own stream,
-``SeedSequence((seed, b))``.  The indices are positions in the caller's row
-order; ``ds.rank`` maps them to the dataset's canonical rows, so a resample
-holds the same rows whatever order the dataset stores them in.
+Resample b's row indices are numpy's stream for it:
+``default_rng(SeedSequence((seed, b))).integers(0, n, n)``.  They are
+reproduced a block of resamples at a time.  The ``SeedSequence`` hash of
+every b runs as uint32 array arithmetic, one ``PCG64`` per resample turns its
+state into ``ceil(n/2)`` raw 64-bit outputs, and their 32-bit halves, low
+first, become indices by Lemire's multiply-shift (Lemire 2019), as
+``integers`` computes them.  A resample where a draw would hit Lemire's
+rejection step, about one draw in 5e7 at n = 400, is redrawn by numpy's own
+call.  The indices are positions in the caller's row order; ``ds.rank`` maps
+them to the dataset's canonical rows, so a resample holds the same rows
+whatever order the dataset stores them in.
 
 The ``naive`` initial is a count-weighted quadratic form, so it only needs
 each resample's count vector ``m_b[i] = #{k : idx_b[k] = i}`` (over stored
@@ -46,6 +53,7 @@ on that, serially.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Union
 
@@ -83,6 +91,8 @@ class BootstrapConfig:
     def __post_init__(self):
         if self.n_boot < 2:
             raise InvalidInput("empirical covariance needs n_boot >= 2")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise InvalidInput(f"bootstrap seed must be a non-negative integer, got {self.seed!r}")
         initial = self.initial_estimator
         if not (callable(initial) or (isinstance(initial, str) and initial == "naive")):
             raise InvalidInput(
@@ -95,20 +105,147 @@ def _resample_rows(n: int, cfg: BootstrapConfig, b: int) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
+# numpy's SeedSequence hash: a pool of four uint32 words, filled and mixed by
+# one multiplicative hash and read out by a second.
+_MASK32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+
+
+def _uint32_words(value: int) -> list[int]:
+    """The little-endian uint32 words of a non-negative int, at least one."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _seed_states(seed: int, b: np.ndarray) -> np.ndarray:
+    """``SeedSequence((seed, b_k)).generate_state(4, np.uint64)`` for every uint32 ``b_k``.
+
+    The entropy is the seed's uint32 words followed by ``b_k``; every step of
+    the hash is a uint32 operation, so it runs over the whole vector at once.
+    """
+    words = [np.full(len(b), w, dtype=np.uint32) for w in _uint32_words(int(seed))] + [b]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    zero = np.zeros(len(b), dtype=np.uint32)
+    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    # uint32 words 2j and 2j + 1 are the low and high halves of uint64 word j
+    return np.stack([lo | hi << 32 for lo, hi in zip(state[0::2], state[1::2])], axis=1)
+
+
+def _raw_streams(states: np.ndarray, size: int) -> np.ndarray:
+    """``size`` raw outputs of one ``PCG64`` per row of ``states``, which numpy seeds.
+
+    numpy.random is imported here, not with the module, so a process that
+    never bootstraps, such as ``varest estimate`` without ``empirical``, does
+    not load it.
+    """
+    from numpy.random import PCG64
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedState(ISeedSequence):
+        """Hands ``PCG64`` its ``generate_state(4, np.uint64)``, computed in advance."""
+
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    raw = np.empty((len(states), size), dtype=np.uint64)
+    for k, state in enumerate(states):
+        raw[k] = PCG64(FixedState(state)).random_raw(size)
+    return raw
+
+
+def _resample_block(n: int, cfg: BootstrapConfig, start: int, count: int) -> np.ndarray:
+    """Row indices of resamples ``start .. start + count - 1``, one row each.
+
+    Row k equals ``_resample_rows(n, cfg, start + k)`` bit for bit.
+    ``integers`` maps each uint32 draw u to ``(u n) >> 32`` and redraws when
+    ``(u n) mod 2^32`` falls below ``(2^32 - n) mod n`` (Lemire 2019); a
+    resample that meets such a draw is redrawn by ``_resample_rows``, as is
+    every resample when n or b leaves the uint32 range.
+    """
+    if n >= 1 << 32 or start + count > 1 << 32:
+        return np.stack([_resample_rows(n, cfg, b) for b in range(start, start + count)])
+    states = _seed_states(cfg.seed, np.arange(start, start + count, dtype=np.uint32))
+    raw = _raw_streams(states, (n + 1) // 2)
+    # numpy's next_uint32 hands out each raw output's low half, then its high half
+    draws = np.empty((count, n), dtype=np.uint64)
+    draws[:, 0::2] = raw & _MASK32
+    draws[:, 1::2] = raw[:, : n // 2] >> 32
+    del raw  # freed before the rejection test allocates a block of its own
+    draws *= n
+    rejected = np.flatnonzero(((draws & _MASK32) < (2**32 - n) % n).any(axis=1))
+    draws >>= 32
+    rows = draws.view(np.int64)
+    for k in rejected:
+        rows[k] = _resample_rows(n, cfg, start + int(k))
+    return rows
+
+
+def _block_rows(n: int, cfg: BootstrapConfig) -> int:
+    """Resamples per block: at most ``_BLOCK_ELEMS`` row indices, and at least one resample."""
+    return max(1, min(cfg.n_boot, _BLOCK_ELEMS // n))
+
+
+def _resample_blocks(n: int, cfg: BootstrapConfig):
+    """``(start, rows)`` for every block of resamples, in resample order."""
+    per_block = _block_rows(n, cfg)
+    for start in range(0, cfg.n_boot, per_block):
+        yield start, _resample_block(n, cfg, start, min(per_block, cfg.n_boot - start))
+
+
 def _naive_stars(
     w: np.ndarray, rank: np.ndarray, cfg: BootstrapConfig, g: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``naive*`` and ``g_n*`` of every resample, from blocks of the count matrix."""
     n = w.shape[0]
     r = _rowsq(w)
-    per_block = max(1, min(cfg.n_boot, _BLOCK_ELEMS // n))
-    counts = np.empty((per_block, n))
+    counts = np.empty((_block_rows(n, cfg), n))
     tau_stars = np.empty(cfg.n_boot)
     g_stars = np.empty(cfg.n_boot)
-    for start in range(0, cfg.n_boot, per_block):
-        block = counts[: min(per_block, cfg.n_boot - start)]
-        for k in range(len(block)):
-            block[k] = np.bincount(rank[_resample_rows(n, cfg, start + k)], minlength=n)
+    for start, rows in _resample_blocks(n, cfg):
+        block = counts[: len(rows)]
+        # one bincount over the block: resample k's stored rows land at k n + row;
+        # the indices are dropped first, so no more than two blocks of temporaries live
+        slots = rank[rows]
+        del rows
+        slots += n * np.arange(len(block))[:, None]
+        block[...] = np.bincount(slots.ravel(), minlength=block.size).reshape(block.shape)
         stop = start + len(block)
         tau_stars[start:stop] = (_rowsq(block @ w) - block @ r) / (n * (n - 1))
         g_stars[start:stop] = block @ g / n
@@ -125,14 +262,15 @@ def _rebuilt_stars(
     """The initial and ``g_n`` on every resample, each rebuilt as a dataset."""
     tau_stars = np.empty(cfg.n_boot)
     g_stars = np.empty(cfg.n_boot)
-    for b in range(cfg.n_boot):
-        rows = ds.rank[_resample_rows(ds.n, cfg, b)]
-        resampled = LabeledDataset(ds.x[rows], ds.y[rows])
-        try:
-            tau_stars[b] = initial(resampled, model)
-        except Exception as exc:  # noqa: BLE001 - attributed and re-raised
-            raise InitialEstimatorFailure(b, exc) from exc
-        g_stars[b] = np.mean(g[rows])
+    for start, block in _resample_blocks(ds.n, cfg):
+        for b, positions in enumerate(block, start):
+            rows = ds.rank[positions]
+            resampled = LabeledDataset(ds.x[rows], ds.y[rows])
+            try:
+                tau_stars[b] = initial(resampled, model)
+            except Exception as exc:  # noqa: BLE001 - attributed and re-raised
+                raise InitialEstimatorFailure(b, exc) from exc
+            g_stars[b] = np.mean(g[rows])
     return tau_stars, g_stars
 
 

@@ -341,12 +341,12 @@ class TestEstimate:
         assert covariates.p == 2000
         assert peak < 1_000_000
 
-    def test_selection_aux_lists_columns(self, tmp_path, capsys):
+    @staticmethod
+    def write_selection_data(tmp_path, n, beta):
         g = np.random.default_rng(0)
-        n, p = 60, 6
+        p = len(beta)
         x = g.standard_normal((n, p))
-        beta = np.array([1.0, 0.9, 0.0, 0.0, 0.0, 0.0])
-        y = x @ beta + g.standard_normal(n)
+        y = x @ np.asarray(beta) + g.standard_normal(n)
         rows = ["y," + ",".join(f"x{j + 1}" for j in range(p))]
         for i in range(n):
             rows.append(",".join(format(v, ".8g") for v in [y[i], *x[i]]))
@@ -354,11 +354,30 @@ class TestEstimate:
         data.write_text("\n".join(rows) + "\n")
         model = tmp_path / "model.json"
         model.write_text(json.dumps({"covariance": "identity", "gaussian": True}))
+        return data, model
+
+    def test_selection_aux_lists_columns(self, tmp_path, capsys):
+        data, model = self.write_selection_data(tmp_path, 60, [1.0, 0.9, 0.0, 0.0, 0.0, 0.0])
         rc = run_cli(["estimate", "--data", str(data), "--model", str(model),
                       "--estimators", "selection", "--select-split"])
         assert rc == 0
-        line = capsys.readouterr().out.splitlines()[1]
-        assert "selected=" in line
+        (row,) = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+        assert len(row) == 5 and "selected=" in row[4]
+
+    def test_multi_column_selection_row_has_five_fields(self, tmp_path, capsys):
+        # the aux of a selection of two columns holds "selected=(0, 1)": the
+        # table quotes that field and no other
+        data, model = self.write_selection_data(tmp_path, 200, [1.5, 1.2, 1.0, 0.0, 0.0, 0.0])
+        rc = run_cli(["estimate", "--data", str(data), "--model", str(model),
+                      "--estimators", "naive,selection,empirical"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = list(csv.reader(lines))
+        assert [len(row) for row in rows] == [5, 5, 5, 5]
+        assert [row[0] for row in rows[1:]] == ["naive", "selection", "empirical"]
+        assert "selected=(0, 1);" in rows[2][4]
+        assert lines[2].endswith(f',"{rows[2][4]}"')
+        assert '"' not in lines[1] + lines[3]
 
     def test_matches_library_call(self, tmp_path, capsys):
         from varest.estimators import naive_tau2

@@ -1,7 +1,9 @@
 """Module-boundary rules of the package source, checked with ``ast``.
 
-* A private name (leading underscore) is not imported from another module of
-  the package: a helper that two modules need is public in one of them.
+* A private name (leading underscore) is not imported, neither from another
+  module of the package nor from any other package, numpy included: a helper
+  that two modules need is public in one of them, and another package's
+  private names may change under any release.
 * Every ``__all__`` entry names something its module defines or imports at
   the top level.
 * The package raises no plain ``ValueError`` or ``TypeError``: every error
@@ -76,14 +78,23 @@ def _exported(tree):
     return []
 
 
+def _private_imports(path):
+    """Every imported name or module path part of ``path`` that starts with an underscore."""
+    bad = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names = [part for alias in node.names for part in alias.name.split(".")]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = (node.module or "").split(".") + [alias.name for alias in node.names]
+        else:
+            continue
+        bad += [f"{path.name}:{node.lineno}: {name}" for name in names if name.startswith("_")]
+    return bad
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_import_across_modules(path):
-    bad = [f"{path.name}:{node.lineno}: {alias.name}"
-           for node in ast.walk(_tree(path))
-           if isinstance(node, ast.ImportFrom)
-           and (node.level > 0 or (node.module or "").split(".")[0] == "varest")
-           for alias in node.names if alias.name.startswith("_")]
-    assert not bad
+    assert not _private_imports(path)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -236,6 +247,14 @@ def test_rules_catch_violations(tmp_path):
                     "    raise TypeError\n")
     with pytest.raises(AssertionError):
         test_no_private_import_across_modules(path)
+    numpy_private = tmp_path / "draws.py"
+    numpy_private.write_text("from __future__ import annotations\n"
+                             "from numpy.random.bit_generator import ISeedSequence\n"
+                             "from numpy.random.bit_generator import _coerce_to_uint32_array\n"
+                             "from numpy.random._pcg64 import PCG64\n"
+                             "import numpy._core.multiarray\n")
+    assert _private_imports(numpy_private) == [
+        "draws.py:3: _coerce_to_uint32_array", "draws.py:4: _pcg64", "draws.py:5: _core"]
     with pytest.raises(AssertionError):
         test_all_names_defined(path)
     with pytest.raises(AssertionError):

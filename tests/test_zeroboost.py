@@ -32,6 +32,11 @@ class TestBootstrapConfig:
             with pytest.raises(InvalidInput, match="'naive' or a callable"):
                 BootstrapConfig(n_boot=2, seed=0, initial_estimator=initial)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "1", None])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(InvalidInput, match="non-negative integer"):
+            BootstrapConfig(n_boot=2, seed=seed)
+
 
 class TestEmpiricalEstimator:
     def test_zero_covariance_is_identity(self):
@@ -154,6 +159,44 @@ class TestEmpiricalEstimator:
         from varest.model import sample_variance_y
         assert report.tau2 + report.sigma2 == pytest.approx(
             sample_variance_y(ds.y), rel=1e-12)
+
+
+def numpy_rows(n, seed, b):
+    """Resample b's row indices as numpy's own call draws them."""
+    return np.random.default_rng(np.random.SeedSequence((seed, b))).integers(0, n, size=n)
+
+
+class TestResampleDraw:
+    """The batched draw against numpy's per-resample call, bit for bit."""
+
+    # one, two, three, four and five uint32 entropy words with b
+    SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 7]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [2, 3, 400, 401])
+    @pytest.mark.parametrize("start", [0, 17])
+    def test_rows_equal_numpy_call(self, seed, n, start):
+        cfg = BootstrapConfig(n_boot=40, seed=seed)
+        rows = zeroboost._resample_block(n, cfg, start, 6)
+        expected = np.stack([numpy_rows(n, seed, b) for b in range(start, start + 6)])
+        assert rows.dtype == np.int64
+        np.testing.assert_array_equal(rows, expected)
+
+    def test_rejected_draws_fall_back_to_numpy(self, monkeypatch):
+        # at n = 69921, seed 3, three of resamples 0-3 meet a draw that
+        # Lemire's method rejects and redraws
+        n, seed = 69921, 3
+        fallback = []
+        resample_rows = zeroboost._resample_rows
+
+        def counted(n, cfg, b):
+            fallback.append(b)
+            return resample_rows(n, cfg, b)
+
+        monkeypatch.setattr(zeroboost, "_resample_rows", counted)
+        rows = zeroboost._resample_block(n, BootstrapConfig(n_boot=4, seed=seed), 0, 4)
+        assert fallback == [1, 2, 3]
+        np.testing.assert_array_equal(rows, np.stack([numpy_rows(n, seed, b) for b in range(4)]))
 
 
 class TestCountForms:
