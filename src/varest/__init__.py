@@ -81,7 +81,6 @@ from .simgen import (
     generate_dataset,
 )
 from .variance import (
-    MomentMatrixA,
     asymptotic_psi,
     moment_matrix_a,
     var_hat_naive_gaussian,

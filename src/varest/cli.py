@@ -1,7 +1,8 @@
 """Command-line interface: simulate scenarios, estimate from files, summarize.
 
 Exit codes: 0 on success, 2 on configuration or input-parsing errors, 1 on
-runtime failures.  All simulation randomness flows from ``--seed`` (or the
+runtime failures; :func:`main` returns them, argparse's usage errors
+included.  All simulation randomness flows from ``--seed`` (or the
 scenario file); omitting it is an error, never silent entropy.
 """
 
@@ -117,7 +118,7 @@ def _read_json(path: str, kind: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # JSONDecodeError, UnicodeDecodeError
+    except (OSError, ValueError, RecursionError) as exc:  # also JSON nested too deep
         raise _ConfigError(f"cannot read {kind} file: {exc}") from exc
 
 
@@ -207,6 +208,17 @@ def _print_summary_table(summaries) -> None:
               f"{s.se:>10.4f}{s.rmse:>10.4f}{s.rmse_sd:>10.5f}")
 
 
+def _check_numbers(value, key: str) -> None:
+    """Reject a string or boolean anywhere in a numeric model field (numpy would convert it)."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        elif isinstance(item, (bool, str)):
+            raise _ConfigError(f"invalid covariate model: {key} must hold numbers, got {item!r}")
+
+
 def _load_model(path: str, p: int) -> tuple[CovariateModel, Whitening | None]:
     """The file's covariate model, and its whitening unless that is the identity map."""
     raw = _read_json(path, "model")
@@ -217,6 +229,9 @@ def _load_model(path: str, p: int) -> tuple[CovariateModel, Whitening | None]:
     for key, value in flags.items():
         if not isinstance(value, bool):
             raise _ConfigError(f"invalid covariate model: {key} must be true or false")
+    for key in ("mean", "covariance", "fourth_moments"):
+        if key in raw and not (key == "covariance" and raw[key] == "identity"):
+            _check_numbers(raw[key], key)
     try:
         mean = raw.get("mean", 0.0)
         mean = np.full(p, float(mean)) if np.isscalar(mean) else np.asarray(mean, dtype=float)
@@ -388,7 +403,10 @@ def _cmd_summarize(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a bad flag or value, 0 after --help
+        return exc.code
     try:
         if args.command == "simulate":
             return _cmd_simulate(args)

@@ -38,7 +38,7 @@ from .errors import (
     TooFewObservations,
     UnsupportedDependenceStructure,
 )
-from .kernels import ordered_sum, triple_sum_distinct
+from .kernels import chain_sum_distinct, gram, ordered_sum, triple_sum_distinct
 from .model import CoefficientVector, CovariateModel, LabeledDataset, WMatrix, column_set
 
 __all__ = [
@@ -147,25 +147,19 @@ def t_full(ds: LabeledDataset, w: WMatrix) -> float:
     The p^2 pair terms share one observation-pair structure: with
     ``a[i1, i3] = Y[i1] * (X[i1] . X[i3])`` the full double sum over (j, j')
     reduces to distinct-index sums of ``a``, an O(n^2 p) evaluation instead
-    of O(p^2 n).  Unbiased, but when p is of the order of n the estimation
-    of all p^2 coefficients adds more variance than the correction removes.
-    Scaling the columns of ``X X'`` by Y in place builds ``a'``, whose rows
-    are reduced in the same buffer: one n x n array is held, none kept.
+    of O(p^2 n).  ``a'`` is ``X X'`` with column k scaled by ``Y[k]``, so
+    ``chain_sum_distinct(gram(X, Y))`` is ``sum a[i1, i2] a[i3, i2]`` over
+    distinct (i1, i2, i3).
+    Unbiased, but when p is of the order of n the estimation of all p^2
+    coefficients adds more variance than the correction removes.
     """
     n = ds.n
     if n < 3:
         raise TooFewObservations("t_full needs n >= 3")
     naive = naive_tau2(w)
-    a_t = ds.x @ ds.x.T
-    a_t *= ds.y
-    np.fill_diagonal(a_t, 0.0)
-    col_sums = np.sum(a_t, axis=1)
-    a_t *= a_t
-    triple_a = ordered_sum(col_sums * col_sums - np.sum(a_t, axis=1))
     # sum_{i1 != i2 != i3} G[i1, i2] = (n - 2) * n (n-1) * naive
-    triple = triple_a - (n - 2) * (n * (n - 1)) * naive
-    correction = 2.0 * triple / (n * (n - 1) * (n - 2))
-    return naive - correction
+    triple = chain_sum_distinct(gram(ds.x, ds.y)) - (n - 2) * (n * (n - 1)) * naive
+    return naive - 2.0 * triple / (n * (n - 1) * (n - 2))
 
 
 def t_b(ds: LabeledDataset, w: WMatrix, b_set) -> float:

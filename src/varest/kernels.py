@@ -19,9 +19,9 @@ a sum along a contiguous row are pairwise, with error growing like
 ``log n``; a column sum (:func:`ordered_col_sums`) adds the rows one after
 another, with error growing like ``n``.
 
-:func:`gram` reduces the rows of its off-diagonal in the buffer the product
-returns and keeps only those two row statistics.  Products within one row
-(over columns) use ``np.einsum``, which reduces each row by itself.
+:func:`gram`, the package's one n x n reduction (of W, and of X weighted by
+Y for ``t_full``), keeps only two row statistics of its product.  Products
+within one row (over columns) use ``np.einsum``, which reduces each row by itself.
 """
 
 from __future__ import annotations
@@ -112,9 +112,10 @@ def triple_sum_distinct(u, v, w) -> float:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """The two row statistics of the Gram matrix of a W matrix that the kernels read.
+    """The two off-diagonal row statistics of a (column-weighted) Gram matrix.
 
-    With ``g[i1, i2] = sum_j W[i1, j] * W[i2, j]``:
+    With ``g[i1, i2] = c[i2] sum_j R[i1, j] R[i2, j]`` for rows R (W, or X
+    for ``t_full``) and column weights c (all ones, or Y for ``t_full``):
     ``row_sums_offdiag[i] = sum_{i' != i} g[i, i']`` and
     ``row_square_sums_offdiag[i] = sum_{i' != i} g[i, i']^2``.  The n x n
     matrix itself is not kept.
@@ -132,19 +133,26 @@ class GramMatrix:
         return self.row_sums_offdiag.shape[0]
 
 
-def gram(w) -> GramMatrix:
-    """The off-diagonal row statistics of the Gram matrix of ``w`` (a WMatrix or 2-D array).
+def gram(rows, weights=None) -> GramMatrix:
+    """The off-diagonal row statistics of ``rows @ rows.T``, column k scaled by ``weights[k]``.
 
-    Cost O(n^2 p).  The diagonal of the product is zeroed and its rows are
-    reduced in the buffer the product returns, so one n x n array is held
-    while it runs and none after.
+    ``rows`` is a WMatrix or an n x p array; ``weights``, when given, is a
+    length-n vector.  Cost O(n^2 p).  The product is scaled and its
+    diagonal zeroed in the buffer it returns, and its rows are reduced
+    there, so one n x n array is held while it runs and none after.
     """
-    rows = np.asarray(getattr(w, "w", w), dtype=np.float64)
+    rows = np.asarray(getattr(rows, "w", rows), dtype=np.float64)
     if rows.ndim != 2:
         raise InvalidInput("expected an n x p matrix")
     if rows.shape[0] < 2:
         raise TooFewObservations("gram needs n >= 2")
+    if weights is not None:
+        weights = _as_vector(weights, "weights")
+        if weights.shape[0] != rows.shape[0]:
+            raise LengthMismatch(f"weights has length {weights.shape[0]}, n = {rows.shape[0]}")
     g = rows @ rows.T
+    if weights is not None:
+        g *= weights
     np.fill_diagonal(g, 0.0)
     row_sums = np.sum(g, axis=1)
     g *= g
@@ -159,10 +167,10 @@ def offdiag_square_sum(g: GramMatrix) -> float:
 
 
 def chain_sum_distinct(g: GramMatrix) -> float:
-    """Evaluate ``sum over pairwise-distinct (i1, i2, i3) of g[i1,i2] g[i2,i3]``.
+    """Evaluate ``sum over pairwise-distinct (i1, i2, i3) of g[i2,i1] g[i2,i3]``.
 
-    O(n) via ``sum_{i2} (r_{i2}^2 - sum_{i1 != i2} g[i1,i2]^2)`` from the
-    Gram's off-diagonal row sums ``r`` and row square sums.
+    O(n) via ``sum_{i2} (r_{i2}^2 - sum_{i1 != i2} g[i2,i1]^2)`` from the off-diagonal
+    row sums ``r`` and row square sums.  Unweighted, g is symmetric and this is a chain.
     """
     if g.n < 3:
         raise TooFewObservations("chain_sum_distinct needs n >= 3")

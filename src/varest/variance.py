@@ -13,6 +13,7 @@ Theory side (used as test oracles and for reporting):
   T_full keeps only the terms that stay leading when p is of order n (its
   second-order Hoeffding term ``16 p tau^4 / n^2`` and its third-order term
   ``8 p^2 sigma_Y^4 / n^3``), dropping O(n^-2) remainders not scaled by p.
+  T_oracle is T_B with B every column, exact as its coefficients are known.
 
 Feasible side:
 
@@ -28,8 +29,6 @@ surface them attach a warning instead of clamping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -42,7 +41,6 @@ from .kernels import GramMatrix, chain_sum_distinct, offdiag_square_sum, ordered
 from .model import CoefficientVector, CovariateModel, WMatrix, column_set
 
 __all__ = [
-    "MomentMatrixA",
     "asymptotic_psi",
     "moment_matrix_a",
     "var_hat_naive_gaussian",
@@ -58,30 +56,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MomentMatrixA:
-    """The second-moment matrix ``A[j, j'] = E(W_j W_j')`` of a W row."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        self.a.setflags(write=False)
-
-    def beta_quad(self, beta: np.ndarray) -> float:
-        """Quadratic form ``beta' A beta``."""
-        return float(beta @ self.a @ beta)
-
-    @property
-    def frobenius_sq(self) -> float:
-        return float(np.sum(self.a * self.a))
-
-
 def moment_matrix_a(
     beta: CoefficientVector,
     sigma2: float,
     model: CovariateModel,
-) -> MomentMatrixA:
-    """Analytic A for independent whitened columns.
+) -> np.ndarray:
+    """Analytic ``A[j, j'] = E(W_j W_j')`` for independent whitened columns, read-only.
 
     ``sigma_Y^2 = ||beta||^2 + sigma^2``; off-diagonal entries are
     ``2 b_j b_j'`` and the diagonal is ``sigma_Y^2 + b_j^2 (E X_j^4 - 1)``.
@@ -94,7 +74,8 @@ def moment_matrix_a(
     sigma_y2 = beta.tau2 + sigma2
     a = 2.0 * np.outer(b, b)
     np.fill_diagonal(a, sigma_y2 + b * b * (model.fourth_moments - 1.0))
-    return MomentMatrixA(a=a)
+    a.setflags(write=False)
+    return a
 
 
 def _eq5(n: int, beta_quad_centered: float, frob_centered: float) -> float:
@@ -116,7 +97,7 @@ def var_naive_theory(
     """
     a = moment_matrix_a(beta, sigma2, model)
     tau4 = beta.tau2 ** 2
-    return _eq5(n, a.beta_quad(beta.beta) - tau4, a.frobenius_sq - tau4)
+    return _eq5(n, float(beta.beta @ a @ beta.beta) - tau4, float(np.sum(a * a)) - tau4)
 
 
 def asymptotic_psi(tau2: float, sigma2: float, p: int, n: int) -> float:
@@ -128,11 +109,22 @@ def asymptotic_psi(tau2: float, sigma2: float, p: int, n: int) -> float:
     return 2.0 * ((1.0 + p / n) * sy2 * sy2 - sigma2 * sigma2 + 3.0 * tau2 * tau2)
 
 
-def _reduction_term(beta4, fourth_moments, mass_sq: float, n: int) -> float:
-    """The generic correction gain ``(4/n)[sum b^4 (EX^4 - 1) + 2 sum_{j != j'} b^2 b'^2]``."""
-    quartic = ordered_sum(beta4 * (fourth_moments - 1.0))
-    cross = mass_sq - ordered_sum(beta4)
-    return 4.0 / n * (quartic + 2.0 * cross)
+def _reduced(base: float, beta2, b_set, fourth_moments, n: int) -> float:
+    """``base - (4/n)[sum_B b^4 (EX^4 - 1) + 2 sum_{j != j' in B} b^2 b'^2]``, b^2 from ``beta2``.
+
+    ``fourth_moments`` is one value per column or one for all columns.
+    """
+    b2 = np.asarray(beta2, dtype=np.float64)
+    indices = column_set(b_set, len(b2))
+    if not indices:
+        return base
+    idx = np.asarray(indices, dtype=np.intp)
+    m4 = np.asarray(fourth_moments, dtype=np.float64)
+    b2 = b2[idx]
+    b4 = b2 * b2
+    quartic = ordered_sum(b4 * ((m4[idx] if m4.ndim else m4) - 1.0))
+    cross = ordered_sum(b2) ** 2 - ordered_sum(b4)
+    return base - 4.0 / n * (quartic + 2.0 * cross)
 
 
 def var_t_oracle_theory(
@@ -141,10 +133,8 @@ def var_t_oracle_theory(
     model: CovariateModel,
     n: int,
 ) -> float:
-    """Exact variance of the oracle-corrected estimator (independent columns)."""
-    b2 = beta.beta * beta.beta
-    reduction = _reduction_term(b2 * b2, model.fourth_moments, beta.tau2 ** 2, n)
-    return var_naive_theory(beta, sigma2, model, n) - reduction
+    """Exact variance of the oracle-corrected estimator: the T_B formula over every column."""
+    return var_t_b_theory(beta, sigma2, model, n, range(beta.p))
 
 
 def var_t_b_theory(
@@ -155,14 +145,8 @@ def var_t_b_theory(
     b_set,
 ) -> float:
     """Leading-order variance of T_B for a fixed set B (O(n^-2) dropped)."""
-    indices = column_set(b_set, beta.p)
-    if not indices:
-        return var_naive_theory(beta, sigma2, model, n)
-    idx = np.asarray(indices, dtype=np.intp)
-    b2 = beta.beta[idx] ** 2
-    mass_sq = ordered_sum(b2) ** 2
-    reduction = _reduction_term(b2 * b2, model.fourth_moments[idx], mass_sq, n)
-    return var_naive_theory(beta, sigma2, model, n) - reduction
+    return _reduced(var_naive_theory(beta, sigma2, model, n), beta.beta ** 2, b_set,
+                    model.fourth_moments, n)
 
 
 def var_t_cstar_theory(
@@ -244,15 +228,13 @@ def var_hat_naive_gaussian(tau2_hat: float, sigma_y2_hat: float, n: int, p: int)
 def var_hat_t_gamma(var_hat_naive: float, beta2, b_gamma, n: int) -> float:
     """Gaussian plug-in variance estimate for the selection estimator.
 
-    Subtracts ``(8/n) (sum_{j in B_gamma} beta_j^2-hat)^2``; may be negative
-    (reported raw, flagged by callers).
+    The reduction of :func:`var_tilde_t_gamma` with the Gaussian fourth
+    moment 3, which is ``(8/n) (sum_{j in B_gamma} beta_j^2-hat)^2``; may be
+    negative (reported raw, flagged by callers).  Under a Gaussian model the
+    plug-in and tilde selection variances therefore differ only in their
+    naive base.
     """
-    b2 = np.asarray(beta2, dtype=np.float64)
-    indices = column_set(b_gamma, len(b2))
-    if not indices:
-        return var_hat_naive
-    tau2_b = ordered_sum(b2[np.asarray(indices, dtype=np.intp)])
-    return var_hat_naive - 8.0 / n * tau2_b * tau2_b
+    return _reduced(var_hat_naive, beta2, b_gamma, 3.0, n)
 
 
 def var_tilde_naive(w: WMatrix, g: GramMatrix, n: int) -> float:
@@ -283,14 +265,7 @@ def var_tilde_t_gamma(
     Subtracts the reduction term with estimated coefficients and the model's
     known fourth moments over the selected set.
     """
-    b2 = np.asarray(beta2, dtype=np.float64)
-    indices = column_set(b_gamma, len(b2))
-    if not indices:
-        return var_tilde
-    idx = np.asarray(indices, dtype=np.intp)
-    b2 = b2[idx]
-    mass_sq = ordered_sum(b2) ** 2
-    return var_tilde - _reduction_term(b2 * b2, model.fourth_moments[idx], mass_sq, n)
+    return _reduced(var_tilde, beta2, b_gamma, model.fourth_moments, n)
 
 
 def var_tilde_t_chat(

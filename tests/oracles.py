@@ -56,15 +56,17 @@ def offdiag_square_sum_loop(g) -> float:
     return total
 
 
-def chain_sum_loop(g) -> float:
+def chain_sum_loop(g, h=None) -> float:
+    """``sum over pairwise-distinct (i1, i2, i3) of g[i1, i2] h[i2, i3]``; h defaults to g."""
     g = np.asarray(g, dtype=float)
+    h = g if h is None else np.asarray(h, dtype=float)
     n = g.shape[0]
     total = 0.0
     for i1 in range(n):
         for i2 in range(n):
             for i3 in range(n):
                 if i1 != i2 and i2 != i3 and i1 != i3:
-                    total += g[i1, i2] * g[i2, i3]
+                    total += g[i1, i2] * h[i2, i3]
     return total
 
 

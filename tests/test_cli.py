@@ -1,5 +1,8 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -7,9 +10,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varest import cli
 from varest.cli import main
+from varest.estimators import ESTIMATOR_IDS
+from varest.harness import INITIAL_IDS
 
 
 def run_cli(args):
@@ -135,6 +142,16 @@ class TestSimulate:
         assert rc == 2
         assert capsys.readouterr().err == \
             "error: invalid scenario: the file must hold a JSON object\n"
+
+    @pytest.mark.parametrize("kind", ["scenario", "model"])
+    def test_json_nested_too_deep_exits_2(self, tmp_path, toy_dataset, capsys, kind):
+        path = tmp_path / f"{kind}.json"
+        path.write_text('{"mean": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        argv = (["simulate", "--scenario", str(path), "--seed", "1"] if kind == "scenario"
+                else ["estimate", "--data", str(toy_dataset[0]), "--model", str(path)])
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {kind} file: maximum "
+                                                  "recursion depth exceeded")
 
     def test_scenario_file_not_utf8_exits_2(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
@@ -319,6 +336,26 @@ class TestEstimate:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: invalid covariate model")
+
+    @pytest.mark.parametrize("content, message", [
+        ({"fourth_moments": "3"}, "fourth_moments must hold numbers, got '3'"),
+        ({"fourth_moments": [True]}, "fourth_moments must hold numbers, got True"),
+        ({"mean": "0.5"}, "mean must hold numbers, got '0.5'"),
+        ({"mean": True}, "mean must hold numbers, got True"),
+        ({"mean": [False]}, "mean must hold numbers, got False"),
+        ({"covariance": [[True]]}, "covariance must hold numbers, got True"),
+        ({"covariance": [["1"]]}, "covariance must hold numbers, got '1'"),
+    ], ids=["fourth-moments-string", "fourth-moments-bool", "mean-string", "mean-bool",
+            "mean-list-bool", "covariance-bool", "covariance-string-entry"])
+    def test_model_numbers_are_not_strings_or_booleans(self, tmp_path, toy_dataset, capsys,
+                                                       content, message):
+        # numpy would read "3" as 3.0 and true as 1.0
+        model = tmp_path / "bad_model.json"
+        model.write_text(json.dumps(content))
+        rc = run_cli(["estimate", "--data", str(toy_dataset[0]), "--model", str(model),
+                      "--raw-x"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: invalid covariate model: {message}\n"
 
     def test_model_not_utf8_exits_2(self, tmp_path, toy_dataset, capsys):
         model = tmp_path / "bad_model.json"
@@ -671,3 +708,121 @@ class TestDatasetParsing:
         x, y = cli._load_dataset(str(data))
         assert len(calls) == 1
         assert np.array_equal(x, table[:, 1:]) and np.array_equal(y, table[:, 0])
+
+
+# Cells that a data CSV may hold in place of a number.
+_BAD_CELLS = [b"nan", b"-inf", b"Infinity", b"1e400", b"-1e308", b"1e308", b"abc", b"true",
+              b"", b'"1.5"', b"\xff", b"\xc3(", b"1,2", b"-0", b"0x10"]
+# Values of a model's number fields that are out of range, non-finite or of the wrong type.
+_BAD_NUMBERS = [-1.0, 0.5, 1e308, -1e308, float("nan"), float("inf"), 2 ** 70, "3", True,
+                None, "identity", [1.0], {"a": 1}]
+# Flag values: the first ones are valid, then ones out of range or of the wrong type.
+_FLAG_VALUES = {
+    "--variance": (["gaussian-plugin", "tilde"], ["bogus", ""]),
+    "--select-split-fraction": (["0.5", "0.3", "0.999", "1e-300"], ["0", "1.5", "nan", "abc"]),
+    "--select-cap": (["0", "1", "3"], ["-1", "abc"]),
+    "--initial": (list(INITIAL_IDS), ["bogus"]),
+    "--boot": (["2", "3", "17"], ["1", "-5", "abc"]),
+}
+_SWITCHES = ["--clamp", "--center-y", "--raw-x", "--select-split", "--empirical"]
+_CLI_IDS = [e for e in ESTIMATOR_IDS if e != "oracle"]
+
+
+@st.composite
+def _data_csv(draw, bad):
+    """A ``y,x1,...,xp`` CSV of seeded numbers, n, p <= 50, and its p.
+
+    If ``bad``, the numbers are at an extreme scale or a few cells are replaced.
+    """
+    n, p = draw(st.integers(0, 50)), draw(st.integers(1, 50))
+    extreme = bad and draw(st.booleans())
+    scale = draw(st.sampled_from([1e-300, 1e150, 1e300] if extreme else [1.0, -1.0, 1e-3]))
+    table = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal((n, p + 1))
+    cells = [[repr(float(v) * scale).encode() for v in row] for row in table]
+    for _ in range(draw(st.integers(1, 3)) if bad and not extreme and n else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, p))
+        cells[i][j] = draw(st.sampled_from(_BAD_CELLS))
+    header = b"y," + b",".join(b"x%d" % (j + 1) for j in range(p))
+    return b"\n".join([header] + [b",".join(row) for row in cells]) + b"\n", p
+
+
+def _scaled_identity(k, scale, corner):
+    """``scale`` times the k x k identity, its top-right entry set to ``corner`` unless None."""
+    rows = (np.eye(k) * scale).tolist()
+    if rows and corner is not None:
+        rows[0][-1] = corner
+    return rows
+
+
+@st.composite
+def _model_json(draw, p, bad):
+    """Model-file bytes; if ``bad``, the file or one field has a wrong type, size or value."""
+    gaussian = draw(st.booleans())
+    model = {"mean": draw(st.sampled_from([0.0, 0.5, -2.0, [0.25] * p])),
+             "covariance": draw(st.sampled_from(["identity", _scaled_identity(p, 4.0, None)])),
+             "fourth_moments": 3.0 if gaussian else draw(st.sampled_from([1.0, 9.0, [2.0] * p])),
+             "independent_columns": draw(st.booleans()), "gaussian": gaussian}
+    for key in draw(st.lists(st.sampled_from(sorted(model)), unique=True)):
+        del model[key]
+    if bad:
+        key = draw(st.sampled_from(["file", "mean", "covariance", "fourth_moments",
+                                    "independent_columns", "gaussian"]))
+        if key == "file":
+            return draw(st.sampled_from([b"[1, 2]", b"3", b'"identity"', b"{",
+                                         b'{"mean": "\xff"}', b"[" * 5000 + b"]" * 5000]))
+        if key in ("independent_columns", "gaussian"):
+            value = st.sampled_from(["false", 1, None])
+        elif key == "covariance":  # a wrong size, scale or entry
+            value = st.tuples(st.integers(p - 1, p + 1), st.sampled_from([1.0, 1e-12, -1.0]),
+                              st.sampled_from(_BAD_NUMBERS)).map(lambda a: _scaled_identity(*a))
+        else:
+            value = st.one_of(st.sampled_from(_BAD_NUMBERS),
+                              st.sampled_from([p + 1, p - 1]).map(lambda k: [1.0] * k),
+                              st.sampled_from(_BAD_NUMBERS).map(lambda v: [v] * p))
+        model[key] = draw(value)
+    return json.dumps(model).encode()
+
+
+@st.composite
+def _argv_tail(draw, bad):
+    """Estimator ids, flags and switches for ``estimate``; if ``bad``, one id or value is wrong."""
+    argv = ["--estimators", ",".join(draw(st.lists(st.sampled_from(_CLI_IDS), min_size=1)))]
+    flags = draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), unique=True, min_size=int(bad)))
+    wrong = draw(st.sampled_from(["--estimators", *flags])) if bad else None
+    if wrong == "--estimators":
+        argv[1] += "," + draw(st.sampled_from(["oracle", "bogus", ""]))
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(_FLAG_VALUES[flag][flag == wrong]))]
+    return argv + draw(st.lists(st.sampled_from(_SWITCHES), unique=True))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(bad=st.sampled_from([None, None, "data", "model", "argv"]), extra=st.data())
+def test_estimate_contract_on_fuzzed_input(tmp_path_factory, bad, extra):
+    """``estimate`` exits 0, 1 or 2, raises and warns nothing, and prints only finite numbers.
+
+    Each example spoils at most one of the data file, the model file and argv.
+    """
+    text, p = extra.draw(_data_csv(bad == "data"))
+    folder = tmp_path_factory.getbasetemp() / "fuzz"
+    folder.mkdir(exist_ok=True)
+    data_path, model_path = folder / "data.csv", folder / "model.json"
+    data_path.write_bytes(text)
+    model_path.write_bytes(extra.draw(_model_json(p, bad == "model")))
+    argv = ["estimate", "--data", str(data_path), "--model", str(model_path),
+            *extra.draw(_argv_tail(bad == "argv"))]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert rc in (0, 1, 2), err.getvalue()
+    assert [str(w.message) for w in caught] == []
+    rows = list(csv.reader(io.StringIO(out.getvalue())))
+    assert (rc == 2) == (rows == [])
+    for row in rows[1:]:
+        assert len(row) == 5
+        numbers = [float(v) for v in row[1:4] if v]
+        assert all(math.isfinite(v) for v in numbers), row
+        if row[4].startswith(("error=", "warning=")):
+            assert numbers == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varest.errors import LengthMismatch, TooFewObservations
+from varest.errors import InvalidInput, LengthMismatch, TooFewObservations
 from varest.kernels import (
     chain_sum_distinct,
     gram,
@@ -99,6 +99,33 @@ class TestGram:
         loop = gram_loop(rows)
         expected = loop.sum(axis=1) - np.diagonal(loop)
         np.testing.assert_allclose(g.row_sums_offdiag, expected, rtol=1e-12)
+
+    def test_weights_scale_columns(self):
+        rows, weights = rng.standard_normal((9, 3)), rng.standard_normal(9)
+        scaled = gram_loop(rows) * weights  # column k times weights[k]
+        np.fill_diagonal(scaled, 0.0)
+        g = gram(rows, weights)
+        np.testing.assert_allclose(g.row_sums_offdiag, scaled.sum(axis=1), rtol=1e-12)
+        np.testing.assert_allclose(offdiag_square_sum(g), offdiag_square_sum_loop(scaled),
+                                   rtol=1e-12)
+        # scaled is not symmetric: the kernel pairs two entries of one row, scaled[i2, :]
+        np.testing.assert_allclose(chain_sum_distinct(g), chain_sum_loop(scaled.T, scaled),
+                                   rtol=1e-12)
+
+    def test_unit_weights_change_nothing(self):
+        rows = rng.standard_normal((7, 2))
+        weighted, plain = gram(rows, np.ones(7)), gram(rows)
+        assert weighted.row_sums_offdiag.tobytes() == plain.row_sums_offdiag.tobytes()
+        assert (weighted.row_square_sums_offdiag.tobytes()
+                == plain.row_square_sums_offdiag.tobytes())
+
+    def test_weights_of_wrong_length(self):
+        with pytest.raises(LengthMismatch):
+            gram(np.ones((4, 2)), np.ones(3))
+
+    def test_two_dimensional_weights(self):
+        with pytest.raises(InvalidInput):
+            gram(np.ones((4, 2)), np.ones((4, 1)))
 
     @staticmethod
     def _traced_gram(n=1000, p=20):

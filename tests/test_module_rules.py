@@ -13,6 +13,9 @@
   reduction over observations is a plain sum over rows in that order.
   ``kernels`` calls no ``sort``, ``argsort`` or ``lexsort``, and the package
   calls them only at the sites in ``SORT_SITES``, each for its stated reason.
+* The n x n self-product ``a @ a.T`` (the same expression on both sides) is
+  formed only at the sites in ``SELF_PRODUCT_SITES``: every row-pair
+  reduction goes through ``kernels.gram``.
 * ``zeroboost`` dispatches no estimator ids: it takes its initial as
   ``"naive"`` or a callable, imports only ``ZEROBOOST_ESTIMATORS`` from
   ``estimators`` and nothing from ``selection`` or ``model.build_w``, and
@@ -46,6 +49,11 @@ SORT_SITES = {
     ("selection.py", "gap_select"): "the per-column estimates, for their order statistics",
     ("harness.py", "_summary_row"): "the replication values of a summary, which have no "
                                     "row order of their own",
+}
+
+# (module, function) -> what its ``a @ a.T`` reduces.
+SELF_PRODUCT_SITES = {
+    ("kernels.py", "gram"): "the rows of W, or of X with the columns scaled by Y for t_full",
 }
 
 ZEROBOOST = ROOT / "src" / "varest" / "zeroboost.py"
@@ -114,8 +122,8 @@ def test_raises_only_varest_errors(path):
     assert not bad
 
 
-def _sort_sites(path):
-    """``(module, enclosing function)`` of every call of a numpy sort in ``path``."""
+def _sites(path, matches):
+    """``(module, enclosing function)`` of every node of ``path`` for which ``matches`` holds."""
     sites = []
 
     def visit(node, function):
@@ -123,15 +131,36 @@ def _sort_sites(path):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                fn = child.func
-                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
-                if name in SORTS:
-                    sites.append((path.name, function))
+            if matches(child):
+                sites.append((path.name, function))
             visit(child, function)
 
     visit(_tree(path), "<module>")
     return sites
+
+
+def _is_sort(node):
+    if not isinstance(node, ast.Call):
+        return False
+    fn = node.func
+    return (fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)) in SORTS
+
+
+def _is_self_product(node):
+    """``a @ a.T`` with the same expression ``a`` on both sides."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            and isinstance(node.right, ast.Attribute) and node.right.attr == "T"
+            and ast.dump(node.left) == ast.dump(node.right.value))
+
+
+def _sort_sites(path):
+    """``(module, enclosing function)`` of every call of a numpy sort in ``path``."""
+    return _sites(path, _is_sort)
+
+
+def _self_product_sites(path):
+    """``(module, enclosing function)`` of every ``a @ a.T`` in ``path``."""
+    return _sites(path, _is_self_product)
 
 
 def test_kernels_sort_nothing():
@@ -150,6 +179,11 @@ def test_sort_rule_catches_violations(tmp_path):
                     "ORDER = np.lexsort([[1.0]])\n")
     assert _sort_sites(path) == [("kernels.py", "f"), ("kernels.py", "f"),
                                  ("kernels.py", "<module>")]
+
+
+def test_only_self_products_are_the_listed_sites():
+    sites = {site for path in MODULES for site in _self_product_sites(path)}
+    assert sites == set(SELF_PRODUCT_SITES)
 
 
 def _zeroboost_violations(path):
@@ -265,6 +299,10 @@ def test_rules_catch_violations(tmp_path):
                          "def f():\n    from .selection import t_gamma\n"
                          "INITIAL_IDS = ('naive',)\n")
     assert _zeroboost_violations(zeroboost) == ["t_full", "t_gamma", "build_w", "INITIAL_IDS"]
+    products = tmp_path / "estimators.py"
+    products.write_text("def t_full(ds):\n    a = ds.x @ ds.x.T\n    return a @ a.T\n"
+                        "def fine(ds, b):\n    return ds.x @ ds.y.T, b @ ds.x.T, ds.x.T @ ds.x\n")
+    assert _self_product_sites(products) == [("estimators.py", "t_full")] * 2
     runner = tmp_path / "run.py"
     runner.write_text('TARGETS = ("model.build_w", "model.no_such_function",\n'
                       '    "kernels._row_sums_and_square_sums", "model.SINGULARITY_RTOL")\n')

@@ -47,11 +47,11 @@ def mc_estimates(estimator, reps, n, p, beta, sigma=1.0, tag=0):
 class TestMomentMatrixA:
     def test_zero_beta_gaussian_is_identity(self):
         a = moment_matrix_a(CoefficientVector(np.zeros(3)), 1.0, GAUSS(3))
-        np.testing.assert_array_equal(a.a, np.eye(3))
+        np.testing.assert_array_equal(a, np.eye(3))
 
     def test_p1_hand_value(self):
         a = moment_matrix_a(CoefficientVector(np.array([1.0])), 1.0, GAUSS(1))
-        np.testing.assert_allclose(a.a, [[4.0]])
+        np.testing.assert_allclose(a, [[4.0]])
 
     def test_requires_independent_columns(self):
         model = CovariateModel(np.full(2, 3.0), independent_columns=False)
@@ -70,7 +70,7 @@ class TestMomentMatrixA:
         emp = w.T @ w / draws
         prods = np.einsum("ij,ik->ijk", w, w)
         se = prods.std(axis=0, ddof=1) / np.sqrt(draws)
-        assert np.all(np.abs(emp - a.a) < 3 * se)
+        assert np.all(np.abs(emp - a) < 3 * se)
 
 
 class TestVarNaiveTheory:
