@@ -1,30 +1,38 @@
 """Command-line interface: simulate scenarios, estimate from files, summarize.
 
-Exit codes: 0 on success, 2 on configuration or input-parsing errors, 1 on
-runtime failures; :func:`main` returns them, argparse's usage errors
-included.  All simulation randomness flows from ``--seed`` (or the
-scenario file); omitting it is an error, never silent entropy.
+Exit codes: 0 on success; 2 on configuration or input errors (a bad flag or
+value, a file that cannot be read or written, a malformed data, model,
+scenario or records file); 1 on runtime failures.  :func:`main` returns them,
+argparse's usage errors included, and raises nothing.  All simulation
+randomness flows from ``--seed`` (or the scenario file); omitting it is an
+error, never silent entropy.  Every number the CLI writes or prints goes
+through ``format_value`` (6 significant digits), and both ``simulate`` and
+``summarize`` summarize a records file through one function, so the printed
+table shows the summary CSV's values.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
 import sys
 import warnings
 
 import numpy as np
 
-from .errors import DegenerateZeroEstimator, DimensionMismatch, VarestError
+from .errors import DegenerateZeroEstimator, DimensionMismatch, InvalidInput, VarestError
 from .estimators import ESTIMATOR_IDS
 from .harness import (
     INITIAL_IDS,
+    SUMMARY_HEADER,
+    VARIANCE_METHODS,
     DatasetStats,
     HarnessOptions,
     estimate,
+    format_value,
     read_records_csv,
     run_scenario,
     summarize,
@@ -35,6 +43,7 @@ from .model import CovariateModel, LabeledDataset, Whitening, whiten
 from .simgen import ScenarioConfig
 
 _SCENARIO_KEYS = ("n", "p", "tau2", "tau2_b", "sigma2", "b_size", "reps", "seed", "x_dist")
+_COLUMN = len(format_value(-np.finfo(float).max)) + 1  # a summary column fits any float
 
 
 class _ConfigError(Exception):
@@ -67,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="comma-separated ids: " + ",".join(ESTIMATOR_IDS))
     sim.add_argument("--records-out", default="records.csv")
     sim.add_argument("--summary-out", default="summary.csv")
-    sim.add_argument("--variance", choices=["gaussian-plugin", "tilde"])
+    sim.add_argument("--variance", choices=VARIANCE_METHODS)
     sim.add_argument("--workers", type=int, default=1,
                      help="worker processes (capped at the CPU count)")
     _add_selection_flags(sim)
@@ -79,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="JSON covariate-model file (the known X distribution)")
     est.add_argument("--estimators", default="naive")
     est.add_argument("--out", help="output CSV (default: stdout)")
-    est.add_argument("--variance", choices=["gaussian-plugin", "tilde"])
+    est.add_argument("--variance", choices=VARIANCE_METHODS)
     est.add_argument("--clamp", action="store_true",
                      help="clamp reported tau2/sigma2 at zero (output only)")
     est.add_argument("--center-y", action="store_true",
@@ -106,12 +115,21 @@ def _add_selection_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_empirical_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--empirical", action="store_true",
-                   help="append the bootstrap empirical estimator")
     p.add_argument("--initial", default="naive",
-                   help="initial estimator for --empirical: " + ",".join(INITIAL_IDS))
+                   help="initial estimator of the empirical estimator: " + ",".join(INITIAL_IDS))
     p.add_argument("--boot", type=int, default=200,
-                   help="bootstrap resamples for --empirical")
+                   help="bootstrap resamples of the empirical estimator")
+
+
+@contextlib.contextmanager
+def _file_errors(path: str):
+    """Make an unreadable or unwritable file, or a malformed records file, an input error."""
+    try:
+        yield
+    except OSError as exc:
+        raise _ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except InvalidInput as exc:  # from read_records_csv, which names the path and line
+        raise _ConfigError(str(exc)) from exc
 
 
 def _read_json(path: str, kind: str):
@@ -148,10 +166,8 @@ def _scenario_from_args(args) -> ScenarioConfig:
         raise _ConfigError(str(exc)) from exc
 
 
-def _parse_estimators(raw: str, empirical: bool) -> list[str]:
+def _parse_estimators(raw: str) -> list[str]:
     ids = [e.strip() for e in raw.split(",") if e.strip()]
-    if empirical and "empirical" not in ids:
-        ids.append("empirical")
     bad = [e for e in ids if e not in ESTIMATOR_IDS]
     if bad:
         raise _ConfigError(f"unknown estimator ids {bad}; expected {list(ESTIMATOR_IDS)}")
@@ -174,38 +190,54 @@ def _options_from_args(args, estimators: list[str]) -> HarnessOptions:
                                f"got {args.select_split_fraction}")
         if args.select_cap is not None and args.select_cap < 0:
             raise _ConfigError(f"--select-cap must be nonnegative, got {args.select_cap}")
-    return HarnessOptions(
-        select_split=args.select_split,
-        select_split_fraction=args.select_split_fraction,
-        select_cap=args.select_cap,
-        boot=args.boot,
-        initial=args.initial,
-        variance_method=args.variance,
-        workers=getattr(args, "workers", 1),
-    )
+    try:
+        return HarnessOptions(
+            select_split=args.select_split,
+            select_split_fraction=args.select_split_fraction,
+            select_cap=args.select_cap,
+            boot=args.boot,
+            initial=args.initial,
+            variance_method=args.variance,
+            workers=getattr(args, "workers", 1),
+        )
+    except VarestError as exc:
+        raise _ConfigError(str(exc)) from exc
 
 
 def _cmd_simulate(args) -> int:
     cfg = _scenario_from_args(args)
-    estimators = _parse_estimators(args.estimators, args.empirical)
+    estimators = _parse_estimators(args.estimators)
     options = _options_from_args(args, estimators)
     records = run_scenario(cfg, estimators, options)
-    write_records_csv(args.records_out, records)
-    # Summarize the values as written (6 significant digits), so re-running
-    # `summarize` on the records file reproduces the summary byte-for-byte.
-    summaries = summarize(read_records_csv(args.records_out), cfg.tau2)
-    write_summary_csv(args.summary_out, summaries)
-    print(f"scenario: n={cfg.n} p={cfg.p} tau2={cfg.tau2:g} tau2_b={cfg.tau2_b:g} "
-          f"sigma2={cfg.sigma2:g} reps={cfg.reps} seed={cfg.seed}")
+    with _file_errors(args.records_out):
+        write_records_csv(args.records_out, records)
+    summaries = _summarize_records(args.records_out, cfg.tau2, args.summary_out)
+    tau2, tau2_b, sigma2 = map(format_value, (cfg.tau2, cfg.tau2_b, cfg.sigma2))
+    print(f"scenario: n={cfg.n} p={cfg.p} tau2={tau2} tau2_b={tau2_b} sigma2={sigma2} "
+          f"reps={cfg.reps} seed={cfg.seed}")
     _print_summary_table(summaries)
     return 0
 
 
+def _summarize_records(records_path: str, true_tau2: float, summary_path: str):
+    """Summarize a records file into a summary CSV; both commands' one summary path.
+
+    ``simulate`` reads back the records it wrote, so its summary is ``summarize``'s.
+    """
+    with _file_errors(records_path):
+        records = read_records_csv(records_path)
+    if not records:
+        raise _ConfigError(f"{records_path}: no records")
+    summaries = summarize(records, true_tau2)
+    with _file_errors(summary_path):
+        write_summary_csv(summary_path, summaries)
+    return summaries
+
+
 def _print_summary_table(summaries) -> None:
-    print(f"{'estimator':<12}{'mean':>10}{'bias':>10}{'se':>10}{'rmse':>10}{'rmse_sd':>10}")
-    for s in summaries:
-        print(f"{s.estimator_id:<12}{s.mean:>10.4f}{s.bias:>10.4f}"
-              f"{s.se:>10.4f}{s.rmse:>10.4f}{s.rmse_sd:>10.5f}")
+    """Print the summary CSV's header and rows, each number right-aligned."""
+    for row in [SUMMARY_HEADER, *(s.csv_row() for s in summaries)]:
+        print(f"{row[0]:<12}" + "".join(f"{v:>{_COLUMN}}" for v in row[1:]))
 
 
 def _check_numbers(value, key: str) -> None:
@@ -254,10 +286,8 @@ def _load_model(path: str, p: int) -> tuple[CovariateModel, Whitening | None]:
 def _open_dataset(path: str):
     # A byte that is not UTF-8 decodes to a lone surrogate instead of raising
     # mid-read, so the line that holds it can be named.
-    try:
+    with _file_errors(path):
         return open(path, newline="", encoding="utf-8", errors="surrogateescape")
-    except OSError as exc:
-        raise _ConfigError(str(exc)) from exc
 
 
 def _check_utf8(path: str, lineno: int, row: list[str]) -> None:
@@ -342,10 +372,15 @@ def _load_dataset_by_line(path: str) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _output(path: str | None):
+    """``path`` opened for writing, or stdout if there is none."""
+    return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
+
+
 def _cmd_estimate(args) -> int:
     x, y = _load_dataset(args.data)
     model, whitening = _load_model(args.model, x.shape[1])
-    estimators = _parse_estimators(args.estimators, args.empirical)
+    estimators = _parse_estimators(args.estimators)
     if "oracle" in estimators:
         raise _ConfigError(
             "the oracle estimator needs the true coefficients and is only "
@@ -376,29 +411,20 @@ def _cmd_estimate(args) -> int:
             errors.append(f"{eid}: {exc}")
 
     # csv quotes a field that holds a comma, such as ``selected=(1, 3)`` in aux
-    fmt = lambda v: "" if v is None else format(v, ".6g")
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(["estimator", "tau2", "sigma2", "var_hat", "aux"])
-    for eid, tau2, sigma2, var_hat, aux in rows:
-        writer.writerow([eid, fmt(tau2), fmt(sigma2), fmt(var_hat), aux])
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text.getvalue())
-    else:
-        sys.stdout.write(text.getvalue())
+    with _file_errors(args.out or "stdout"), _output(args.out) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["estimator", "tau2", "sigma2", "var_hat", "aux"])
+        for eid, *numbers, aux in rows:
+            writer.writerow([eid, *map(format_value, numbers), aux])
     for message in errors:
         print(f"error: {message}", file=sys.stderr)
     return 1 if errors else 0
 
 
 def _cmd_summarize(args) -> int:
-    records = read_records_csv(args.records)
-    if not records:
-        raise _ConfigError(f"{args.records}: no records")
-    summaries = summarize(records, args.true_tau2)
-    write_summary_csv(args.out, summaries)
-    _print_summary_table(summaries)
+    if not np.isfinite(args.true_tau2):
+        raise _ConfigError(f"--true-tau2 must be finite, got {args.true_tau2}")
+    _print_summary_table(_summarize_records(args.records, args.true_tau2, args.out))
     return 0
 
 

@@ -27,9 +27,9 @@ error, divisor m), and a delta-method standard deviation for the RMSE,
 from __future__ import annotations
 
 import csv
+import io
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -66,7 +66,9 @@ __all__ = [
     "INITIAL_IDS",
     "RepRecord",
     "SummaryStats",
+    "VARIANCE_METHODS",
     "estimate",
+    "format_value",
     "read_records_csv",
     "run_scenario",
     "summarize",
@@ -74,6 +76,8 @@ __all__ = [
     "write_summary_csv",
 ]
 
+# The variance estimates ``HarnessOptions.variance_method`` may ask for (None: none).
+VARIANCE_METHODS = ("gaussian-plugin", "tilde")
 RECORDS_HEADER = ("rep", "estimator", "tau2_hat", "sigma2_hat", "var_hat", "wall_ms")
 SUMMARY_HEADER = ("estimator", "mean", "bias", "se", "rmse", "rmse_sd")
 
@@ -102,6 +106,11 @@ class SummaryStats:
     rmse: float
     rmse_sd: float
 
+    def csv_row(self) -> list[str]:
+        """This row of the summary CSV (``SUMMARY_HEADER``), its numbers by ``format_value``."""
+        numbers = (self.mean, self.bias, self.se, self.rmse, self.rmse_sd)
+        return [self.estimator_id, *map(format_value, numbers)]
+
 
 @dataclass(frozen=True)
 class HarnessOptions:
@@ -112,8 +121,16 @@ class HarnessOptions:
     select_cap: int | None = None  # None: uncapped (benchmark reproduction)
     boot: int = 200
     initial: str = "naive"
-    variance_method: str | None = None  # None | "gaussian-plugin" | "tilde"
+    variance_method: str | None = None  # None or one of VARIANCE_METHODS
     workers: int = 1
+
+    def __post_init__(self):
+        # The estimator-specific fields are checked where their estimator runs.
+        if self.variance_method is not None and self.variance_method not in VARIANCE_METHODS:
+            raise InvalidInput(f"unknown variance method {self.variance_method!r}; "
+                               f"expected None or one of {list(VARIANCE_METHODS)}")
+        if self.workers < 1:
+            raise InvalidInput(f"workers must be at least 1, got {self.workers}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,8 +220,6 @@ def estimate(
 
 def _estimate(stats, estimator_id, beta, options, boot_seed) -> EstimateReport:
     ds, model, method = stats.ds, stats.model, options.variance_method
-    if method not in (None, "gaussian-plugin", "tilde"):
-        raise VarestError(f"unknown variance method {method!r}")
     variance = None
     if estimator_id == "selection":
         est, select_w = stats, None
@@ -300,6 +315,9 @@ def run_scenario(
     jobs = [(cfg, beta, model, estimator_ids, options, rep) for rep in range(cfg.reps)]
     workers = max(1, min(options.workers, os.cpu_count() or 1))
     if workers > 1 and cfg.reps > 1:
+        # Imported here: the process pool loads multiprocessing, which serial runs never use.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_rep, jobs, chunksize=max(1, cfg.reps // (4 * workers))))
     else:
@@ -365,10 +383,9 @@ def _summary_row(eid: str, values: np.ndarray, true_tau2: float) -> SummaryStats
                         rmse_sd=rmse_sd)
 
 
-def _fmt(x: float | None) -> str:
-    if x is None:
-        return ""
-    return format(float(x), ".6g")
+def format_value(x: float | None) -> str:
+    """A number as every CSV and table writes it: 6 significant digits, ``""`` for None."""
+    return "" if x is None else format(float(x), ".6g")
 
 
 def write_records_csv(path, records) -> None:
@@ -377,27 +394,33 @@ def write_records_csv(path, records) -> None:
         writer = csv.writer(fh)
         writer.writerow(RECORDS_HEADER)
         for rec in records:
-            writer.writerow([
-                rec.rep_index,
-                rec.estimator_id,
-                _fmt(rec.tau2_hat),
-                _fmt(rec.sigma2_hat),
-                _fmt(rec.variance_estimate),
-                format(rec.wall_time * 1e3, ".3f"),
-            ])
+            numbers = (rec.tau2_hat, rec.sigma2_hat, rec.variance_estimate)
+            writer.writerow([rec.rep_index, rec.estimator_id, *map(format_value, numbers),
+                             format(rec.wall_time * 1e3, ".3f")])
 
 
 def read_records_csv(path) -> list[RepRecord]:
-    """Parse a records CSV back into records (aux is not round-tripped)."""
+    """Parse a records CSV back into records (aux is not round-tripped).
+
+    A file that is not UTF-8, or whose header or a row is malformed, raises
+    ``InvalidInput`` naming the path and line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InvalidInput(f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8") from exc
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != RECORDS_HEADER:
-            raise VarestError(f"bad records header in {path}: {header}")
-        for lineno, row in enumerate(reader, start=2):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        if tuple(next(reader, ())) != RECORDS_HEADER:
+            raise InvalidInput(f"{path}:1: expected header {','.join(RECORDS_HEADER)}")
+        for row in reader:
             if len(row) != len(RECORDS_HEADER):
-                raise VarestError(f"{path}:{lineno}: expected {len(RECORDS_HEADER)} fields")
+                raise InvalidInput(f"{path}:{reader.line_num}: expected "
+                                   f"{len(RECORDS_HEADER)} fields, got {len(row)}")
             try:
                 records.append(RepRecord(
                     rep_index=int(row[0]),
@@ -408,7 +431,9 @@ def read_records_csv(path) -> list[RepRecord]:
                     wall_time=float(row[5]) / 1e3,
                 ))
             except ValueError as exc:
-                raise VarestError(f"{path}:{lineno}: {exc}") from exc
+                raise InvalidInput(f"{path}:{reader.line_num}: {exc}") from exc
+    except csv.Error as exc:  # a field over csv's size limit
+        raise InvalidInput(f"{path}:{reader.line_num}: {exc}") from exc
     return records
 
 
@@ -417,8 +442,4 @@ def write_summary_csv(path, summaries) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_HEADER)
-        for s in summaries:
-            writer.writerow([
-                s.estimator_id, _fmt(s.mean), _fmt(s.bias),
-                _fmt(s.se), _fmt(s.rmse), _fmt(s.rmse_sd),
-            ])
+        writer.writerows(s.csv_row() for s in summaries)

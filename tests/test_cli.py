@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from varest import cli
 from varest.cli import main
 from varest.estimators import ESTIMATOR_IDS
-from varest.harness import INITIAL_IDS
+from varest.harness import INITIAL_IDS, SummaryStats, read_records_csv
 
 
 def run_cli(args):
@@ -171,6 +171,107 @@ class TestSimulate:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_workers_exits_2(self, tmp_path, capsys, workers):
+        rc = run_cli(TestEmpiricalFlags.base_args("simulate", tmp_path, None)
+                     + ["--workers", workers])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: workers must be at least 1, got {workers}\n"
+
+    def test_empirical_is_asked_for_by_its_id(self, tmp_path, capsys):
+        args = TestEmpiricalFlags.base_args("simulate", tmp_path, None)
+        assert run_cli(args + ["--empirical"]) == 2  # no such flag
+        assert "unrecognized arguments: --empirical" in capsys.readouterr().err
+        assert run_cli(args + ["--estimators", "naive,empirical"]) == 0
+        assert [row[1] for row in csv.reader(open(tmp_path / "r.csv"))][1:3] == \
+            ["naive", "empirical"]
+
+
+class TestSummaryTable:
+    """The printed summary table shows the summary CSV's fields, right-aligned."""
+
+    @staticmethod
+    def table(out):
+        lines = out.splitlines()
+        assert len({len(line) for line in lines}) == 1  # every column lines up
+        return [line.split() for line in lines]
+
+    def test_simulate_prints_the_summary_csv(self, tmp_path, capsys):
+        rc = run_cli(TestEmpiricalFlags.base_args("simulate", tmp_path, None)
+                     + ["--estimators", "naive,single,dicker"])
+        assert rc == 0
+        scenario, *table = capsys.readouterr().out.splitlines()
+        assert scenario == "scenario: n=10 p=4 tau2=1 tau2_b=0.2 sigma2=1 reps=2 seed=1"
+        assert self.table("\n".join(table)) == list(csv.reader(open(tmp_path / "s.csv")))
+
+    def test_summarize_prints_the_summary_csv(self, tmp_path, capsys):
+        # wide values next to narrow ones
+        path = tmp_path / "records.csv"
+        path.write_text("rep,estimator,tau2_hat,sigma2_hat,var_hat,wall_ms\n"
+                        "0,naive,-1.5e75,0,,0\n1,naive,-1e75,0,,0\n"
+                        "0,single,2,0,,0\n1,single,2,0,,0\n")
+        rc = run_cli(["summarize", "--records", str(path), "--true-tau2", "2",
+                      "--out", str(tmp_path / "s.csv")])
+        assert rc == 0
+        table = self.table(capsys.readouterr().out)
+        assert table == list(csv.reader(open(tmp_path / "s.csv")))
+        assert table[1][:3] == ["naive", "-1.25e+75", "1.25e+75"]
+        assert table[2] == ["single", "2", "0", "0", "0", "0"]
+
+    def test_widest_values_keep_their_columns(self, capsys):
+        widest = -np.finfo(float).max
+        cli._print_summary_table([SummaryStats("naive", *[widest] * 5),
+                                  SummaryStats("single", 0.0, 0.0, 0.0, 0.0, float("nan"))])
+        table = self.table(capsys.readouterr().out)
+        assert table[1:] == [["naive", *["-1.79769e+308"] * 5],
+                             ["single", "0", "0", "0", "0", "nan"]]
+
+
+class TestFileErrors:
+    """A file that cannot be read or written, or malformed records, exit 2 with one line."""
+
+    CASES = {
+        "records-out": (["simulate", "--records-out", "{missing}/r.csv"],
+                        "{missing}/r.csv: No such file or directory"),
+        "summary-out": (["simulate", "--summary-out", "{missing}/s.csv"],
+                        "{missing}/s.csv: No such file or directory"),
+        "estimate-out": (["estimate", "--out", "{missing}/e.csv"],
+                         "{missing}/e.csv: No such file or directory"),
+        "records-missing": (["summarize", "--records", "{missing}/r.csv"],
+                            "{missing}/r.csv: No such file or directory"),
+        "records-directory": (["summarize", "--records", "{tmp}"], "{tmp}: Is a directory"),
+        "records-not-utf8": (["summarize", "--records", "{tmp}/not-utf8.csv"],
+                             "{tmp}/not-utf8.csv:3: byte 0xff is not UTF-8"),
+        "records-header": (["summarize", "--records", "{tmp}/header.csv"],
+                           "{tmp}/header.csv:1: expected header rep,estimator,"),
+        "records-ragged": (["summarize", "--records", "{tmp}/ragged.csv"],
+                           "{tmp}/ragged.csv:3: expected 6 fields, got 5"),
+        "summarize-out": (["summarize", "--out", "{missing}/s.csv"],
+                          "{missing}/s.csv: No such file or directory"),
+        "true-tau2-nan": (["summarize", "--true-tau2", "nan"], "--true-tau2 must be finite"),
+        "true-tau2-inf": (["summarize", "--true-tau2", "inf"], "--true-tau2 must be finite"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_naming_the_file(self, tmp_path, toy_dataset, capsys, case):
+        header = b"rep,estimator,tau2_hat,sigma2_hat,var_hat,wall_ms\n"
+        (tmp_path / "records.csv").write_bytes(header + b"0,naive,1,0,,0\n1,naive,2,0,,0\n")
+        (tmp_path / "not-utf8.csv").write_bytes(header + b"0,naive,1,0,,0\n1,naive,\xff,0,,0\n")
+        (tmp_path / "header.csv").write_bytes(b"rep,estimator\n0,naive\n")
+        (tmp_path / "ragged.csv").write_bytes(header + b"0,naive,1,0,,0\n1,naive,2,0,\n")
+        flags, message = self.CASES[case]
+        command, *flags = [f.format(tmp=tmp_path, missing=tmp_path / "missing") for f in flags]
+        argv = {"simulate": TestEmpiricalFlags.base_args("simulate", tmp_path, toy_dataset),
+                "estimate": TestEmpiricalFlags.base_args("estimate", tmp_path, toy_dataset),
+                "summarize": ["summarize", "--records", str(tmp_path / "records.csv"),
+                              "--true-tau2", "1", "--out", str(tmp_path / "s.csv")]}[command]
+        assert run_cli(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = message.format(tmp=tmp_path, missing=tmp_path / "missing")
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+
 
 class TestEmpiricalFlags:
     @staticmethod
@@ -189,7 +290,8 @@ class TestEmpiricalFlags:
     ], ids=["initial", "boot"])
     @pytest.mark.parametrize("command", ["simulate", "estimate"])
     def test_bad_value_exits_2(self, tmp_path, toy_dataset, capsys, command, flags, message):
-        rc = run_cli(self.base_args(command, tmp_path, toy_dataset) + ["--empirical", *flags])
+        args = self.base_args(command, tmp_path, toy_dataset)
+        rc = run_cli(args + ["--estimators", "naive,empirical", *flags])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
@@ -519,13 +621,13 @@ class TestEntryPoint:
                     "--reps", "3", "--seed", "2", "--records-out", str(tmp_path / "r.csv"),
                     "--summary-out", str(tmp_path / "s.csv")]
         calls = [
-            [*estimate, "--estimators", "naive,selection", "--clamp", "--select-cap", "1",
-             "--empirical", "--initial", "dicker", "--boot", "5"],
+            [*estimate, "--estimators", "naive,selection,empirical", "--clamp", "--select-cap",
+             "1", "--initial", "dicker", "--boot", "5"],
             [*estimate, "--estimators", "dicker,selection,empirical", "--variance", "tilde"],
             [*simulate, "--estimators", "naive,single", "--variance", "gaussian-plugin"],
             [*simulate, "--estimators", "selection"],
-            [*estimate, "--estimators", "naive,selection", "--clamp", "--select-cap", "1",
-             "--empirical", "--initial", "dicker", "--boot", "5"],
+            [*estimate, "--estimators", "naive,selection,empirical", "--clamp", "--select-cap",
+             "1", "--initial", "dicker", "--boot", "5"],
         ]
         in_process = []
         for argv in calls:
@@ -724,7 +826,7 @@ _FLAG_VALUES = {
     "--initial": (list(INITIAL_IDS), ["bogus"]),
     "--boot": (["2", "3", "17"], ["1", "-5", "abc"]),
 }
-_SWITCHES = ["--clamp", "--center-y", "--raw-x", "--select-split", "--empirical"]
+_SWITCHES = ["--clamp", "--center-y", "--raw-x", "--select-split"]
 _CLI_IDS = [e for e in ESTIMATOR_IDS if e != "oracle"]
 
 
@@ -826,3 +928,166 @@ def test_estimate_contract_on_fuzzed_input(tmp_path_factory, bad, extra):
         assert all(math.isfinite(v) for v in numbers), row
         if row[4].startswith(("error=", "warning=")):
             assert numbers == []
+
+
+# Scenario fields: valid values, then ones out of range; _WRONG_TYPES are wrong for every field.
+_SCENARIO_VALUES = {
+    "n": ([2, 5, 20], [1, 0, -3]),
+    "p": ([20], [0, -1]),
+    "tau2": ([1.0, 2.5, 1e308], [-1.0, float("nan"), float("inf")]),
+    "tau2_b": ([0.0, 0.5], [-0.5, float("nan")]),
+    "sigma2": ([0.0, 1.0, 1e300], [-1.0, float("inf")]),
+    "b_size": ([1, 2], [0, -2, 99]),
+    "reps": ([1, 2, 4], [0, -1]),
+    "seed": ([0, 7, 2 ** 40], [-1]),
+    "x_dist": (["gaussian", "scaled-t(6)", "rademacher-mix"], ["scaled-t(3)", "bogus", ""]),
+}
+_WRONG_TYPES = [True, None, [1], "abc"]
+_SCENARIO_FLAGS = {"tau2_b": "--tau2b", "b_size": "--b-size", "x_dist": "--x-dist"}
+# The estimator a flag's value is checked for (the flag is ignored without it).
+_CHECKED_FOR = {"--initial": "empirical", "--boot": "empirical",
+                "--select-cap": "selection", "--select-split-fraction": "selection"}
+
+
+@st.composite
+def _simulate_argv(draw, folder, bad):
+    """``simulate`` argv with n, p <= 20, scenario fields split between flags and a JSON file.
+
+    If ``bad``, one of these is wrong: a scenario field, the scenario file, a flag
+    value or an output path.  Returns the argv and what was spoiled (None if nothing).
+    """
+    spoil = draw(st.sampled_from(["field", "file", "missing", "argv", "records-out",
+                                  "summary-out"])) if bad else None
+    fields = {key: draw(st.sampled_from(values[0])) for key, values in _SCENARIO_VALUES.items()}
+    fields["p"] = draw(st.integers(fields["b_size"] + 1, 20))
+    if spoil == "field":
+        key = draw(st.sampled_from(sorted(fields)))
+        fields[key] = draw(st.sampled_from(_SCENARIO_VALUES[key][1] + _WRONG_TYPES))
+    if spoil == "missing":
+        del fields[draw(st.sampled_from(["n", "p", "tau2", "tau2_b", "seed"]))]
+    in_file = draw(st.lists(st.sampled_from(sorted(fields)), unique=True))
+    scenario = json.dumps({key: fields[key] for key in in_file}).encode()
+    if spoil == "file":
+        scenario = draw(st.sampled_from([b"[1, 2]", b"{", b'{"n": "\xff"}', b'{"m": 3}']))
+    argv = ["simulate"]
+    if in_file or spoil == "file":
+        (folder / "scenario.json").write_bytes(scenario)
+        argv += ["--scenario", str(folder / "scenario.json")]
+    for key in sorted(set(fields) - set(in_file)):
+        argv += [_SCENARIO_FLAGS.get(key, f"--{key}"), str(fields[key])]
+    values = {**_FLAG_VALUES, "--workers": (["1"], ["0", "-3", "abc"])}
+    flags = draw(st.lists(st.sampled_from(sorted(values)), unique=True,
+                          min_size=int(spoil == "argv")))
+    wrong = draw(st.sampled_from(["--estimators", *flags])) if spoil == "argv" else None
+    ids = draw(st.lists(st.sampled_from(ESTIMATOR_IDS), min_size=1))
+    ids += ["bogus"] if wrong == "--estimators" else [_CHECKED_FOR.get(wrong, ids[0])]
+    argv += ["--estimators", ",".join(ids)]
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(values[flag][flag == wrong]))]
+    if wrong == "--select-split-fraction" or draw(st.booleans()):
+        argv.append("--select-split")
+    for flag, name in (("--records-out", "r.csv"), ("--summary-out", "s.csv")):
+        argv += [flag, str(folder / "missing" / name if spoil == flag[2:] else folder / name)]
+    return argv, spoil
+
+
+# Records fields: valid numbers, the ordinary ones first, then cells that parse as no number.
+_RECORD_NUMBERS = [b"1.5", b"-0.25", b"0", b"2", b"1_0", b"nan", b"inf", b"-inf", b"1e308",
+                   b"-1e308", b"1e-300"]
+_RECORD_JUNK = [b"abc", b"\xff", b"\xc3(", b'"1,5"', b"0x10", b"1.5.2"]
+
+
+@st.composite
+def _records_csv(draw):
+    """Records-file bytes and whether they are malformed.
+
+    Malformed: a wrong or missing header, no records, or a row that is blank,
+    ragged, not UTF-8 or holds a field that is not a number.
+    """
+    spoil = draw(st.sampled_from([None] * 4 + ["header", "empty", "blank", "ragged", "junk"]))
+    header = b"rep,estimator,tau2_hat,sigma2_hat,var_hat,wall_ms"
+    if spoil == "header":
+        header = draw(st.sampled_from([b"", b"rep,estimator", b"\xff", header + b",aux"]))
+    numbers = st.sampled_from(_RECORD_NUMBERS[:5] * 8 + _RECORD_NUMBERS[5:])
+    ids = (b"naive", b"single")[:draw(st.integers(1, 2))]
+    reps = 0 if spoil == "empty" else draw(st.sampled_from([1, 2, 2, 3, 4]))
+    rows = [[b"%d" % rep, eid, *(draw(numbers) for _ in range(3)), b"0"]
+            for rep in range(reps) for eid in ids]
+    if spoil in ("blank", "ragged", "junk"):
+        row = draw(st.sampled_from(rows))
+        if spoil == "junk":
+            row[draw(st.sampled_from([0, 2, 3, 4, 5]))] = draw(st.sampled_from(_RECORD_JUNK))
+        else:
+            del row[0 if spoil == "blank" else draw(st.integers(1, 5)):]
+    lines = [header, *(b",".join(row) for row in rows)]
+    # a last line left blank still ends in a line break
+    end = b"\n" if spoil == "blank" else draw(st.sampled_from([b"\n", b""]))
+    return b"\n".join(lines) + end, spoil is not None
+
+
+def _run_main(argv):
+    """``main(argv)``'s exit status and stdout; it must raise and warn nothing."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert [str(w.message) for w in caught] == []
+    # a successful call prints its table, a failed one only its error
+    assert (rc == 0) == (out.getvalue() != ""), err.getvalue()
+    return rc, out.getvalue()
+
+
+def _check_summary(records_path, summary_path, table):
+    """The printed table is the summary CSV; a NaN summary row has a NaN record."""
+    summary = list(csv.reader(open(summary_path)))
+    assert [line.split() for line in table] == summary
+    nan_ids = {r.estimator_id for r in read_records_csv(records_path) if math.isnan(r.tau2_hat)}
+    for row in summary[1:]:
+        if any(math.isnan(float(v)) for v in row[1:]):
+            assert row[0] in nan_ids, row
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(bad=st.booleans(), extra=st.data())
+def test_simulate_contract_on_fuzzed_input(tmp_path_factory, bad, extra):
+    """``simulate`` exits 2 on bad input and 0 or 1 otherwise, raises and warns nothing,
+    and prints the summary CSV it writes.
+
+    A missing summary directory is found only when the summary is written, so a
+    summary that fails first exits 1.
+    """
+    folder = tmp_path_factory.getbasetemp() / "fuzz-simulate"
+    folder.mkdir(exist_ok=True)
+    for path in folder.iterdir():
+        path.unlink()
+    argv, spoil = extra.draw(_simulate_argv(folder, bad))
+    rc, out = _run_main(argv)
+    assert rc in {None: (0, 1), "summary-out": (1, 2)}.get(spoil, (2,))
+    if rc == 0:
+        assert out.startswith("scenario: ")
+        _check_summary(folder / "r.csv", folder / "s.csv", out.splitlines()[1:])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(records=_records_csv(),
+       true_tau2=st.sampled_from(["1", "0", "-2.5", "1e308", "1", "nan", "inf", "abc"]),
+       out_missing=st.sampled_from([False, False, True]))
+def test_summarize_contract_on_fuzzed_input(tmp_path_factory, records, true_tau2, out_missing):
+    """``summarize`` exits 2 on malformed records, a non-finite truth or an unwritable
+    summary, and 0 or 1 otherwise; it raises and warns nothing and prints the summary CSV.
+    """
+    folder = tmp_path_factory.getbasetemp() / "fuzz-summarize"
+    folder.mkdir(exist_ok=True)
+    text, malformed = records
+    (folder / "r.csv").write_bytes(text)
+    summary = folder / "missing" / "s.csv" if out_missing else folder / "s.csv"
+    summary.unlink(missing_ok=True)
+    rc, out = _run_main(["summarize", "--records", str(folder / "r.csv"),
+                         "--true-tau2", true_tau2, "--out", str(summary)])
+    if malformed or true_tau2 in ("nan", "inf", "abc"):
+        assert rc == 2
+    else:
+        assert rc in ((1, 2) if out_missing else (0, 1))
+    if rc == 0:
+        _check_summary(folder / "r.csv", summary, out.splitlines())

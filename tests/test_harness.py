@@ -22,7 +22,9 @@ from varest.harness import (
     DatasetStats,
     HarnessOptions,
     RepRecord,
+    SummaryStats,
     estimate,
+    format_value,
     read_records_csv,
     run_scenario,
     summarize,
@@ -49,11 +51,34 @@ from varest.variance import (
 from varest.zeroboost import BootstrapConfig, empirical_estimator
 
 
+# The first line of a records CSV.
+HEADER = b"rep,estimator,tau2_hat,sigma2_hat,var_hat,wall_ms\n"
+
+
 def small_cfg(**overrides):
     fields = dict(n=30, p=8, tau2=1.0, tau2_b=0.5, sigma2=1.0, b_size=3,
                   reps=4, seed=99)
     fields.update(overrides)
     return ScenarioConfig(**fields)
+
+
+class TestHarnessOptions:
+    @pytest.mark.parametrize("fields, message", [
+        ({"variance_method": "tildee"}, "unknown variance method 'tildee'"),
+        ({"variance_method": ""}, "unknown variance method ''"),
+        ({"workers": 0}, "workers must be at least 1, got 0"),
+        ({"workers": -3}, "workers must be at least 1, got -3"),
+    ])
+    def test_bad_value_rejected_when_built(self, fields, message):
+        with pytest.raises(InvalidInput, match=message):
+            HarnessOptions(**fields)
+
+    def test_bad_variance_method_never_reaches_a_run(self):
+        # it used to give one NaN record per replication and estimator, raising nothing
+        cfg = ScenarioConfig(n=30, p=10, tau2=1, tau2_b=0.5, reps=3, seed=1)
+        with pytest.raises(InvalidInput):
+            run_scenario(cfg, ["naive", "selection", "empirical"],
+                         HarnessOptions(variance_method="tildee"))
 
 
 class TestRunScenario:
@@ -525,3 +550,34 @@ class TestCsvRoundTrip:
         path.write_text("nope,nope\n1,2\n")
         with pytest.raises(VarestError):
             read_records_csv(path)
+
+    @pytest.mark.parametrize("body, message", [
+        (b"", ":1: expected header rep,estimator,"),
+        (HEADER + b"0,naive,1,0,,0\n1,naive,2,0\n", ":3: expected 6 fields, got 4"),
+        (HEADER + b"0,naive,abc,0,,0\n", ":2: could not convert string to float: 'abc'"),
+        (HEADER + b"0.5,naive,1,0,,0\n", ":2: invalid literal for int()"),
+        (HEADER + b"0,naive,1,0,,0\n\n", ":3: expected 6 fields, got 0"),
+        (HEADER + b"0,naive,1,0,,0\n1,naive,1\xff,0,,0\n", ":3: byte 0xff is not UTF-8"),
+        (HEADER + b'0,"' + b"x" * 200_000 + b'",1,0,,0\n', ":2: field larger than field limit"),
+    ], ids=["empty", "ragged", "not-a-number", "rep-not-int", "blank-line", "not-utf8",
+            "huge-field"])
+    def test_malformed_records_name_their_line(self, tmp_path, body, message):
+        path = tmp_path / "records.csv"
+        path.write_bytes(body)
+        with pytest.raises(InvalidInput) as info:
+            read_records_csv(path)
+        assert str(info.value).startswith(str(path) + message)
+
+
+class TestFormatValue:
+    @pytest.mark.parametrize("value, text", [
+        (None, ""), (0.0, "0"), (1 / 3, "0.333333"), (-1.7976931348623157e308, "-1.79769e+308"),
+        (123456789.0, "1.23457e+08"), (np.float64(2.5e-7), "2.5e-07"), (float("nan"), "nan"),
+        (3, "3"),
+    ])
+    def test_six_significant_digits(self, value, text):
+        assert format_value(value) == text
+
+    def test_summary_csv_row_uses_it(self):
+        s = SummaryStats("naive", 1 / 3, -2e300, 0.0, float("inf"), float("nan"))
+        assert s.csv_row() == ["naive", "0.333333", "-2e+300", "0", "inf", "nan"]

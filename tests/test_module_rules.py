@@ -25,12 +25,15 @@
   run reports a missing one as ``null``, which the benchmark cannot compare.
   Run through the CLI under the benchmark's own tracer, every target is
   called and every per-layer measure still fits its target's arguments.
+* ``import varest.cli`` loads none of ``DEFERRED_MODULES``: only a parallel
+  run or a bootstrap uses them, so they are imported where they are used.
 """
 
 import ast
 import importlib
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -55,6 +58,9 @@ SORT_SITES = {
 SELF_PRODUCT_SITES = {
     ("kernels.py", "gram"): "the rows of W, or of X with the columns scaled by Y for t_full",
 }
+
+# Modules a CLI call imports only when it runs on worker processes or draws resamples.
+DEFERRED_MODULES = ("multiprocessing", "concurrent.futures", "numpy.random")
 
 ZEROBOOST = ROOT / "src" / "varest" / "zeroboost.py"
 ZEROBOOST_ESTIMATORS = {"EstimateReport", "naive_tau2", "sigma2_from"}
@@ -274,6 +280,19 @@ def test_benchmark_measures_fit_their_targets(tmp_path):
     assert sorted(set(run.TARGETS) - set(tracer.summary())) == []
 
 
+def _loaded_on_import(module, src=ROOT / "src"):
+    """The ``DEFERRED_MODULES`` that ``import <module>`` loads in a fresh interpreter."""
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import {module}; "
+            f"print([m for m in {DEFERRED_MODULES!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    return ast.literal_eval(proc.stdout)
+
+
+def test_cli_import_defers_pool_and_random():
+    assert _loaded_on_import("varest.cli") == []
+
+
 def test_rules_catch_violations(tmp_path):
     path = tmp_path / "bad.py"
     path.write_text("from .kernels import _helper\n__all__ = ['missing', '_helper']\n"
@@ -308,3 +327,8 @@ def test_rules_catch_violations(tmp_path):
                       '    "kernels._row_sums_and_square_sums", "model.SINGULARITY_RTOL")\n')
     assert _missing_targets(_traced_targets(runner)) == [
         "model.no_such_function", "kernels._row_sums_and_square_sums", "model.SINGULARITY_RTOL"]
+    eager = tmp_path / "eager"
+    eager.mkdir()
+    (eager / "eager.py").write_text("import numpy.random\nfrom concurrent.futures import "
+                                    "ProcessPoolExecutor\n")
+    assert _loaded_on_import("eager", eager) == list(DEFERRED_MODULES)
