@@ -3,9 +3,11 @@
 Exit codes: 0 on success; 2 on configuration or input errors (a bad flag or
 value, a file that cannot be read or written, a malformed data, model,
 scenario or records file); 1 on runtime failures.  :func:`main` returns them,
-argparse's usage errors included, and raises nothing.  All simulation
-randomness flows from ``--seed`` (or the scenario file); omitting it is an
-error, never silent entropy.  Every number the CLI writes or prints goes
+argparse's usage errors included, and raises nothing.  A file error reads
+``error: <path>[:<line>]: <reason>``: data and records CSVs are read by one
+strict reader, ``harness.csv_rows``, and a JSON syntax error names its line.
+All simulation randomness flows from ``--seed`` (or the scenario file);
+omitting it is an error, never silent entropy.  Every number the CLI writes or prints goes
 through ``format_value`` (6 significant digits), and both ``simulate`` and
 ``summarize`` summarize a records file through one function, so the printed
 table shows the summary CSV's values.
@@ -16,8 +18,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import json
+import os
 import sys
 import warnings
 
@@ -31,6 +35,7 @@ from .harness import (
     VARIANCE_METHODS,
     DatasetStats,
     HarnessOptions,
+    csv_rows,
     estimate,
     format_value,
     read_records_csv,
@@ -42,7 +47,7 @@ from .harness import (
 from .model import CovariateModel, LabeledDataset, Whitening, whiten
 from .simgen import ScenarioConfig
 
-_SCENARIO_KEYS = ("n", "p", "tau2", "tau2_b", "sigma2", "b_size", "reps", "seed", "x_dist")
+_SCENARIO_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioConfig))
 _COLUMN = len(format_value(-np.finfo(float).max)) + 1  # a summary column fits any float
 
 
@@ -123,27 +128,30 @@ def _add_empirical_flags(p: argparse.ArgumentParser) -> None:
 
 @contextlib.contextmanager
 def _file_errors(path: str):
-    """Make an unreadable or unwritable file, or a malformed records file, an input error."""
+    """Make a file that cannot be opened, read or written, or a malformed data,
+    records or JSON file, an input error that reads ``<path>[:<line>]: <reason>``.
+    """
     try:
         yield
     except OSError as exc:
         raise _ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    except InvalidInput as exc:  # from read_records_csv, which names the path and line
+    except InvalidInput as exc:  # from csv_rows or read_records_csv, which name path and line
         raise _ConfigError(str(exc)) from exc
+    except json.JSONDecodeError as exc:
+        raise _ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # JSON not UTF-8, or nested too deep
+        raise _ConfigError(f"{path}: {exc}") from exc
 
 
-def _read_json(path: str, kind: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:  # also JSON nested too deep
-        raise _ConfigError(f"cannot read {kind} file: {exc}") from exc
+def _read_json(path: str):
+    with _file_errors(path), open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _scenario_from_args(args) -> ScenarioConfig:
     fields: dict = {}
     if args.scenario:
-        raw = _read_json(args.scenario, "scenario")
+        raw = _read_json(args.scenario)
         if not isinstance(raw, dict):
             raise _ConfigError("invalid scenario: the file must hold a JSON object")
         unknown = set(raw) - set(_SCENARIO_KEYS)
@@ -206,8 +214,14 @@ def _options_from_args(args, estimators: list[str]) -> HarnessOptions:
 
 def _cmd_simulate(args) -> int:
     cfg = _scenario_from_args(args)
+    if cfg.reps < 2:
+        raise _ConfigError(f"reps must be at least 2 to summarize, got {cfg.reps}")
     estimators = _parse_estimators(args.estimators)
     options = _options_from_args(args, estimators)
+    for path in (args.records_out, args.summary_out):
+        # Only the directory is checked: an existing file is not truncated before the run.
+        with _file_errors(path):
+            os.stat(os.path.dirname(os.path.abspath(path)))
     records = run_scenario(cfg, estimators, options)
     with _file_errors(args.records_out):
         write_records_csv(args.records_out, records)
@@ -251,9 +265,18 @@ def _check_numbers(value, key: str) -> None:
             raise _ConfigError(f"invalid covariate model: {key} must hold numbers, got {item!r}")
 
 
+def _model_vector(raw: dict, key: str, default: float, p: int) -> np.ndarray:
+    """Model field ``key`` as a length-p vector: a number or a list of p numbers."""
+    value = raw.get(key, default)
+    vector = np.full(p, float(value)) if np.isscalar(value) else np.asarray(value, dtype=float)
+    if vector.shape != (p,):
+        raise DimensionMismatch(f"{key} must be a number or a list of {p} numbers")
+    return vector
+
+
 def _load_model(path: str, p: int) -> tuple[CovariateModel, Whitening | None]:
     """The file's covariate model, and its whitening unless that is the identity map."""
-    raw = _read_json(path, "model")
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise _ConfigError("invalid covariate model: the file must hold a JSON object")
     flags = {"independent_columns": raw.get("independent_columns", True),
@@ -265,53 +288,21 @@ def _load_model(path: str, p: int) -> tuple[CovariateModel, Whitening | None]:
         if key in raw and not (key == "covariance" and raw[key] == "identity"):
             _check_numbers(raw[key], key)
     try:
-        mean = raw.get("mean", 0.0)
-        mean = np.full(p, float(mean)) if np.isscalar(mean) else np.asarray(mean, dtype=float)
+        mean = _model_vector(raw, "mean", 0.0, p)
         cov = raw.get("covariance", "identity")
         identity = cov == "identity"
         whitening = None
-        if not (identity and mean.shape == (p,) and not mean.any()):
+        if not (identity and not mean.any()):
             whitening = Whitening(mean, None if identity else np.asarray(cov, dtype=float))
-            if whitening.p != p:
-                raise DimensionMismatch(f"mean and covariance must be of size {p}")
-        m4 = raw.get("fourth_moments", 3.0)
-        m4 = np.full(p, float(m4)) if np.isscalar(m4) else np.asarray(m4, dtype=float)
-        if m4.shape != (p,):
-            raise DimensionMismatch(f"fourth_moments must have length {p}")
+        m4 = _model_vector(raw, "fourth_moments", 3.0, p)
         return CovariateModel(m4, **flags), whitening
     except (VarestError, ValueError, TypeError) as exc:
         raise _ConfigError(f"invalid covariate model: {exc}") from exc
 
 
-def _open_dataset(path: str):
-    # A byte that is not UTF-8 decodes to a lone surrogate instead of raising
-    # mid-read, so the line that holds it can be named.
-    with _file_errors(path):
-        return open(path, newline="", encoding="utf-8", errors="surrogateescape")
-
-
-def _check_utf8(path: str, lineno: int, row: list[str]) -> None:
-    """Reject a row holding a byte that did not decode as UTF-8.
-
-    ``errors="surrogateescape"`` decodes such a byte b to the lone surrogate
-    U+DC00 + b, the one kind of character that cannot be encoded back.
-    """
-    text = ",".join(row)
-    try:
-        text.encode()
-    except UnicodeEncodeError as exc:
-        byte = ord(text[exc.start]) - 0xDC00
-        raise _ConfigError(f"{path}:{lineno}: byte {byte:#04x} is not UTF-8") from exc
-
-
-def _read_header(path: str, reader) -> int:
+def _read_header(path: str, rows) -> int:
     """Check the ``y,x1,...,xp`` header and return its field count."""
-    try:
-        header = next(reader, None)
-    except csv.Error as exc:
-        raise _ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
-    if header:
-        _check_utf8(path, 1, header)
+    header = next(rows, (1, []))[1]
     if not header or header[0] != "y" or len(header) < 2:
         raise _ConfigError(f"{path}:1: expected header y,x1,...,xp")
     return len(header)
@@ -327,8 +318,8 @@ def _load_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     ``1_0``) or the error naming the offending line.  ``comments=None``
     keeps ``1,2#x`` an error instead of ``1,2``.
     """
-    with _open_dataset(path) as fh:
-        width = _read_header(path, csv.reader(fh, strict=True))
+    with _file_errors(path), csv_rows(path) as (fh, rows):
+        width = _read_header(path, rows)
         try:
             with warnings.catch_warnings():
                 # A header-only file warns "input contained no data".
@@ -342,33 +333,27 @@ def _load_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _load_dataset_by_line(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse the CSV with a strict ``csv.reader`` and ``float()`` per cell, one row at a time."""
-    with _open_dataset(path) as fh:
-        reader = csv.reader(fh, strict=True)
-        width = _read_header(path, reader)
-        ys, xs, linenos = [], [], []
-        try:
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != width:
-                    raise _ConfigError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-                try:
-                    ys.append(float(row[0]))
-                    xs.append([float(v) for v in row[1:]])
-                except ValueError as exc:
-                    _check_utf8(path, lineno, row)
-                    raise _ConfigError(f"{path}:{lineno}: {exc}") from exc
-                linenos.append(lineno)
-        except csv.Error as exc:
-            # An unterminated quote, or text after a closing quote.
-            raise _ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
+    """Parse the CSV's rows from :func:`csv_rows` with ``float()`` per cell."""
+    with _file_errors(path), csv_rows(path) as (_, rows):
+        width = _read_header(path, rows)
+        ys, xs, lines = [], [], []
+        for line, row in rows:
+            if not row:
+                continue
+            if len(row) != width:
+                raise _ConfigError(f"{path}:{line}: expected {width} fields, got {len(row)}")
+            try:
+                ys.append(float(row[0]))
+                xs.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise _ConfigError(f"{path}:{line}: {exc}") from exc
+            lines.append(line)
     if len(ys) < 2:
         raise _ConfigError(f"{path}: need at least 2 observations")
     x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     finite = np.isfinite(y) & np.isfinite(x).all(axis=1)
     if not finite.all():
-        raise _ConfigError(f"{path}:{linenos[np.argmin(finite)]}: values must be finite")
+        raise _ConfigError(f"{path}:{lines[np.argmin(finite)]}: values must be finite")
     return x, y
 
 

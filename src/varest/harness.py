@@ -22,12 +22,16 @@ once per scenario.
 (``true - mean``), SE (sample standard deviation), RMSE (root mean squared
 error, divisor m), and a delta-method standard deviation for the RMSE,
 ``sd(e^2) / (2 * RMSE * sqrt(m))``.
+
+``csv_rows`` is the one reader of input CSVs, the records files here and the
+CLI's data files: a strict ``csv.reader`` that names a malformed row or a byte
+that is not UTF-8 by its path and line.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -67,6 +71,7 @@ __all__ = [
     "RepRecord",
     "SummaryStats",
     "VARIANCE_METHODS",
+    "csv_rows",
     "estimate",
     "format_value",
     "read_records_csv",
@@ -399,27 +404,47 @@ def write_records_csv(path, records) -> None:
                              format(rec.wall_time * 1e3, ".3f")])
 
 
+@contextlib.contextmanager
+def csv_rows(path):
+    """Open the CSV file ``path``; yield the file and an iterator of its ``(line, fields)``.
+
+    ``line`` is the line a row ends on (``\n``, ``\r\n`` and ``\r`` each end
+    one).  A byte that is not UTF-8, a malformed quote or an oversized field
+    raises ``InvalidInput`` naming the path and line.
+    """
+    # A byte that is not UTF-8 decodes to the lone surrogate U+DC00 + byte
+    # instead of raising mid-read, so the row that holds it can be named.
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        yield fh, _checked_rows(path, csv.reader(fh, strict=True))
+
+
+def _checked_rows(path, reader):
+    try:
+        for fields in reader:
+            try:
+                "".join(fields).encode()
+            except UnicodeEncodeError as exc:  # only a lone surrogate fails to encode
+                byte = ord(exc.object[exc.start]) - 0xDC00
+                raise InvalidInput(
+                    f"{path}:{reader.line_num}: byte {byte:#04x} is not UTF-8") from exc
+            yield reader.line_num, fields
+    except csv.Error as exc:
+        raise InvalidInput(f"{path}:{reader.line_num}: {exc}") from exc
+
+
 def read_records_csv(path) -> list[RepRecord]:
     """Parse a records CSV back into records (aux is not round-tripped).
 
-    A file that is not UTF-8, or whose header or a row is malformed, raises
-    ``InvalidInput`` naming the path and line.
+    A file whose header or a row is malformed, as :func:`csv_rows` reads it or
+    as a record, raises ``InvalidInput`` naming the path and line.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise InvalidInput(f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8") from exc
     records = []
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        if tuple(next(reader, ())) != RECORDS_HEADER:
+    with csv_rows(path) as (_, rows):
+        if tuple(next(rows, (1, ()))[1]) != RECORDS_HEADER:
             raise InvalidInput(f"{path}:1: expected header {','.join(RECORDS_HEADER)}")
-        for row in reader:
+        for line, row in rows:
             if len(row) != len(RECORDS_HEADER):
-                raise InvalidInput(f"{path}:{reader.line_num}: expected "
+                raise InvalidInput(f"{path}:{line}: expected "
                                    f"{len(RECORDS_HEADER)} fields, got {len(row)}")
             try:
                 records.append(RepRecord(
@@ -431,9 +456,7 @@ def read_records_csv(path) -> list[RepRecord]:
                     wall_time=float(row[5]) / 1e3,
                 ))
             except ValueError as exc:
-                raise InvalidInput(f"{path}:{reader.line_num}: {exc}") from exc
-    except csv.Error as exc:  # a field over csv's size limit
-        raise InvalidInput(f"{path}:{reader.line_num}: {exc}") from exc
+                raise InvalidInput(f"{path}:{line}: {exc}") from exc
     return records
 
 

@@ -124,6 +124,8 @@ class Whitening:
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
+        if mean.ndim != 1:
+            raise DimensionMismatch(f"mean must be a vector, got shape {mean.shape}")
         if not np.all(np.isfinite(mean)):
             raise InvalidInput("mean must be finite")
         object.__setattr__(self, "mean", _readonly(mean))

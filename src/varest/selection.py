@@ -115,8 +115,9 @@ def t_gamma(
     disjoint row block (the first block of :func:`split_rows`, with ``ds``
     the second) removes post-selection bias.
 
-    ``cap >= 0`` bounds |B_gamma| (effective bound ``min(p, cap)``), keeping
-    the strongest estimates; pass ``cap=None`` to disable.
+    ``cap >= 0`` bounds |B_gamma|, keeping the ``cap`` strongest estimates
+    (in ascending column order); pass ``cap=None`` to disable.  The gap rule
+    alone selects at most p - 2 columns, so a cap of p - 2 or more trims nothing.
     """
     if cap is not None and cap < 0:
         raise VarestError(f"cap must be nonnegative, got {cap}")
@@ -126,10 +127,8 @@ def t_gamma(
     beta2 = beta_squared_estimates(select_w if split else w)
     result = gap_select(beta2)
     selected = list(result.selected)
-    if cap is not None and len(selected) > min(ds.p, cap):
-        keep = min(ds.p, cap)
-        selected = sorted(selected, key=lambda j: -beta2[j])[:keep]
-        selected = sorted(selected)
+    if cap is not None and len(selected) > cap:
+        selected = sorted(sorted(selected, key=lambda j: -beta2[j])[:cap])
 
     tau2 = t_b(ds, w, selected)
     sigma_y2 = sample_variance_y(ds.y)

@@ -112,7 +112,8 @@ class TestSimulate:
         (["--seed", "-1"], "seed must be nonnegative, got -1"),
         (["--seed", "1", "--sigma2", "inf"], "sigma2 must be finite, got inf"),
         (["--seed", "1", "--tau2", "inf", "--tau2b", "1"], "tau2 must be finite, got inf"),
-    ], ids=["negative-seed", "infinite-sigma2", "infinite-tau2"])
+        (["--seed", "1", "--reps", "1"], "reps must be at least 2 to summarize, got 1"),
+    ], ids=["negative-seed", "infinite-sigma2", "infinite-tau2", "one-rep"])
     def test_bad_scenario_value_exits_2(self, tmp_path, capsys, flags, message):
         rc = run_cli([
             "simulate", "--n", "10", "--p", "4", "--tau2", "1", "--tau2b", "0.2",
@@ -122,6 +123,7 @@ class TestSimulate:
         ])
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r.csv").exists()  # refused before the run
 
     def test_scenario_file_wrong_type_exits_2(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
@@ -150,7 +152,7 @@ class TestSimulate:
         argv = (["simulate", "--scenario", str(path), "--seed", "1"] if kind == "scenario"
                 else ["estimate", "--data", str(toy_dataset[0]), "--model", str(path)])
         assert run_cli(argv) == 2
-        assert capsys.readouterr().err.startswith(f"error: cannot read {kind} file: maximum "
+        assert capsys.readouterr().err.startswith(f"error: {path}: maximum "
                                                   "recursion depth exceeded")
 
     def test_scenario_file_not_utf8_exits_2(self, tmp_path, capsys):
@@ -160,7 +162,28 @@ class TestSimulate:
                       "--records-out", str(tmp_path / "r.csv"),
                       "--summary-out", str(tmp_path / "s.csv")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: cannot read scenario file: 'utf-8'")
+        assert capsys.readouterr().err.startswith(f"error: {scenario}: 'utf-8'")
+
+    @pytest.mark.parametrize("flag", ["--records-out", "--summary-out"])
+    def test_missing_output_directory_exits_2_before_the_run(self, tmp_path, capsys,
+                                                              monkeypatch, flag):
+        def no_run(*args):
+            raise AssertionError("run_scenario ran")
+
+        monkeypatch.setattr(cli, "run_scenario", no_run)
+        (tmp_path / "r.csv").write_text("kept\n")
+        (tmp_path / "s.csv").write_text("kept\n")
+        missing = tmp_path / "missing" / "out.csv"
+        args = TestEmpiricalFlags.base_args("simulate", tmp_path, None)
+        assert run_cli(args + [flag, str(missing)]) == 2
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+        # the output file that exists is not opened for writing
+        assert read_lines(tmp_path / "r.csv") == read_lines(tmp_path / "s.csv") == ["kept"]
+
+    def test_no_estimators_exits_2(self, tmp_path, capsys):
+        args = TestEmpiricalFlags.base_args("simulate", tmp_path, None)
+        assert run_cli(args + ["--estimators", ","]) == 2
+        assert capsys.readouterr().err == "error: no estimators requested\n"
 
     def test_unknown_estimator_exits_2(self, tmp_path, capsys):
         rc = run_cli([
@@ -228,7 +251,8 @@ class TestSummaryTable:
 
 
 class TestFileErrors:
-    """A file that cannot be read or written, or malformed records, exit 2 with one line."""
+    """A file that cannot be read or written, or a malformed records, data, scenario or
+    model file, exits 2 with one line, ``error: <path>[:<line>]: <reason>``."""
 
     CASES = {
         "records-out": (["simulate", "--records-out", "{missing}/r.csv"],
@@ -248,6 +272,21 @@ class TestFileErrors:
                            "{tmp}/ragged.csv:3: expected 6 fields, got 5"),
         "summarize-out": (["summarize", "--out", "{missing}/s.csv"],
                           "{missing}/s.csv: No such file or directory"),
+        # a quote in the header that runs over a line end: the row named ends on line 3
+        "data-header-quote": (["estimate", "--data", "{tmp}/quote.csv"],
+                              "{tmp}/quote.csv:3: expected 3 fields, got 2\n"),
+        "data-header-quote-cr": (["estimate", "--data", "{tmp}/quote-cr.csv"],
+                                 "{tmp}/quote-cr.csv:3: expected 3 fields, got 2\n"),
+        "data-header-quote-open": (["estimate", "--data", "{tmp}/quote-open.csv"],
+                                   "{tmp}/quote-open.csv:3: unexpected end of data\n"),
+        "scenario-syntax": (["simulate", "--scenario", "{tmp}/syntax.json"],
+                            "{tmp}/syntax.json:2: Expecting value\n"),
+        "model-syntax": (["estimate", "--model", "{tmp}/syntax.json"],
+                         "{tmp}/syntax.json:2: Expecting value\n"),
+        "scenario-missing": (["simulate", "--scenario", "{missing}/s.json"],
+                             "{missing}/s.json: No such file or directory\n"),
+        "model-missing": (["estimate", "--model", "{missing}/m.json"],
+                          "{missing}/m.json: No such file or directory\n"),
         "true-tau2-nan": (["summarize", "--true-tau2", "nan"], "--true-tau2 must be finite"),
         "true-tau2-inf": (["summarize", "--true-tau2", "inf"], "--true-tau2 must be finite"),
     }
@@ -259,6 +298,10 @@ class TestFileErrors:
         (tmp_path / "not-utf8.csv").write_bytes(header + b"0,naive,1,0,,0\n1,naive,\xff,0,,0\n")
         (tmp_path / "header.csv").write_bytes(b"rep,estimator\n0,naive\n")
         (tmp_path / "ragged.csv").write_bytes(header + b"0,naive,1,0,,0\n1,naive,2,0,\n")
+        (tmp_path / "quote.csv").write_bytes(b'y,"x1\n1",2\n3,4\n')
+        (tmp_path / "quote-cr.csv").write_bytes(b'y,"x1\r1",2\r3,4\r')
+        (tmp_path / "quote-open.csv").write_bytes(b'y,"x1\n1,2\n3,4\n')
+        (tmp_path / "syntax.json").write_text('{"n": 20,\n "p": }\n')
         flags, message = self.CASES[case]
         command, *flags = [f.format(tmp=tmp_path, missing=tmp_path / "missing") for f in flags]
         argv = {"simulate": TestEmpiricalFlags.base_args("simulate", tmp_path, toy_dataset),
@@ -439,6 +482,28 @@ class TestEstimate:
         assert rc == 2
         assert err.startswith("error: invalid covariate model")
 
+    @pytest.mark.parametrize("raw_x", [False, True], ids=["whitened", "raw-x"])
+    @pytest.mark.parametrize("rows", [2, 3])
+    @pytest.mark.parametrize("content", [
+        {"mean": [[0.0, 0.0], [0.0, 0.0]]},
+        {"mean": [[1.0, 2.0], [3.0, 4.0]], "covariance": [[1.0, 0.0], [0.0, 1.0]]},
+        {"mean": [0.0, 0.0, 0.0]},
+        {"mean": [1.0]},
+        {"fourth_moments": [3.0, 3.0, 3.0]},
+        {"fourth_moments": [[3.0, 3.0]]},
+    ], ids=["mean-2d", "mean-2d-with-covariance", "mean-too-long", "mean-too-short",
+            "fourth-moments-too-long", "fourth-moments-2d"])
+    def test_model_vector_of_wrong_shape_exits_2(self, tmp_path, capsys, content, rows, raw_x):
+        data = tmp_path / "data.csv"
+        data.write_text("y,x1,x2\n" + "".join(f"{i},{i + 1},{2 * i}\n" for i in range(rows)))
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(content))
+        argv = ["estimate", "--data", str(data), "--model", str(model)]
+        assert run_cli(argv + ["--raw-x"] * raw_x) == 2
+        key = next(iter(content))
+        assert capsys.readouterr().err == (
+            f"error: invalid covariate model: {key} must be a number or a list of 2 numbers\n")
+
     @pytest.mark.parametrize("content, message", [
         ({"fourth_moments": "3"}, "fourth_moments must hold numbers, got '3'"),
         ({"fourth_moments": [True]}, "fourth_moments must hold numbers, got True"),
@@ -464,7 +529,7 @@ class TestEstimate:
         model.write_bytes(b'{"covariance": "identity", "x": "\xff"}')
         rc = run_cli(["estimate", "--data", str(toy_dataset[0]), "--model", str(model)])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: cannot read model file: 'utf-8'")
+        assert capsys.readouterr().err.startswith(f"error: {model}: 'utf-8'")
 
     def test_identity_model_builds_no_whitening(self, tmp_path):
         # 2000 x 2000 doubles are 32 MB; the model itself is one length-p vector.
@@ -938,7 +1003,7 @@ _SCENARIO_VALUES = {
     "tau2_b": ([0.0, 0.5], [-0.5, float("nan")]),
     "sigma2": ([0.0, 1.0, 1e300], [-1.0, float("inf")]),
     "b_size": ([1, 2], [0, -2, 99]),
-    "reps": ([1, 2, 4], [0, -1]),
+    "reps": ([2, 4], [1, 0, -1]),
     "seed": ([0, 7, 2 ** 40], [-1]),
     "x_dist": (["gaussian", "scaled-t(6)", "rademacher-mix"], ["scaled-t(3)", "bogus", ""]),
 }
@@ -1053,9 +1118,6 @@ def _check_summary(records_path, summary_path, table):
 def test_simulate_contract_on_fuzzed_input(tmp_path_factory, bad, extra):
     """``simulate`` exits 2 on bad input and 0 or 1 otherwise, raises and warns nothing,
     and prints the summary CSV it writes.
-
-    A missing summary directory is found only when the summary is written, so a
-    summary that fails first exits 1.
     """
     folder = tmp_path_factory.getbasetemp() / "fuzz-simulate"
     folder.mkdir(exist_ok=True)
@@ -1063,7 +1125,7 @@ def test_simulate_contract_on_fuzzed_input(tmp_path_factory, bad, extra):
         path.unlink()
     argv, spoil = extra.draw(_simulate_argv(folder, bad))
     rc, out = _run_main(argv)
-    assert rc in {None: (0, 1), "summary-out": (1, 2)}.get(spoil, (2,))
+    assert rc in ((0, 1) if spoil is None else (2,))
     if rc == 0:
         assert out.startswith("scenario: ")
         _check_summary(folder / "r.csv", folder / "s.csv", out.splitlines()[1:])

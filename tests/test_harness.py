@@ -23,6 +23,7 @@ from varest.harness import (
     HarnessOptions,
     RepRecord,
     SummaryStats,
+    csv_rows,
     estimate,
     format_value,
     read_records_csv,
@@ -559,14 +560,31 @@ class TestCsvRoundTrip:
         (HEADER + b"0,naive,1,0,,0\n\n", ":3: expected 6 fields, got 0"),
         (HEADER + b"0,naive,1,0,,0\n1,naive,1\xff,0,,0\n", ":3: byte 0xff is not UTF-8"),
         (HEADER + b'0,"' + b"x" * 200_000 + b'",1,0,,0\n', ":2: field larger than field limit"),
+        ((HEADER + b"0,naive,1,0,,0\n1,naive,1\xff,0,,0\n2,naive,1,0,,0\n").replace(b"\n", b"\r"),
+         ":3: byte 0xff is not UTF-8"),
+        ((HEADER + b"0,naive,1,0,,0\n1,naive,1\xff,0,,0\n").replace(b"\n", b"\r\n"),
+         ":3: byte 0xff is not UTF-8"),
+        (HEADER + b"0,naive,1,0\n1,naive,\xff,0,,0\n", ":2: expected 6 fields, got 4"),
+        (HEADER + b'0,naive,1,0,,0\n1,"naive"x,1,0,,0\n', ":3: ',' expected after '\"'"),
+        (HEADER + b'0,naive,1,0,,0\n1,"naive,1,0,,0\n', ":3: unexpected end of data"),
     ], ids=["empty", "ragged", "not-a-number", "rep-not-int", "blank-line", "not-utf8",
-            "huge-field"])
+            "huge-field", "not-utf8-cr", "not-utf8-crlf", "first-fault-first",
+            "text-after-quote", "unterminated-quote"])
     def test_malformed_records_name_their_line(self, tmp_path, body, message):
         path = tmp_path / "records.csv"
         path.write_bytes(body)
         with pytest.raises(InvalidInput) as info:
             read_records_csv(path)
         assert str(info.value).startswith(str(path) + message)
+
+    def test_csv_rows_carry_the_line_they_end_on(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b'a,"b\nc",d\r\n\r1,2\n3')
+        with csv_rows(path) as (fh, rows):
+            assert next(rows) == (2, ["a", "b\nc", "d"])
+            assert fh.read() == "\r1,2\n3"  # the file is left after the rows read
+        with csv_rows(path) as (_, rows):
+            assert list(rows) == [(2, ["a", "b\nc", "d"]), (3, []), (4, ["1", "2"]), (5, ["3"])]
 
 
 class TestFormatValue:

@@ -61,6 +61,11 @@ class TestCovariateModel:
         with pytest.raises(DimensionMismatch):
             Whitening(mean=np.zeros(2), covariance=np.eye(3))
 
+    @pytest.mark.parametrize("mean", [[[0.0, 0.0]], np.zeros((2, 2))], ids=["1x2", "2x2"])
+    def test_rejects_non_vector_mean(self, mean):
+        with pytest.raises(DimensionMismatch, match="mean must be a vector"):
+            Whitening(mean)
+
     def test_rejects_non_vector_fourth_moments(self):
         for m4 in (3.0, np.full((2, 2), 3.0)):
             with pytest.raises(DimensionMismatch):

@@ -16,6 +16,10 @@
 * The n x n self-product ``a @ a.T`` (the same expression on both sides) is
   formed only at the sites in ``SELF_PRODUCT_SITES``: every row-pair
   reduction goes through ``kernels.gram``.
+* Every input CSV is read by one strict reader: ``csv.reader`` is called only
+  at the site in ``CSV_READER_SITES``, which alone opens a file with
+  ``errors="surrogateescape"``, so every data and records file names a bad
+  byte or a malformed row by the same rule.
 * ``zeroboost`` dispatches no estimator ids: it takes its initial as
   ``"naive"`` or a callable, imports only ``ZEROBOOST_ESTIMATORS`` from
   ``estimators`` and nothing from ``selection`` or ``model.build_w``, and
@@ -57,6 +61,11 @@ SORT_SITES = {
 # (module, function) -> what its ``a @ a.T`` reduces.
 SELF_PRODUCT_SITES = {
     ("kernels.py", "gram"): "the rows of W, or of X with the columns scaled by Y for t_full",
+}
+
+# (module, function) -> what its ``csv.reader`` reads.
+CSV_READER_SITES = {
+    ("harness.py", "csv_rows"): "every input CSV: records files and the CLI's data files",
 }
 
 # Modules a CLI call imports only when it runs on worker processes or draws resamples.
@@ -192,6 +201,24 @@ def test_only_self_products_are_the_listed_sites():
     assert sites == set(SELF_PRODUCT_SITES)
 
 
+def _is_csv_reader(node):
+    """A call of ``csv.reader``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "reader" and getattr(node.func.value, "id", None) == "csv")
+
+
+def _surrogateescape_count(path):
+    """How many string constants of ``path`` are ``"surrogateescape"``."""
+    return sum(isinstance(node, ast.Constant) and node.value == "surrogateescape"
+               for node in ast.walk(_tree(path)))
+
+
+def test_one_csv_reader():
+    sites = [site for path in MODULES for site in _sites(path, _is_csv_reader)]
+    assert sites == list(CSV_READER_SITES)
+    assert sum(_surrogateescape_count(path) for path in MODULES) == 1
+
+
 def _zeroboost_violations(path):
     tree = _tree(path)
     imported = {}
@@ -322,6 +349,13 @@ def test_rules_catch_violations(tmp_path):
     products.write_text("def t_full(ds):\n    a = ds.x @ ds.x.T\n    return a @ a.T\n"
                         "def fine(ds, b):\n    return ds.x @ ds.y.T, b @ ds.x.T, ds.x.T @ ds.x\n")
     assert _self_product_sites(products) == [("estimators.py", "t_full")] * 2
+    readers = tmp_path / "cli.py"
+    readers.write_text("import csv\n"
+                       "def load(fh):\n    return csv.reader(fh, strict=True)\n"
+                       "def by_line(path):\n    fh = open(path, errors='surrogateescape')\n"
+                       "    return list(csv.reader(fh)), csv.writer(fh)\n")
+    assert _sites(readers, _is_csv_reader) == [("cli.py", "load"), ("cli.py", "by_line")]
+    assert _surrogateescape_count(readers) == 1
     runner = tmp_path / "run.py"
     runner.write_text('TARGETS = ("model.build_w", "model.no_such_function",\n'
                       '    "kernels._row_sums_and_square_sums", "model.SINGULARITY_RTOL")\n')

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from varest.errors import TooFewColumns, TooFewObservations, VarestError
-from varest.estimators import naive_tau2, psi_hat
+from varest.estimators import naive_tau2, psi_hat, t_b
+from varest.harness import DatasetStats, HarnessOptions, estimate
 from varest.kernels import ordered_sum
-from varest.model import LabeledDataset, build_w
+from varest.model import CovariateModel, LabeledDataset, build_w
 from varest.selection import beta_squared_estimates, gap_select, split_rows, t_gamma
 from varest.simgen import ScenarioConfig, build_beta, generate_dataset
 
@@ -152,9 +153,22 @@ class TestTGamma:
             _split_t_gamma(ds)
 
     def test_cap_bounds_selection(self):
-        ds = self._scenario_ds(seed=12, tau2_b=0.5)
-        report = t_gamma(ds, build_w(ds), cap=2)
-        assert len(report.aux["selected"]) <= 2
+        # uncapped, the gap rule selects four columns here: the cap trims them to 2
+        ds = self._scenario_ds(seed=31, tau2_b=0.5)
+        w = build_w(ds)
+        uncapped = t_gamma(ds, w, cap=None).aux["selected"]
+        assert len(uncapped) > 2
+        report = t_gamma(ds, w, cap=2)
+        kept = report.aux["selected"]
+        assert len(kept) == 2 and list(kept) == sorted(kept) and set(kept) < set(uncapped)
+        beta2 = beta_squared_estimates(w)
+        assert min(beta2[list(kept)]) > max(beta2[sorted(set(uncapped) - set(kept))])
+        assert report.tau2 == t_b(ds, w, list(kept))
+        for cap in (len(uncapped) - 1, len(uncapped)):
+            assert len(t_gamma(ds, w, cap=cap).aux["selected"]) == cap
+        stats = DatasetStats(ds, CovariateModel.independent(ds.p, 3.0))
+        harness = estimate(stats, "selection", options=HarnessOptions(select_cap=2))
+        assert harness.aux["selected"] == kept
 
     @pytest.mark.parametrize("call", [
         lambda ds: _split_t_gamma(ds, 1.5),
