@@ -3,7 +3,9 @@
 Exit codes: 0 on success; 2 on configuration or input errors (a bad flag or
 value, a file that cannot be read or written, a malformed data, model,
 scenario or records file); 1 on runtime failures.  :func:`main` returns them,
-argparse's usage errors included, and raises nothing.  A file error reads
+argparse's usage errors included, and raises nothing.  Each value is checked
+by the library type it builds, whatever estimators run, and each output
+directory before any work.  A file error reads
 ``error: <path>[:<line>]: <reason>``: data and records CSVs are read by one
 strict reader, ``harness.csv_rows``, and a JSON syntax error names its line.
 All simulation randomness flows from ``--seed`` (or the scenario file);
@@ -35,6 +37,7 @@ from .harness import (
     VARIANCE_METHODS,
     DatasetStats,
     HarnessOptions,
+    check_estimator_ids,
     csv_rows,
     estimate,
     format_value,
@@ -48,6 +51,7 @@ from .model import CovariateModel, LabeledDataset, Whitening, whiten
 from .simgen import ScenarioConfig
 
 _SCENARIO_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioConfig))
+_OPTION_KEYS = tuple(f.name for f in dataclasses.fields(HarnessOptions))
 _COLUMN = len(format_value(-np.finfo(float).max)) + 1  # a summary column fits any float
 
 
@@ -81,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="comma-separated ids: " + ",".join(ESTIMATOR_IDS))
     sim.add_argument("--records-out", default="records.csv")
     sim.add_argument("--summary-out", default="summary.csv")
-    sim.add_argument("--variance", choices=VARIANCE_METHODS)
+    sim.add_argument("--variance", dest="variance_method", help=" | ".join(VARIANCE_METHODS))
     sim.add_argument("--workers", type=int, default=1,
                      help="worker processes (capped at the CPU count)")
     _add_selection_flags(sim)
@@ -93,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="JSON covariate-model file (the known X distribution)")
     est.add_argument("--estimators", default="naive")
     est.add_argument("--out", help="output CSV (default: stdout)")
-    est.add_argument("--variance", choices=VARIANCE_METHODS)
+    est.add_argument("--variance", dest="variance_method", help=" | ".join(VARIANCE_METHODS))
     est.add_argument("--clamp", action="store_true",
                      help="clamp reported tau2/sigma2 at zero (output only)")
     est.add_argument("--center-y", action="store_true",
@@ -170,58 +174,43 @@ def _scenario_from_args(args) -> ScenarioConfig:
         raise _ConfigError("missing --seed: all simulation randomness must be pinned")
     try:
         return ScenarioConfig(**fields)
-    except (VarestError, TypeError) as exc:
-        raise _ConfigError(str(exc)) from exc
-
-
-def _parse_estimators(raw: str) -> list[str]:
-    ids = [e.strip() for e in raw.split(",") if e.strip()]
-    bad = [e for e in ids if e not in ESTIMATOR_IDS]
-    if bad:
-        raise _ConfigError(f"unknown estimator ids {bad}; expected {list(ESTIMATOR_IDS)}")
-    if not ids:
-        raise _ConfigError("no estimators requested")
-    return ids
-
-
-def _options_from_args(args, estimators: list[str]) -> HarnessOptions:
-    if "empirical" in estimators:
-        if args.initial not in INITIAL_IDS:
-            raise _ConfigError(
-                f"unknown --initial {args.initial!r}; expected one of {list(INITIAL_IDS)}"
-            )
-        if args.boot < 2:
-            raise _ConfigError(f"--boot must be at least 2, got {args.boot}")
-    if "selection" in estimators:
-        if args.select_split and not 0.0 < args.select_split_fraction < 1.0:
-            raise _ConfigError("--select-split-fraction must be in (0, 1), "
-                               f"got {args.select_split_fraction}")
-        if args.select_cap is not None and args.select_cap < 0:
-            raise _ConfigError(f"--select-cap must be nonnegative, got {args.select_cap}")
-    try:
-        return HarnessOptions(
-            select_split=args.select_split,
-            select_split_fraction=args.select_split_fraction,
-            select_cap=args.select_cap,
-            boot=args.boot,
-            initial=args.initial,
-            variance_method=args.variance,
-            workers=getattr(args, "workers", 1),
-        )
     except VarestError as exc:
         raise _ConfigError(str(exc)) from exc
 
 
+def _parse_estimators(raw: str) -> list[str]:
+    """The comma-separated ids of ``--estimators``, checked by ``check_estimator_ids``."""
+    ids = [e.strip() for e in raw.split(",") if e.strip()]
+    try:
+        check_estimator_ids(ids)
+    except InvalidInput as exc:
+        raise _ConfigError(str(exc)) from exc
+    return ids
+
+
+def _options_from_args(args) -> HarnessOptions:
+    """``HarnessOptions`` from the flags named after its fields; it checks every value."""
+    try:
+        return HarnessOptions(**{key: getattr(args, key) for key in _OPTION_KEYS
+                                 if hasattr(args, key)})
+    except VarestError as exc:
+        raise _ConfigError(str(exc)) from exc
+
+
+def _check_output_dirs(*paths: str | None) -> None:
+    """Fail before any work if an output's directory is missing; no file is opened yet."""
+    for path in filter(None, paths):
+        with _file_errors(path):
+            os.stat(os.path.dirname(os.path.abspath(path)))
+
+
 def _cmd_simulate(args) -> int:
+    _check_output_dirs(args.records_out, args.summary_out)
     cfg = _scenario_from_args(args)
     if cfg.reps < 2:
         raise _ConfigError(f"reps must be at least 2 to summarize, got {cfg.reps}")
     estimators = _parse_estimators(args.estimators)
-    options = _options_from_args(args, estimators)
-    for path in (args.records_out, args.summary_out):
-        # Only the directory is checked: an existing file is not truncated before the run.
-        with _file_errors(path):
-            os.stat(os.path.dirname(os.path.abspath(path)))
+    options = _options_from_args(args)
     records = run_scenario(cfg, estimators, options)
     with _file_errors(args.records_out):
         write_records_csv(args.records_out, records)
@@ -279,11 +268,6 @@ def _load_model(path: str, p: int) -> tuple[CovariateModel, Whitening | None]:
     raw = _read_json(path)
     if not isinstance(raw, dict):
         raise _ConfigError("invalid covariate model: the file must hold a JSON object")
-    flags = {"independent_columns": raw.get("independent_columns", True),
-             "gaussian": raw.get("gaussian", False)}
-    for key, value in flags.items():
-        if not isinstance(value, bool):
-            raise _ConfigError(f"invalid covariate model: {key} must be true or false")
     for key in ("mean", "covariance", "fourth_moments"):
         if key in raw and not (key == "covariance" and raw[key] == "identity"):
             _check_numbers(raw[key], key)
@@ -295,7 +279,8 @@ def _load_model(path: str, p: int) -> tuple[CovariateModel, Whitening | None]:
         if not (identity and not mean.any()):
             whitening = Whitening(mean, None if identity else np.asarray(cov, dtype=float))
         m4 = _model_vector(raw, "fourth_moments", 3.0, p)
-        return CovariateModel(m4, **flags), whitening
+        return CovariateModel(m4, independent_columns=raw.get("independent_columns", True),
+                              gaussian=raw.get("gaussian", False)), whitening
     except (VarestError, ValueError, TypeError) as exc:
         raise _ConfigError(f"invalid covariate model: {exc}") from exc
 
@@ -363,6 +348,7 @@ def _output(path: str | None):
 
 
 def _cmd_estimate(args) -> int:
+    _check_output_dirs(args.out)
     x, y = _load_dataset(args.data)
     model, whitening = _load_model(args.model, x.shape[1])
     estimators = _parse_estimators(args.estimators)
@@ -371,7 +357,7 @@ def _cmd_estimate(args) -> int:
             "the oracle estimator needs the true coefficients and is only "
             "available in simulations"
         )
-    options = _options_from_args(args, estimators)
+    options = _options_from_args(args)
     if args.raw_x and whitening is not None:
         x = whiten(x, whitening)
     ds = LabeledDataset(x=x, y=y)
@@ -407,6 +393,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
+    _check_output_dirs(args.out)
     if not np.isfinite(args.true_tau2):
         raise _ConfigError(f"--true-tau2 must be finite, got {args.true_tau2}")
     _print_summary_table(_summarize_records(args.records, args.true_tau2, args.out))

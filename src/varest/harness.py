@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import InsufficientRecords, InvalidInput, NonFiniteResult, VarestError
 from .estimators import (
+    ESTIMATOR_IDS,
     EstimateReport,
     SingleZeroStat,
     build_single_zero,
@@ -52,7 +53,7 @@ from .estimators import (
     t_oracle,
 )
 from .kernels import GramMatrix, gram, ordered_sum
-from .model import CovariateModel, LabeledDataset, WMatrix, build_w, sample_variance_y
+from .model import CovariateModel, LabeledDataset, WMatrix, build_w, check_fields, sample_variance_y
 from .selection import beta_squared_estimates, split_rows, t_gamma
 from .simgen import ScenarioConfig, build_beta, covariate_model_for, generate_dataset
 from .variance import (
@@ -71,6 +72,7 @@ __all__ = [
     "RepRecord",
     "SummaryStats",
     "VARIANCE_METHODS",
+    "check_estimator_ids",
     "csv_rows",
     "estimate",
     "format_value",
@@ -119,18 +121,28 @@ class SummaryStats:
 
 @dataclass(frozen=True)
 class HarnessOptions:
-    """Estimator options threaded through a scenario run."""
+    """Estimator options of a run; each field is checked when built, whatever estimators run."""
 
     select_split: bool = False
-    select_split_fraction: float = 0.5
-    select_cap: int | None = None  # None: uncapped (benchmark reproduction)
-    boot: int = 200
-    initial: str = "naive"
+    select_split_fraction: float = 0.5  # in (0, 1)
+    select_cap: int | None = None  # >= 0, or None: uncapped (benchmark reproduction)
+    boot: int = 200  # bootstrap resamples, >= 2
+    initial: str = "naive"  # one of INITIAL_IDS
     variance_method: str | None = None  # None or one of VARIANCE_METHODS
     workers: int = 1
 
     def __post_init__(self):
-        # The estimator-specific fields are checked where their estimator runs.
+        check_fields(self, InvalidInput)
+        if not 0.0 < self.select_split_fraction < 1.0:
+            raise InvalidInput(
+                f"select_split_fraction must be in (0, 1), got {self.select_split_fraction}")
+        if self.select_cap is not None and self.select_cap < 0:
+            raise InvalidInput(f"select_cap must be nonnegative, got {self.select_cap}")
+        if self.boot < 2:
+            raise InvalidInput(f"boot must be at least 2, got {self.boot}")
+        if self.initial not in INITIAL_IDS:
+            raise InvalidInput(f"unknown initial estimator {self.initial!r}; "
+                               f"expected one of {list(INITIAL_IDS)}")
         if self.variance_method is not None and self.variance_method not in VARIANCE_METHODS:
             raise InvalidInput(f"unknown variance method {self.variance_method!r}; "
                                f"expected None or one of {list(VARIANCE_METHODS)}")
@@ -195,6 +207,15 @@ _INITIALS = {**_TAU2, "selection": lambda st: t_gamma(st.ds, st.w).tau2}
 INITIAL_IDS = tuple(_INITIALS)
 
 
+def check_estimator_ids(estimator_ids) -> None:
+    """Raise ``InvalidInput`` unless ``estimator_ids`` is non-empty and within ``ESTIMATOR_IDS``."""
+    unknown = [e for e in estimator_ids if e not in ESTIMATOR_IDS]
+    if unknown:
+        raise InvalidInput(f"unknown estimator ids {unknown}; expected {list(ESTIMATOR_IDS)}")
+    if not estimator_ids:
+        raise InvalidInput("no estimators requested")
+
+
 def estimate(
     stats: DatasetStats,
     estimator_id: str,
@@ -212,6 +233,7 @@ def estimate(
     operations and division by zero raise ``NonFiniteResult``, as does a
     non-finite reported number; underflow stays quiet.
     """
+    check_estimator_ids((estimator_id,))
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             report = _estimate(stats, estimator_id, beta, options, boot_seed)
@@ -239,9 +261,6 @@ def _estimate(stats, estimator_id, beta, options, boot_seed) -> EstimateReport:
                         if method == "gaussian-plugin"
                         else var_tilde_t_gamma(base, beta2, selected, model, n))
     elif estimator_id == "empirical":
-        if options.initial not in _INITIALS:
-            raise InvalidInput(f"unknown initial estimator {options.initial!r}; "
-                               f"expected one of {list(INITIAL_IDS)}")
         entry = _INITIALS[options.initial]
         initial = "naive" if options.initial == "naive" else (
             lambda d, m: entry(DatasetStats(d, m)))
@@ -249,14 +268,12 @@ def _estimate(stats, estimator_id, beta, options, boot_seed) -> EstimateReport:
             n_boot=options.boot, seed=boot_seed, initial_estimator=initial))
         report.aux["initial"] = options.initial
     else:
-        if estimator_id in _TAU2:
+        if estimator_id != "oracle":
             tau2 = _TAU2[estimator_id](stats)
-        elif estimator_id == "oracle":
-            if beta is None:
-                raise VarestError("the oracle estimator needs the true beta")
-            tau2 = t_oracle(ds, stats.w, beta)
+        elif beta is None:
+            raise InvalidInput("the oracle estimator needs the true beta")
         else:
-            raise VarestError(f"unknown estimator id {estimator_id!r}")
+            tau2 = t_oracle(ds, stats.w, beta)
         if estimator_id in ("naive", "dicker"):
             variance = stats.naive_variance(method)
         elif estimator_id == "single" and method == "tilde":
@@ -311,11 +328,12 @@ def run_scenario(
 ) -> list[RepRecord]:
     """Run every requested estimator on every replication of a scenario.
 
-    Per-replication estimator failures are recorded (NaN estimates with the
-    error in ``aux``), not raised.  Output order is (rep, estimator) and is
-    identical for serial and parallel execution.
+    Bad ids raise ``InvalidInput`` before any replication; per-replication
+    estimator failures are recorded (NaN estimates with the error in ``aux``),
+    not raised.  Output order is (rep, estimator), serial or parallel.
     """
     estimator_ids = list(estimator_ids)
+    check_estimator_ids(estimator_ids)
     beta, model = build_beta(cfg), covariate_model_for(cfg)
     jobs = [(cfg, beta, model, estimator_ids, options, rep) for rep in range(cfg.reps)]
     workers = max(1, min(options.workers, os.cpu_count() or 1))

@@ -22,7 +22,9 @@ threads and worker processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -44,6 +46,7 @@ __all__ = [
     "WMatrix",
     "Whitening",
     "build_w",
+    "check_fields",
     "column_set",
     "sample_variance_y",
     "whiten",
@@ -57,6 +60,33 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.float64, copy=True)
     out.setflags(write=False)
     return out
+
+
+# Annotation -> the types a field's value may have, and how an error names them.
+_FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
+                "str": (str, "a string"), "bool": ((bool, np.bool_), "true or false")}
+
+
+def check_fields(obj, error: type[Exception]) -> None:
+    """Raise ``error`` unless each field of the dataclass ``obj`` holds its annotated type.
+
+    Annotations ``int``, ``float``, ``str`` or ``bool``, optionally ``| None``,
+    are checked (as strings: ``from __future__ import annotations``); others
+    are not.  A bool is neither an int nor a float; a float must be finite.
+    """
+    for f in fields(obj):
+        kind, value = f.type.removesuffix(" | None"), getattr(obj, f.name)
+        if kind not in _FIELD_KINDS or (value is None and kind != f.type):
+            continue
+        types, noun = _FIELD_KINDS[kind]
+        if not isinstance(value, types) or (kind != "bool" and isinstance(value, bool)):
+            raise error(f"{f.name} must be {noun}{' or None' * (kind != f.type)}, got {value!r}")
+        try:
+            finite = kind != "float" or math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise error(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +114,7 @@ class CovariateModel:
     gaussian: bool = False
 
     def __post_init__(self):
+        check_fields(self, InvalidInput)
         m4 = np.asarray(self.fourth_moments, dtype=np.float64)
         if m4.ndim != 1:
             raise DimensionMismatch(f"fourth_moments must be a vector, got shape {m4.shape}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewColumns, TooFewObservations, VarestError
+from .errors import InvalidInput, TooFewColumns, TooFewObservations
 from .estimators import EstimateReport, sigma2_from, t_b
 from .model import LabeledDataset, WMatrix, sample_variance_y
 
@@ -91,7 +91,7 @@ def split_rows(ds: LabeledDataset, fraction: float = 0.5) -> tuple[LabeledDatase
     leading block is statistically equivalent to a random subset.
     """
     if not 0.0 < fraction < 1.0:
-        raise VarestError(f"split_fraction must be in (0, 1), got {fraction}")
+        raise InvalidInput(f"split_fraction must be in (0, 1), got {fraction}")
     n = ds.n
     if n < 6:
         raise TooFewObservations("split selection needs n >= 6")
@@ -120,7 +120,7 @@ def t_gamma(
     alone selects at most p - 2 columns, so a cap of p - 2 or more trims nothing.
     """
     if cap is not None and cap < 0:
-        raise VarestError(f"cap must be nonnegative, got {cap}")
+        raise InvalidInput(f"cap must be nonnegative, got {cap}")
     if ds.n < 3:
         raise TooFewObservations("t_gamma needs n >= 3")
     split = select_w is not None

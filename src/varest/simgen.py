@@ -22,14 +22,13 @@ moment terms of the variance formulas:
 from __future__ import annotations
 
 import math
-import numbers
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidScenario
-from .model import CoefficientVector, CovariateModel, LabeledDataset
+from .model import CoefficientVector, CovariateModel, LabeledDataset, check_fields
 
 __all__ = [
     "ScenarioConfig",
@@ -40,8 +39,6 @@ __all__ = [
 ]
 
 _T_DIST = re.compile(r"^scaled-t\((\d+(?:\.\d+)?)\)$")
-_FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
-                "str": (str, "a string")}
 
 
 def _parse_x_dist(x_dist: str) -> tuple[str, float | None]:
@@ -75,13 +72,7 @@ class ScenarioConfig:
     x_dist: str = "gaussian"
 
     def __post_init__(self):
-        for f in fields(self):  # the annotations are the strings "int", "float" and "str"
-            value = getattr(self, f.name)
-            kind, noun = _FIELD_KINDS[f.type]
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise InvalidScenario(f"{f.name} must be {noun}, got {value!r}")
-            if f.type == "float" and not math.isfinite(value):
-                raise InvalidScenario(f"{f.name} must be finite, got {value!r}")
+        check_fields(self, InvalidScenario)
         if self.seed < 0:
             raise InvalidScenario(f"seed must be nonnegative, got {self.seed}")
         if self.n < 2 or self.p < 1:

@@ -53,7 +53,6 @@ on that, serially.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Union
 
@@ -61,7 +60,7 @@ import numpy as np
 
 from .errors import InitialEstimatorFailure, InvalidInput
 from .estimators import EstimateReport, naive_tau2, sigma2_from
-from .model import CovariateModel, LabeledDataset
+from .model import CovariateModel, LabeledDataset, check_fields
 
 if TYPE_CHECKING:
     from .harness import DatasetStats
@@ -89,10 +88,11 @@ class BootstrapConfig:
     initial_estimator: Union[str, InitialEstimator] = "naive"
 
     def __post_init__(self):
+        check_fields(self, InvalidInput)
         if self.n_boot < 2:
-            raise InvalidInput("empirical covariance needs n_boot >= 2")
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise InvalidInput(f"bootstrap seed must be a non-negative integer, got {self.seed!r}")
+            raise InvalidInput(f"empirical covariance needs n_boot >= 2, got {self.n_boot}")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be nonnegative, got {self.seed}")
         initial = self.initial_estimator
         if not (callable(initial) or (isinstance(initial, str) and initial == "naive")):
             raise InvalidInput(

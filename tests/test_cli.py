@@ -180,6 +180,15 @@ class TestSimulate:
         # the output file that exists is not opened for writing
         assert read_lines(tmp_path / "r.csv") == read_lines(tmp_path / "s.csv") == ["kept"]
 
+    def test_scenario_number_too_large_for_a_float_exits_2(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text('{"n": 10, "p": 4, "tau2": 1' + "0" * 400 + ', "tau2_b": 0.2}')
+        rc = run_cli(["simulate", "--scenario", str(scenario), "--seed", "1",
+                      "--records-out", str(tmp_path / "r.csv"),
+                      "--summary-out", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: tau2 must be finite, got 1000")
+
     def test_no_estimators_exits_2(self, tmp_path, capsys):
         args = TestEmpiricalFlags.base_args("simulate", tmp_path, None)
         assert run_cli(args + ["--estimators", ","]) == 2
@@ -328,49 +337,96 @@ class TestEmpiricalFlags:
         return ["estimate", "--data", str(data), "--model", str(model)]
 
     @pytest.mark.parametrize("flags, message", [
-        (["--initial", "bogus"], "--initial"),
-        (["--boot", "1"], "--boot"),
+        (["--initial", "bogus"], "unknown initial estimator 'bogus'; expected one of "
+                                 "['naive', 'dicker', 'full', 'single', 'selection']"),
+        (["--boot", "1"], "boot must be at least 2, got 1"),
     ], ids=["initial", "boot"])
     @pytest.mark.parametrize("command", ["simulate", "estimate"])
     def test_bad_value_exits_2(self, tmp_path, toy_dataset, capsys, command, flags, message):
         args = self.base_args(command, tmp_path, toy_dataset)
         rc = run_cli(args + ["--estimators", "naive,empirical", *flags])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["simulate", "estimate"])
     def test_ignored_without_empirical(self, tmp_path, toy_dataset, command):
-        # the bootstrap flags only matter when the empirical estimator runs
+        # the bootstrap flags are checked even when the empirical estimator does not run
         args = self.base_args(command, tmp_path, toy_dataset)
-        assert run_cli(args + ["--initial", "bogus", "--boot", "1"]) == 0
+        assert run_cli(args + ["--initial", "bogus", "--boot", "1"]) == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--boot", "1"], "boot must be at least 2, got 1"),
+        (["--select-split-fraction", "1.5"], "select_split_fraction must be in (0, 1), got 1.5"),
+        (["--variance", "bogus"], "unknown variance method 'bogus'; "
+                                  "expected None or one of ['gaussian-plugin', 'tilde']"),
+    ], ids=["boot", "fraction", "variance"])
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_checked_whatever_estimators_run(self, tmp_path, toy_dataset, capsys, monkeypatch,
+                                             command, flags, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("an estimator ran")
+
+        monkeypatch.setattr(cli, "run_scenario", no_work)
+        monkeypatch.setattr(cli, "estimate", no_work)
+        args = self.base_args(command, tmp_path, toy_dataset)
+        assert run_cli(args + ["--estimators", "naive", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSelectionFlags:
     base_args = staticmethod(TestEmpiricalFlags.base_args)
 
     @pytest.mark.parametrize("flags, message", [
-        (["--select-split", "--select-split-fraction", "1.5"], "--select-split-fraction"),
-        (["--select-split", "--select-split-fraction", "0"], "--select-split-fraction"),
-        (["--select-cap", "-1"], "--select-cap"),
+        (["--select-split", "--select-split-fraction", "1.5"],
+         "select_split_fraction must be in (0, 1), got 1.5"),
+        (["--select-split", "--select-split-fraction", "0"],
+         "select_split_fraction must be in (0, 1), got 0.0"),
+        (["--select-cap", "-1"], "select_cap must be nonnegative, got -1"),
     ], ids=["fraction-above-1", "fraction-0", "negative-cap"])
     @pytest.mark.parametrize("command", ["simulate", "estimate"])
     def test_bad_value_exits_2(self, tmp_path, toy_dataset, capsys, command, flags, message):
         args = self.base_args(command, tmp_path, toy_dataset)
         rc = run_cli(args + ["--estimators", "naive,selection", *flags])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["simulate", "estimate"])
     def test_ignored_without_selection(self, tmp_path, toy_dataset, command):
+        # the selection flags are checked even when the selection estimator does not run
         args = self.base_args(command, tmp_path, toy_dataset)
         flags = ["--select-split", "--select-split-fraction", "1.5", "--select-cap", "-1"]
-        assert run_cli(args + flags) == 0
+        assert run_cli(args + flags) == 2
 
     def test_fraction_ignored_without_split(self, tmp_path, toy_dataset):
+        # the split fraction is checked even without --select-split
         args = self.base_args("simulate", tmp_path, toy_dataset)
-        assert run_cli(args + ["--estimators", "selection", "--select-split-fraction", "1.5"]) == 0
+        assert run_cli(args + ["--estimators", "selection", "--select-split-fraction", "1.5"]) == 2
+
+
+class TestOutputDirectories:
+    """Each command checks its output directories before it reads or computes anything."""
+
+    def test_estimate_runs_no_estimator(self, tmp_path, toy_dataset, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("an estimator ran")
+
+        monkeypatch.setattr(cli, "estimate", no_work)
+        missing = tmp_path / "missing" / "e.csv"
+        args = TestEmpiricalFlags.base_args("estimate", tmp_path, toy_dataset)
+        rc = run_cli(args + ["--estimators", "naive,empirical", "--out", str(missing)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+    def test_summarize_exits_2_before_a_failing_summary(self, tmp_path, capsys):
+        # these records overflow the summary, which exits 1 when the output can be written
+        path = tmp_path / "huge.csv"
+        path.write_text("rep,estimator,tau2_hat,sigma2_hat,var_hat,wall_ms\n"
+                        "0,naive,1e308,0,,0\n1,naive,-1e308,0,,0\n")
+        missing = tmp_path / "missing" / "s.csv"
+        rc = run_cli(["summarize", "--records", str(path), "--true-tau2", "1.0",
+                      "--out", str(missing)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
 
 
 class TestEstimate:
@@ -1009,9 +1065,6 @@ _SCENARIO_VALUES = {
 }
 _WRONG_TYPES = [True, None, [1], "abc"]
 _SCENARIO_FLAGS = {"tau2_b": "--tau2b", "b_size": "--b-size", "x_dist": "--x-dist"}
-# The estimator a flag's value is checked for (the flag is ignored without it).
-_CHECKED_FOR = {"--initial": "empirical", "--boot": "empirical",
-                "--select-cap": "selection", "--select-split-fraction": "selection"}
 
 
 @st.composite
@@ -1045,11 +1098,11 @@ def _simulate_argv(draw, folder, bad):
                           min_size=int(spoil == "argv")))
     wrong = draw(st.sampled_from(["--estimators", *flags])) if spoil == "argv" else None
     ids = draw(st.lists(st.sampled_from(ESTIMATOR_IDS), min_size=1))
-    ids += ["bogus"] if wrong == "--estimators" else [_CHECKED_FOR.get(wrong, ids[0])]
+    ids += ["bogus"] * (wrong == "--estimators")
     argv += ["--estimators", ",".join(ids)]
     for flag in flags:
         argv += [flag, draw(st.sampled_from(values[flag][flag == wrong]))]
-    if wrong == "--select-split-fraction" or draw(st.booleans()):
+    if draw(st.booleans()):
         argv.append("--select-split")
     for flag, name in (("--records-out", "r.csv"), ("--summary-out", "s.csv")):
         argv += [flag, str(folder / "missing" / name if spoil == flag[2:] else folder / name)]
@@ -1147,9 +1200,9 @@ def test_summarize_contract_on_fuzzed_input(tmp_path_factory, records, true_tau2
     summary.unlink(missing_ok=True)
     rc, out = _run_main(["summarize", "--records", str(folder / "r.csv"),
                          "--true-tau2", true_tau2, "--out", str(summary)])
-    if malformed or true_tau2 in ("nan", "inf", "abc"):
+    if malformed or true_tau2 in ("nan", "inf", "abc") or out_missing:
         assert rc == 2
     else:
-        assert rc in ((1, 2) if out_missing else (0, 1))
+        assert rc in (0, 1)
     if rc == 0:
         _check_summary(folder / "r.csv", summary, out.splitlines())

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -69,10 +70,49 @@ class TestHarnessOptions:
         ({"variance_method": ""}, "unknown variance method ''"),
         ({"workers": 0}, "workers must be at least 1, got 0"),
         ({"workers": -3}, "workers must be at least 1, got -3"),
+        ({"select_split": "yes"}, "select_split must be true or false, got 'yes'"),
+        ({"select_split": 1}, "select_split must be true or false, got 1"),
+        ({"select_split_fraction": 1.5}, "select_split_fraction must be in (0, 1), got 1.5"),
+        ({"select_split_fraction": 0}, "select_split_fraction must be in (0, 1), got 0"),
+        ({"select_split_fraction": 1.0}, "select_split_fraction must be in (0, 1), got 1.0"),
+        ({"select_split_fraction": float("nan")}, "select_split_fraction must be finite, got nan"),
+        ({"select_split_fraction": True}, "select_split_fraction must be a number, got True"),
+        ({"select_cap": -1}, "select_cap must be nonnegative, got -1"),
+        ({"select_cap": True}, "select_cap must be an integer or None, got True"),
+        ({"select_cap": 2.0}, "select_cap must be an integer or None, got 2.0"),
+        ({"boot": 1}, "boot must be at least 2, got 1"),
+        ({"boot": -5}, "boot must be at least 2, got -5"),
+        ({"boot": 2.5}, "boot must be an integer, got 2.5"),
+        ({"initial": "bogus"}, "unknown initial estimator 'bogus'; expected one of "
+                               "['naive', 'dicker', 'full', 'single', 'selection']"),
+        ({"initial": None}, "initial must be a string, got None"),
+        ({"variance_method": 1}, "variance_method must be a string or None, got 1"),
+        ({"workers": 2.0}, "workers must be an integer, got 2.0"),
+        ({"workers": False}, "workers must be an integer, got False"),
     ])
     def test_bad_value_rejected_when_built(self, fields, message):
-        with pytest.raises(InvalidInput, match=message):
+        # every field is checked, whatever estimators the options will serve
+        with pytest.raises(InvalidInput, match=re.escape(message)):
             HarnessOptions(**fields)
+
+    @pytest.mark.parametrize("ids, options", [
+        (["bogus"], {}),
+        (["naive", "bogus"], {}),
+        ([], {}),
+        (["empirical"], {"boot": 1}),
+        (["naive"], {"boot": 1}),
+        (["selection"], {"select_cap": -1}),
+        (["empirical"], {"initial": "oracle"}),
+    ])
+    def test_bad_request_draws_no_dataset(self, monkeypatch, ids, options):
+        import varest.harness as harness
+
+        def no_draw(*args):
+            raise AssertionError("generate_dataset ran")
+
+        monkeypatch.setattr(harness, "generate_dataset", no_draw)
+        with pytest.raises(InvalidInput):
+            run_scenario(small_cfg(reps=2), ids, HarnessOptions(**options))
 
     def test_bad_variance_method_never_reaches_a_run(self):
         # it used to give one NaN record per replication and estimator, raising nothing
@@ -317,6 +357,16 @@ class TestEstimateDispatch:
             report = estimate(stats, eid, beta=beta if eid == "oracle" else None,
                               options=HarnessOptions(boot=5))
             assert report.estimator_id == eid and math.isfinite(report.tau2)
+
+    @pytest.mark.parametrize("eid, message", [
+        ("bogus", "unknown estimator ids ['bogus']"),
+        ("oracle", "the oracle estimator needs the true beta"),
+    ])
+    def test_bad_request_is_invalid_input(self, eid, message):
+        cfg = small_cfg(reps=1)
+        stats = DatasetStats(generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg))
+        with pytest.raises(InvalidInput, match=re.escape(message)):
+            estimate(stats, eid)
 
     def test_initials_are_estimator_ids(self):
         assert "naive" in INITIAL_IDS

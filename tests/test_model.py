@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from varest.model import (
     LabeledDataset,
     Whitening,
     build_w,
+    check_fields,
     column_set,
     sample_variance_y,
     whiten,
@@ -70,6 +72,23 @@ class TestCovariateModel:
         for m4 in (3.0, np.full((2, 2), 3.0)):
             with pytest.raises(DimensionMismatch):
                 CovariateModel(fourth_moments=m4)
+
+    @pytest.mark.parametrize("flags, message", [
+        ({"independent_columns": "no", "gaussian": "no"},
+         "independent_columns must be true or false, got 'no'"),
+        ({"gaussian": "no"}, "gaussian must be true or false, got 'no'"),
+        ({"gaussian": 1}, "gaussian must be true or false, got 1"),
+        ({"independent_columns": 0}, "independent_columns must be true or false, got 0"),
+        ({"independent_columns": None}, "independent_columns must be true or false, got None"),
+    ])
+    def test_flags_must_be_booleans(self, flags, message):
+        # a non-empty string such as "no" is truthy: it would read as true
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            CovariateModel(np.full(4, 3.0), **flags)
+
+    def test_numpy_booleans_are_flags(self):
+        m = CovariateModel(np.full(2, 3.0), independent_columns=np.True_, gaussian=np.False_)
+        assert m.independent_columns and not m.gaussian
 
     def test_gaussian_forces_fourth_moment_three(self):
         with pytest.raises(ValueError):
@@ -319,3 +338,54 @@ class TestCoefficientVector:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             CoefficientVector(beta=[np.nan])
+
+
+@dataclass(frozen=True)
+class _Fields:
+    """Every annotation ``check_fields`` reads, and two that it does not."""
+
+    count: "int" = 1
+    scale: "float" = 1.0
+    name: "str" = "a"
+    flag: "bool" = False
+    cap: "int | None" = None
+    method: "str | None" = None
+    array: "np.ndarray" = None
+    pair: "tuple" = ()
+
+
+class TestCheckFields:
+    @pytest.mark.parametrize("fields", [
+        {}, {"count": np.int64(3), "scale": 2, "cap": 0, "method": "m"},
+        {"scale": np.float32(0.5), "flag": np.True_, "cap": np.uint8(7)},
+        {"scale": -1.7976931348623157e308, "array": "any", "pair": [1, "x"]},
+    ])
+    def test_accepts_values_of_the_annotated_type(self, fields):
+        check_fields(_Fields(**fields), InvalidInput)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"count": True}, "count must be an integer, got True"),
+        ({"count": np.True_}, "count must be an integer, got np.True_"),
+        ({"count": 2.0}, "count must be an integer, got 2.0"),
+        ({"count": "2"}, "count must be an integer, got '2'"),
+        ({"count": None}, "count must be an integer, got None"),
+        ({"scale": False}, "scale must be a number, got False"),
+        ({"scale": "1"}, "scale must be a number, got '1'"),
+        ({"scale": float("nan")}, "scale must be finite, got nan"),
+        ({"scale": -float("inf")}, "scale must be finite, got -inf"),
+        ({"scale": 2 ** 1024}, f"scale must be finite, got {2 ** 1024}"),
+        ({"name": 3}, "name must be a string, got 3"),
+        ({"flag": 1}, "flag must be true or false, got 1"),
+        ({"flag": "yes"}, "flag must be true or false, got 'yes'"),
+        ({"cap": True}, "cap must be an integer or None, got True"),
+        ({"cap": 1.5}, "cap must be an integer or None, got 1.5"),
+        ({"method": 0}, "method must be a string or None, got 0"),
+    ])
+    def test_rejects_a_value_of_another_type(self, fields, message):
+        with pytest.raises(InvalidInput) as info:
+            check_fields(_Fields(**fields), InvalidInput)
+        assert str(info.value) == message
+
+    def test_raises_the_given_error(self):
+        with pytest.raises(TooFewObservations, match="count must be an integer"):
+            check_fields(_Fields(count=None), TooFewObservations)

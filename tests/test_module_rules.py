@@ -31,6 +31,10 @@
   called and every per-layer measure still fits its target's arguments.
 * ``import varest.cli`` loads none of ``DEFERRED_MODULES``: only a parallel
   run or a bootstrap uses them, so they are imported where they are used.
+* Each config type in ``CONFIG_TYPES`` checks its fields when it is built:
+  its ``__post_init__`` starts with ``check_fields(self, ...)``, the one
+  field checker.  ``cli.py`` compares none of the flags in ``OPTION_FLAGS``
+  against a bound or a set, so the CLI keeps no copy of an option's rule.
 """
 
 import ast
@@ -70,6 +74,12 @@ CSV_READER_SITES = {
 
 # Modules a CLI call imports only when it runs on worker processes or draws resamples.
 DEFERRED_MODULES = ("multiprocessing", "concurrent.futures", "numpy.random")
+
+# (module, class) of each config dataclass, which checks its own fields when built.
+CONFIG_TYPES = {("model.py", "CovariateModel"), ("simgen.py", "ScenarioConfig"),
+                ("harness.py", "HarnessOptions"), ("zeroboost.py", "BootstrapConfig")}
+# The ``args`` attributes whose values only ``HarnessOptions`` checks.
+OPTION_FLAGS = ("boot", "initial", "select_split_fraction", "select_cap")
 
 ZEROBOOST = ROOT / "src" / "varest" / "zeroboost.py"
 ZEROBOOST_ESTIMATORS = {"EstimateReport", "naive_tau2", "sigma2_from"}
@@ -235,6 +245,44 @@ def test_zeroboost_dispatches_no_estimator_ids():
     assert _zeroboost_violations(ZEROBOOST) == []
 
 
+def _field_checked_classes(path):
+    """``(module, class)`` of every class of ``path`` whose ``__post_init__`` starts
+    with a ``check_fields(self, ...)`` call."""
+    checked = set()
+    for node in ast.walk(_tree(path)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__post_init__":
+                first = item.body[0]
+                call = first.value if isinstance(first, ast.Expr) else None
+                if (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "check_fields"
+                        and call.args and getattr(call.args[0], "id", None) == "self"):
+                    checked.add((path.name, node.name))
+    return checked
+
+
+def _option_comparisons(path):
+    """``line: args.<flag>`` of each comparison in ``path`` reading a flag in ``OPTION_FLAGS``."""
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Compare):
+            for side in (node.left, *node.comparators):
+                if (isinstance(side, ast.Attribute) and side.attr in OPTION_FLAGS
+                        and getattr(side.value, "id", None) == "args"):
+                    found.append(f"{node.lineno}: args.{side.attr}")
+    return found
+
+
+def test_config_types_check_their_fields():
+    checked = set().union(*(_field_checked_classes(path) for path in MODULES))
+    assert CONFIG_TYPES <= checked
+
+
+def test_cli_keeps_no_option_rule():
+    assert _option_comparisons(ROOT / "src" / "varest" / "cli.py") == []
+
+
 def _traced_targets(path):
     for node in _tree(path).body:
         if (isinstance(node, ast.Assign)
@@ -361,6 +409,20 @@ def test_rules_catch_violations(tmp_path):
                       '    "kernels._row_sums_and_square_sums", "model.SINGULARITY_RTOL")\n')
     assert _missing_targets(_traced_targets(runner)) == [
         "model.no_such_function", "kernels._row_sums_and_square_sums", "model.SINGULARITY_RTOL"]
+    configs = tmp_path / "harness.py"
+    configs.write_text("class HarnessOptions:\n    def __post_init__(self):\n"
+                       "        if self.boot < 2:\n            raise InvalidInput('boot')\n"
+                       "        check_fields(self, InvalidInput)\n"
+                       "class Checked:\n    def __post_init__(self):\n"
+                       "        check_fields(self, InvalidInput)\n")
+    assert _field_checked_classes(configs) == {("harness.py", "Checked")}
+    rules = tmp_path / "cli.py"
+    rules.write_text("def options(args, estimators):\n"
+                     "    if args.boot < 2 or args.initial not in IDS:\n        raise E\n"
+                     "    if 0.0 < args.select_split_fraction < 1.0 and args.select_cap is None:\n"
+                     "        return args.boot, args.workers < 1, other.boot > 2\n")
+    assert _option_comparisons(rules) == ["2: args.boot", "2: args.initial",
+                                          "4: args.select_split_fraction", "4: args.select_cap"]
     eager = tmp_path / "eager"
     eager.mkdir()
     (eager / "eager.py").write_text("import numpy.random\nfrom concurrent.futures import "

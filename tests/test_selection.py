@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from varest.errors import TooFewColumns, TooFewObservations, VarestError
+from varest.errors import InvalidInput, TooFewColumns, TooFewObservations
 from varest.estimators import naive_tau2, psi_hat, t_b
 from varest.harness import DatasetStats, HarnessOptions, estimate
 from varest.kernels import ordered_sum
@@ -177,7 +177,7 @@ class TestTGamma:
     ], ids=["fraction-above-1", "fraction-0", "negative-cap"])
     def test_bad_option_raises(self, call):
         ds = self._scenario_ds(seed=12, tau2_b=0.5)
-        with pytest.raises(VarestError):
+        with pytest.raises(InvalidInput):
             call(ds)
 
     def test_split_recovery_rate(self):

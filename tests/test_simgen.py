@@ -38,6 +38,11 @@ class TestScenarioConfig:
         with pytest.raises(InvalidScenario, match=field):
             ScenarioConfig(**fields)
 
+    def test_rejects_int_too_large_for_a_float(self):
+        # a JSON scenario file may hold an integer that no float can represent
+        with pytest.raises(InvalidScenario, match="tau2 must be finite"):
+            ScenarioConfig(n=10, p=8, tau2=10 ** 400, tau2_b=0.5, seed=0)
+
     def test_accepts_numpy_numbers(self):
         cfg = ScenarioConfig(n=np.int64(10), p=8, tau2=np.float64(1.0), tau2_b=1, seed=0)
         assert (cfg.n, cfg.tau2, cfg.tau2_b) == (10, 1.0, 1)

@@ -34,8 +34,22 @@ class TestBootstrapConfig:
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "1", None])
     def test_seed_must_be_non_negative_integer(self, seed):
-        with pytest.raises(InvalidInput, match="non-negative integer"):
+        # -1 is out of range; the other values are not integers
+        with pytest.raises(InvalidInput, match="^seed must be (nonnegative|an integer), got "):
             BootstrapConfig(n_boot=2, seed=seed)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"n_boot": 2.5}, "n_boot must be an integer, got 2.5"),
+        ({"n_boot": True}, "n_boot must be an integer, got True"),
+        ({"n_boot": "3"}, "n_boot must be an integer, got '3'"),
+        ({"n_boot": 1}, "empirical covariance needs n_boot >= 2, got 1"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": np.True_}, "seed must be an integer, got np.True_"),
+    ])
+    def test_fields_checked_when_built(self, fields, message):
+        with pytest.raises(InvalidInput) as info:
+            BootstrapConfig(**fields)
+        assert str(info.value) == message
 
 
 class TestEmpiricalEstimator:
