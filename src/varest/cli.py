@@ -1,13 +1,15 @@
 """Command-line interface: simulate scenarios, estimate from files, summarize.
 
-Exit codes: 0 on success; 2 on configuration or input errors (a bad flag or
-value, a file that cannot be read or written, a malformed data, model,
-scenario or records file); 1 on runtime failures.  :func:`main` returns them,
-argparse's usage errors included, and raises nothing.  Each value is checked
-by the library type it builds, whatever estimators run, and each output
-directory before any work.  A file error reads
-``error: <path>[:<line>]: <reason>``: data and records CSVs are read by one
-strict reader, ``harness.csv_rows``, and a JSON syntax error names its line.
+Exit codes: 0 on success; 2 on bad input (a bad flag or value, a file that
+cannot be read or written, a malformed data, model, scenario or records
+file), which is an ``InvalidInput`` whether the library or the CLI finds it;
+1 on every other ``VarestError``.  The CLI defines no error class of its own.
+:func:`main` returns the codes, argparse's usage errors included, and raises
+nothing.  Each value is checked by the library type it builds, whatever
+estimators run, and each output directory before any work.  A file error
+reads ``error: <path>[:<line>]: <reason>``: data and records CSVs are read by
+one strict reader, ``harness.csv_rows``, and JSON files by ``_read_json``,
+which names the line of a syntax error.
 All simulation randomness flows from ``--seed`` (or the scenario file);
 omitting it is an error, never silent entropy.  Every number the CLI writes or prints goes
 through ``format_value`` (6 significant digits), and both ``simulate`` and
@@ -47,16 +49,12 @@ from .harness import (
     write_records_csv,
     write_summary_csv,
 )
-from .model import CovariateModel, LabeledDataset, Whitening, whiten
+from .model import CovariateModel, LabeledDataset, Whitening, float_array, whiten
 from .simgen import ScenarioConfig
 
 _SCENARIO_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioConfig))
 _OPTION_KEYS = tuple(f.name for f in dataclasses.fields(HarnessOptions))
 _COLUMN = len(format_value(-np.finfo(float).max)) + 1  # a summary column fits any float
-
-
-class _ConfigError(Exception):
-    """User-input problem; mapped to exit code 2."""
 
 
 @functools.cache
@@ -132,24 +130,22 @@ def _add_empirical_flags(p: argparse.ArgumentParser) -> None:
 
 @contextlib.contextmanager
 def _file_errors(path: str):
-    """Make a file that cannot be opened, read or written, or a malformed data,
-    records or JSON file, an input error that reads ``<path>[:<line>]: <reason>``.
-    """
+    """Make a file that cannot be opened, read or written an input error, ``<path>: <reason>``."""
     try:
         yield
     except OSError as exc:
-        raise _ConfigError(f"{path}: {exc.strerror or exc}") from exc
-    except InvalidInput as exc:  # from csv_rows or read_records_csv, which name path and line
-        raise _ConfigError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise _ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    except (UnicodeDecodeError, RecursionError) as exc:  # JSON not UTF-8, or nested too deep
-        raise _ConfigError(f"{path}: {exc}") from exc
+        raise InvalidInput(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _read_json(path: str):
+    """The JSON value in ``path``; a file that does not decode is an input error naming it."""
     with _file_errors(path), open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidInput(f"{path}:{exc.lineno}: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:  # not UTF-8, an int too long, too deep
+            raise InvalidInput(f"{path}: {exc}") from exc
 
 
 def _scenario_from_args(args) -> ScenarioConfig:
@@ -157,10 +153,10 @@ def _scenario_from_args(args) -> ScenarioConfig:
     if args.scenario:
         raw = _read_json(args.scenario)
         if not isinstance(raw, dict):
-            raise _ConfigError("invalid scenario: the file must hold a JSON object")
+            raise InvalidInput("invalid scenario: the file must hold a JSON object")
         unknown = set(raw) - set(_SCENARIO_KEYS)
         if unknown:
-            raise _ConfigError(f"unknown scenario fields: {sorted(unknown)}")
+            raise InvalidInput(f"unknown scenario fields: {sorted(unknown)}")
         fields.update(raw)
     for key in _SCENARIO_KEYS:
         value = getattr(args, key, None)
@@ -169,32 +165,23 @@ def _scenario_from_args(args) -> ScenarioConfig:
     for key in ("n", "p", "tau2", "tau2_b"):
         if key not in fields:
             flag = "--tau2b" if key == "tau2_b" else f"--{key}"
-            raise _ConfigError(f"missing required scenario field {key} ({flag})")
+            raise InvalidInput(f"missing required scenario field {key} ({flag})")
     if "seed" not in fields:
-        raise _ConfigError("missing --seed: all simulation randomness must be pinned")
-    try:
-        return ScenarioConfig(**fields)
-    except VarestError as exc:
-        raise _ConfigError(str(exc)) from exc
+        raise InvalidInput("missing --seed: all simulation randomness must be pinned")
+    return ScenarioConfig(**fields)
 
 
 def _parse_estimators(raw: str) -> list[str]:
     """The comma-separated ids of ``--estimators``, checked by ``check_estimator_ids``."""
     ids = [e.strip() for e in raw.split(",") if e.strip()]
-    try:
-        check_estimator_ids(ids)
-    except InvalidInput as exc:
-        raise _ConfigError(str(exc)) from exc
+    check_estimator_ids(ids)
     return ids
 
 
 def _options_from_args(args) -> HarnessOptions:
     """``HarnessOptions`` from the flags named after its fields; it checks every value."""
-    try:
-        return HarnessOptions(**{key: getattr(args, key) for key in _OPTION_KEYS
-                                 if hasattr(args, key)})
-    except VarestError as exc:
-        raise _ConfigError(str(exc)) from exc
+    return HarnessOptions(**{key: getattr(args, key) for key in _OPTION_KEYS
+                             if hasattr(args, key)})
 
 
 def _check_output_dirs(*paths: str | None) -> None:
@@ -208,7 +195,7 @@ def _cmd_simulate(args) -> int:
     _check_output_dirs(args.records_out, args.summary_out)
     cfg = _scenario_from_args(args)
     if cfg.reps < 2:
-        raise _ConfigError(f"reps must be at least 2 to summarize, got {cfg.reps}")
+        raise InvalidInput(f"reps must be at least 2 to summarize, got {cfg.reps}")
     estimators = _parse_estimators(args.estimators)
     options = _options_from_args(args)
     records = run_scenario(cfg, estimators, options)
@@ -230,7 +217,7 @@ def _summarize_records(records_path: str, true_tau2: float, summary_path: str):
     with _file_errors(records_path):
         records = read_records_csv(records_path)
     if not records:
-        raise _ConfigError(f"{records_path}: no records")
+        raise InvalidInput(f"{records_path}: no records")
     summaries = summarize(records, true_tau2)
     with _file_errors(summary_path):
         write_summary_csv(summary_path, summaries)
@@ -243,21 +230,11 @@ def _print_summary_table(summaries) -> None:
         print(f"{row[0]:<12}" + "".join(f"{v:>{_COLUMN}}" for v in row[1:]))
 
 
-def _check_numbers(value, key: str) -> None:
-    """Reject a string or boolean anywhere in a numeric model field (numpy would convert it)."""
-    stack = [value]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, list):
-            stack.extend(item)
-        elif isinstance(item, (bool, str)):
-            raise _ConfigError(f"invalid covariate model: {key} must hold numbers, got {item!r}")
-
-
 def _model_vector(raw: dict, key: str, default: float, p: int) -> np.ndarray:
     """Model field ``key`` as a length-p vector: a number or a list of p numbers."""
-    value = raw.get(key, default)
-    vector = np.full(p, float(value)) if np.isscalar(value) else np.asarray(value, dtype=float)
+    vector = float_array(raw.get(key, default), key)
+    if vector.ndim == 0:
+        vector = np.full(p, vector)
     if vector.shape != (p,):
         raise DimensionMismatch(f"{key} must be a number or a list of {p} numbers")
     return vector
@@ -267,29 +244,26 @@ def _load_model(path: str, p: int) -> tuple[CovariateModel, Whitening | None]:
     """The file's covariate model, and its whitening unless that is the identity map."""
     raw = _read_json(path)
     if not isinstance(raw, dict):
-        raise _ConfigError("invalid covariate model: the file must hold a JSON object")
-    for key in ("mean", "covariance", "fourth_moments"):
-        if key in raw and not (key == "covariance" and raw[key] == "identity"):
-            _check_numbers(raw[key], key)
+        raise InvalidInput("invalid covariate model: the file must hold a JSON object")
     try:
         mean = _model_vector(raw, "mean", 0.0, p)
         cov = raw.get("covariance", "identity")
         identity = cov == "identity"
         whitening = None
         if not (identity and not mean.any()):
-            whitening = Whitening(mean, None if identity else np.asarray(cov, dtype=float))
+            whitening = Whitening(mean, None if identity else cov)
         m4 = _model_vector(raw, "fourth_moments", 3.0, p)
         return CovariateModel(m4, independent_columns=raw.get("independent_columns", True),
                               gaussian=raw.get("gaussian", False)), whitening
-    except (VarestError, ValueError, TypeError) as exc:
-        raise _ConfigError(f"invalid covariate model: {exc}") from exc
+    except InvalidInput as exc:
+        raise InvalidInput(f"invalid covariate model: {exc}") from exc
 
 
 def _read_header(path: str, rows) -> int:
     """Check the ``y,x1,...,xp`` header and return its field count."""
     header = next(rows, (1, []))[1]
     if not header or header[0] != "y" or len(header) < 2:
-        raise _ConfigError(f"{path}:1: expected header y,x1,...,xp")
+        raise InvalidInput(f"{path}:1: expected header y,x1,...,xp")
     return len(header)
 
 
@@ -326,19 +300,19 @@ def _load_dataset_by_line(path: str) -> tuple[np.ndarray, np.ndarray]:
             if not row:
                 continue
             if len(row) != width:
-                raise _ConfigError(f"{path}:{line}: expected {width} fields, got {len(row)}")
+                raise InvalidInput(f"{path}:{line}: expected {width} fields, got {len(row)}")
             try:
                 ys.append(float(row[0]))
                 xs.append([float(v) for v in row[1:]])
             except ValueError as exc:
-                raise _ConfigError(f"{path}:{line}: {exc}") from exc
+                raise InvalidInput(f"{path}:{line}: {exc}") from exc
             lines.append(line)
     if len(ys) < 2:
-        raise _ConfigError(f"{path}: need at least 2 observations")
+        raise InvalidInput(f"{path}: need at least 2 observations")
     x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     finite = np.isfinite(y) & np.isfinite(x).all(axis=1)
     if not finite.all():
-        raise _ConfigError(f"{path}:{lines[np.argmin(finite)]}: values must be finite")
+        raise InvalidInput(f"{path}:{lines[np.argmin(finite)]}: values must be finite")
     return x, y
 
 
@@ -353,7 +327,7 @@ def _cmd_estimate(args) -> int:
     model, whitening = _load_model(args.model, x.shape[1])
     estimators = _parse_estimators(args.estimators)
     if "oracle" in estimators:
-        raise _ConfigError(
+        raise InvalidInput(
             "the oracle estimator needs the true coefficients and is only "
             "available in simulations"
         )
@@ -394,8 +368,6 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_summarize(args) -> int:
     _check_output_dirs(args.out)
-    if not np.isfinite(args.true_tau2):
-        raise _ConfigError(f"--true-tau2 must be finite, got {args.true_tau2}")
     _print_summary_table(_summarize_records(args.records, args.true_tau2, args.out))
     return 0
 
@@ -411,12 +383,9 @@ def main(argv=None) -> int:
         if args.command == "estimate":
             return _cmd_estimate(args)
         return _cmd_summarize(args)
-    except _ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except VarestError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InvalidInput) else 1
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Semantic exception hierarchy for varest.
 
 Every error raised by the library derives from :class:`VarestError`, so callers
-can catch one type at an API boundary (the CLI maps them to exit codes).
+can catch one type at an API boundary.  Bad input, whatever its kind, is an
+:class:`InvalidInput`; the CLI exits 2 on it and 1 on every other
+``VarestError``.  Every error survives pickling, so it crosses a process pool.
 """
 
 
@@ -16,7 +18,7 @@ class InvalidInput(VarestError, ValueError):
     """
 
 
-class NearSingularCovariance(VarestError):
+class NearSingularCovariance(InvalidInput):
     """Covariance matrix has an eigenvalue below the relative tolerance."""
 
 
@@ -28,11 +30,11 @@ class TooFewColumns(VarestError):
     """An operation needs more covariate columns than are available."""
 
 
-class LengthMismatch(VarestError):
+class LengthMismatch(InvalidInput):
     """Vector arguments have different lengths."""
 
 
-class DimensionMismatch(VarestError):
+class DimensionMismatch(InvalidInput):
     """Array arguments have incompatible shapes."""
 
 
@@ -44,11 +46,11 @@ class UnsupportedDependenceStructure(VarestError):
     """Operation requires a covariate model with independent columns."""
 
 
-class IndexOutOfRange(VarestError):
+class IndexOutOfRange(InvalidInput):
     """A column index set refers to columns outside ``range(p)``."""
 
 
-class InvalidScenario(VarestError):
+class InvalidScenario(InvalidInput):
     """A simulation scenario violates its own constraints."""
 
 
@@ -70,3 +72,6 @@ class InitialEstimatorFailure(VarestError):
         self.resample_index = resample_index
         self.cause = cause
         super().__init__(f"initial estimator failed on resample {resample_index}: {cause!r}")
+
+    def __reduce__(self):
+        return type(self), (self.resample_index, self.cause)

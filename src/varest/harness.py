@@ -53,7 +53,15 @@ from .estimators import (
     t_oracle,
 )
 from .kernels import GramMatrix, gram, ordered_sum
-from .model import CovariateModel, LabeledDataset, WMatrix, build_w, check_fields, sample_variance_y
+from .model import (
+    CovariateModel,
+    LabeledDataset,
+    WMatrix,
+    build_w,
+    check_fields,
+    float_array,
+    sample_variance_y,
+)
 from .selection import beta_squared_estimates, split_rows, t_gamma
 from .simgen import ScenarioConfig, build_beta, covariate_model_for, generate_dataset
 from .variance import (
@@ -354,11 +362,13 @@ def summarize(records, true_tau2: float) -> list[SummaryStats]:
     ``bias = true - mean`` (so an overestimate reports a negative bias),
     ``se`` uses the n-1 divisor, ``rmse`` the mean of squared errors, and
     ``rmse_sd`` the first-order delta method for the square root of a mean.
-    Records are grouped by estimator; input order does not matter.
+    Records are grouped by estimator; input order does not matter.  A
+    ``true_tau2`` that is not a finite number raises ``InvalidInput`` first.
     Arithmetic that overflows, or a statistic of finite records that is not
     finite, raises ``NonFiniteResult``; a NaN record (a failed replication)
     still gives NaN statistics.
     """
+    float_array(true_tau2, "true_tau2")
     by_estimator: dict[str, list[float]] = {}
     order: list[str] = []
     for rec in records:

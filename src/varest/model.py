@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +47,7 @@ __all__ = [
     "build_w",
     "check_fields",
     "column_set",
+    "float_array",
     "sample_variance_y",
     "whiten",
 ]
@@ -89,6 +89,34 @@ def check_fields(obj, error: type[Exception]) -> None:
             raise error(f"{f.name} must be finite, got {value!r}")
 
 
+def float_array(value, name: str) -> np.ndarray:
+    """``value`` as a float64 array, the one decoder of every numeric array a value type takes.
+
+    A nested list or tuple must hold numbers only: a bool, a string or
+    anything else that numpy would convert or wrap raises ``InvalidInput``,
+    as does an ndarray of any dtype but integer or float.  An ndarray is not
+    walked or copied.  Every entry must be finite.
+    """
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, tuple)):
+            stack.extend(item)
+        elif isinstance(item, np.ndarray):
+            if item.dtype.kind not in "iuf":
+                raise InvalidInput(f"{name} must hold numbers, got an array of {item.dtype}")
+        elif isinstance(item, bool) or not isinstance(item, numbers.Real):
+            raise InvalidInput(f"{name} must hold numbers, got {item!r}")
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except (ValueError, OverflowError) as exc:  # a ragged list, or an int too large
+        raise InvalidInput(f"{name} must hold numbers: {exc}") from exc
+    finite = np.isfinite(array)
+    if not finite.all():
+        raise InvalidInput(f"{name} must be finite, got {float(array[~finite].flat[0])}")
+    return array
+
+
 @dataclass(frozen=True)
 class CovariateModel:
     """The known distribution of the whitened covariate vector X.
@@ -115,11 +143,9 @@ class CovariateModel:
 
     def __post_init__(self):
         check_fields(self, InvalidInput)
-        m4 = np.asarray(self.fourth_moments, dtype=np.float64)
+        m4 = float_array(self.fourth_moments, "fourth_moments")
         if m4.ndim != 1:
             raise DimensionMismatch(f"fourth_moments must be a vector, got shape {m4.shape}")
-        if not np.all(np.isfinite(m4)):
-            raise InvalidInput("fourth moments must be finite")
         if np.any(m4 < 1.0):
             raise InvalidInput("fourth moments must be >= 1 after whitening")
         if self.gaussian and not np.all(m4 == 3.0):
@@ -138,67 +164,55 @@ class CovariateModel:
     @classmethod
     def independent(cls, p: int, fourth_moment: float, gaussian: bool = False) -> "CovariateModel":
         """Whitened independent columns with a common fourth moment."""
-        return cls(np.full(p, float(fourth_moment)), gaussian=gaussian)
+        return cls(np.full(p, float_array(fourth_moment, "fourth_moment")), gaussian=gaussian)
 
 
 @dataclass(frozen=True)
 class Whitening:
     """The raw covariates' known mean (p,) and covariance (p, p), which :func:`whiten` removes.
 
-    The covariance must be symmetric positive definite.  ``None`` stands for
-    the identity: no p x p array is held, and :func:`whiten` only subtracts
+    The covariance must be symmetric, and it is checked by one rule when the
+    whitening is built: one symmetric eigendecomposition, which raises
+    :class:`NearSingularCovariance` unless every eigenvalue exceeds
+    ``SINGULARITY_RTOL`` times the largest, and which gives
+    ``sqrt_inverse_covariance``, the covariance's unique symmetric inverse
+    square root.  ``None`` stands for the identity: no p x p array is held,
+    ``sqrt_inverse_covariance`` is None, and :func:`whiten` only subtracts
     the mean.
     """
 
     mean: np.ndarray
     covariance: np.ndarray | None = None
+    sqrt_inverse_covariance: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=np.float64))
+        mean = np.atleast_1d(float_array(self.mean, "mean"))
         if mean.ndim != 1:
             raise DimensionMismatch(f"mean must be a vector, got shape {mean.shape}")
-        if not np.all(np.isfinite(mean)):
-            raise InvalidInput("mean must be finite")
         object.__setattr__(self, "mean", _readonly(mean))
         if self.covariance is None:
             return
-        cov = np.asarray(self.covariance, dtype=np.float64)
+        cov = float_array(self.covariance, "covariance")
         p = mean.shape[0]
         if cov.shape != (p, p):
             raise DimensionMismatch(f"covariance must be {p}x{p}, got {cov.shape}")
-        if not np.all(np.isfinite(cov)):
-            raise InvalidInput("covariance must be finite")
         if not np.allclose(cov, cov.T, rtol=1e-12, atol=1e-12):
             raise InvalidInput("covariance must be symmetric")
         object.__setattr__(self, "covariance", _readonly(0.5 * (cov + cov.T)))
-        # Positive definiteness is part of the construction contract.
-        eigvals = np.linalg.eigvalsh(self.covariance)
-        if eigvals[0] <= 0.0:
+        eigvals, eigvecs = np.linalg.eigh(self.covariance)
+        if eigvals[0] <= SINGULARITY_RTOL * eigvals[-1]:
             raise NearSingularCovariance(
-                f"covariance has a non-positive eigenvalue ({eigvals[0]:g})"
+                f"covariance has smallest eigenvalue {eigvals[0]:g}, not above "
+                f"{SINGULARITY_RTOL:g} * {eigvals[-1]:g}"
             )
+        root = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
+        root.setflags(write=False)
+        object.__setattr__(self, "sqrt_inverse_covariance", root)
 
     @property
     def p(self) -> int:
         return self.mean.shape[0]
-
-    @cached_property
-    def sqrt_inverse_covariance(self) -> np.ndarray | None:
-        """The unique symmetric inverse square root of the covariance (None: identity).
-
-        Computed on first use via symmetric eigendecomposition, then kept.
-        Raises :class:`NearSingularCovariance` when any eigenvalue falls
-        below ``SINGULARITY_RTOL`` times the largest.
-        """
-        if self.covariance is None:
-            return None
-        eigvals, eigvecs = np.linalg.eigh(self.covariance)
-        if eigvals[0] <= SINGULARITY_RTOL * eigvals[-1]:
-            raise NearSingularCovariance(
-                f"smallest eigenvalue {eigvals[0]:g} below tolerance "
-                f"{SINGULARITY_RTOL:g} * {eigvals[-1]:g}"
-            )
-        return (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
 
 
 def _canonical_rows(x: np.ndarray, y: np.ndarray):
@@ -240,8 +254,7 @@ class LabeledDataset:
     rank: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.float64)
+        x, y = float_array(self.x, "x"), float_array(self.y, "y")
         if x.ndim != 2:
             raise DimensionMismatch("x must be an n x p matrix")
         if y.shape != (x.shape[0],):
@@ -250,8 +263,6 @@ class LabeledDataset:
             )
         if x.shape[0] < 2:
             raise TooFewObservations("a dataset needs n >= 2 observations")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise InvalidInput("dataset entries must all be finite")
         # The gathered arrays are the dataset's own copies of the caller's.
         x, y, order = _canonical_rows(np.ascontiguousarray(x), y)
         rank = np.empty_like(order)
@@ -287,11 +298,9 @@ class CoefficientVector:
     beta: np.ndarray
 
     def __post_init__(self):
-        b = np.atleast_1d(np.asarray(self.beta, dtype=np.float64))
+        b = np.atleast_1d(float_array(self.beta, "beta"))
         if b.ndim != 1:
             raise DimensionMismatch("beta must be a vector")
-        if not np.all(np.isfinite(b)):
-            raise InvalidInput("beta must be finite")
         object.__setattr__(self, "beta", _readonly(b))
 
     @property

@@ -122,6 +122,29 @@ def psi_loop(x, w, j, j_prime) -> float:
     return total / (n * (n - 1) * (n - 2))
 
 
+def psi_sum_loop(x, w, delta=1.0) -> float:
+    """``sum over all (j, j') of psi_loop(x, w, j, j')`` in one pass over distinct triples.
+
+    Per triple the (j, j') double sum of psi's summand factors as
+    ``(w_i1 . x_i3) (w_i2 . x_i3) - delta (w_i1 . w_i2)`` (``delta = 1``), each
+    dot product a loop over the columns; O(n^2 p + n^3) instead of O(p^2 n^3).
+    On ``|x|``, ``|w|`` and with ``delta = -1`` it is the sum of the absolute
+    values of psi's summands, the scale a rounding error is measured on.
+    """
+    x = np.asarray(x, dtype=float).tolist()
+    w = np.asarray(w, dtype=float).tolist()
+    n, p = len(x), len(x[0])
+    wx = [[sum(w[i][j] * x[k][j] for j in range(p)) for k in range(n)] for i in range(n)]
+    ww = [[sum(w[i][j] * w[k][j] for j in range(p)) for k in range(n)] for i in range(n)]
+    total = 0.0
+    for i1 in range(n):
+        for i2 in range(n):
+            for i3 in range(n):
+                if i1 != i2 and i2 != i3 and i1 != i3:
+                    total += wx[i1][i3] * wx[i2][i3] - delta * ww[i1][i2]
+    return total / (n * (n - 1) * (n - 2))
+
+
 def single_zero_loop(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     n, p = x.shape

@@ -296,8 +296,15 @@ class TestFileErrors:
                              "{missing}/s.json: No such file or directory\n"),
         "model-missing": (["estimate", "--model", "{missing}/m.json"],
                           "{missing}/m.json: No such file or directory\n"),
-        "true-tau2-nan": (["summarize", "--true-tau2", "nan"], "--true-tau2 must be finite"),
-        "true-tau2-inf": (["summarize", "--true-tau2", "inf"], "--true-tau2 must be finite"),
+        # json.load raises a plain ValueError on an integer of more than 4300 digits
+        "scenario-long-int": (["simulate", "--scenario", "{tmp}/long-int.json"],
+                              "{tmp}/long-int.json: Exceeds the limit"),
+        "model-long-int": (["estimate", "--model", "{tmp}/long-int.json"],
+                           "{tmp}/long-int.json: Exceeds the limit"),
+        "true-tau2-nan": (["summarize", "--true-tau2", "nan"],
+                          "true_tau2 must be finite, got nan\n"),
+        "true-tau2-inf": (["summarize", "--true-tau2", "inf"],
+                          "true_tau2 must be finite, got inf\n"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -311,6 +318,7 @@ class TestFileErrors:
         (tmp_path / "quote-cr.csv").write_bytes(b'y,"x1\r1",2\r3,4\r')
         (tmp_path / "quote-open.csv").write_bytes(b'y,"x1\n1,2\n3,4\n')
         (tmp_path / "syntax.json").write_text('{"n": 20,\n "p": }\n')
+        (tmp_path / "long-int.json").write_text('{"n": ' + "1" * 5000 + "}\n")
         flags, message = self.CASES[case]
         command, *flags = [f.format(tmp=tmp_path, missing=tmp_path / "missing") for f in flags]
         argv = {"simulate": TestEmpiricalFlags.base_args("simulate", tmp_path, toy_dataset),
@@ -579,6 +587,20 @@ class TestEstimate:
                       "--raw-x"])
         assert rc == 2
         assert capsys.readouterr().err == f"error: invalid covariate model: {message}\n"
+
+    @pytest.mark.parametrize("raw_x", [False, True], ids=["whitened", "raw-x"])
+    @pytest.mark.parametrize("smallest", [1e-12, 0.0, -1.0])
+    def test_singular_covariance_exits_2(self, tmp_path, capsys, smallest, raw_x):
+        # one singularity rule, applied when the model file is read
+        data = tmp_path / "data.csv"
+        data.write_text("y,x1,x2\n1,2,3\n4,5,6\n7,8,10\n")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"covariance": [[1.0, 0.0], [0.0, smallest]]}))
+        argv = ["estimate", "--data", str(data), "--model", str(model)]
+        assert run_cli(argv + ["--raw-x"] * raw_x) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid covariate model: covariance has smallest eigenvalue "
+            f"{smallest:g}, not above 1e-10 * 1\n")
 
     def test_model_not_utf8_exits_2(self, tmp_path, toy_dataset, capsys):
         model = tmp_path / "bad_model.json"
@@ -874,7 +896,7 @@ class TestDatasetParsing:
     def _outcome(load, path):
         try:
             return load(str(path))
-        except cli._ConfigError as exc:
+        except cli.InvalidInput as exc:
             return str(exc)
 
     @pytest.mark.parametrize("text, accepted",

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varest.errors import InsufficientRecords, InvalidInput, NonFiniteResult, VarestError
 from varest.estimators import (
@@ -15,11 +17,13 @@ from varest.estimators import (
     naive_tau2,
     sigma2_from,
     t_c_hat_star,
+    t_b,
     t_full,
     t_oracle,
 )
 from varest.harness import (
     INITIAL_IDS,
+    VARIANCE_METHODS,
     DatasetStats,
     HarnessOptions,
     RepRecord,
@@ -51,6 +55,8 @@ from varest.variance import (
     var_tilde_t_gamma,
 )
 from varest.zeroboost import BootstrapConfig, empirical_estimator
+
+import oracles
 
 
 # The first line of a records CSV.
@@ -470,6 +476,121 @@ class TestRowPermutation:
             set(ESTIMATOR_IDS)
 
 
+# The ids the oracle property runs: every estimator but the bootstrap.
+ORACLE_PROPERTY_IDS = tuple(e for e in ESTIMATOR_IDS if e != "empirical")
+# A floor for the scale a rounding error is measured on, so that results which
+# underflow to subnormals or zero are compared on an absolute scale.
+ORACLE_SCALE_FLOOR = 1e-290
+
+
+@st.composite
+def _oracle_examples(draw):
+    """``(x, y, beta, columns, permutation)``: n in 3..40, p in 1..40, both scaled by 10^k."""
+    n, p = draw(st.integers(3, 40)), draw(st.integers(1, 40))
+    k = draw(st.integers(-100, 100))
+    design = draw(st.sampled_from(["plain", "plain", "duplicate-row", "constant-column"]))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, beta = g.standard_normal((n, p)), g.standard_normal(p) / np.sqrt(p)
+    y = x @ beta + g.standard_normal(n)
+    if design == "duplicate-row":
+        x[1], y[1] = x[0], y[0]
+    elif design == "constant-column":
+        x[:, -1] = x[0, -1]
+    columns = sorted(set(draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3))))
+    return x * 10.0**k, y * 10.0**k, beta, columns, g.permutation(n)
+
+
+def _loop_values(ds, columns):
+    """Each checked id -> ``(value, scale)`` from the loops of ``oracles``: the value and
+    the sum of the absolute values of its summands."""
+    x, w = ds.x, oracles.w_loop(ds.x, ds.y)
+    ax, aw = np.abs(x), np.abs(w)
+    naive = (oracles.naive_loop(w), oracles.naive_loop(aw))
+    psi = (oracles.psi_sum_loop(x, w), oracles.psi_sum_loop(ax, aw, delta=-1.0))
+    psi_b = (oracles.psi_sum_loop(x[:, columns], w[:, columns]),
+             oracles.psi_sum_loop(ax[:, columns], aw[:, columns], delta=-1.0))
+    values = {"naive": naive, "full": (naive[0] - 2 * psi[0], naive[1] + 2 * psi[1]),
+              "t_b": (naive[0] - 2 * psi_b[0], naive[1] + 2 * psi_b[1])}
+    if ds.p >= 2:
+        var_g = ds.p * (ds.p - 1) / 2.0
+        g, ag = oracles.single_zero_loop(x), oracles.single_zero_loop(ax)
+        values["single"] = (
+            naive[0] - oracles.chat_numerator_loop(w, g) / var_g * (sum(g) / ds.n),
+            naive[1] + oracles.chat_numerator_loop(aw, ag) / var_g * (sum(ag) / ds.n))
+    return values
+
+
+def _outcome(call):
+    """The numbers ``call`` returns as hex strings, or the type of the ``VarestError`` it raises.
+
+    Any warning fails the test; a number that is not finite too.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            numbers = call()
+        except VarestError as exc:
+            return type(exc)
+    assert all(v is None or math.isfinite(v) for v in numbers), numbers
+    return tuple(None if v is None else float(v).hex() for v in numbers)
+
+
+def _report_numbers(stats, eid, beta, method):
+    report = estimate(stats, eid, beta=beta, options=HarnessOptions(variance_method=method))
+    return report.tau2, report.sigma2, report.variance_estimate
+
+
+def _t_b(stats, columns):
+    # the harness's floating-point rule: overflow or an invalid operation is an error
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            tau2 = t_b(stats.ds, stats.w, columns)
+    except FloatingPointError as exc:
+        raise NonFiniteResult(str(exc)) from exc
+    return (tau2,)
+
+
+class TestOracleProperty:
+    """Across shapes n in 3..40 and p in 1..40 and scales 10^-100..10^100, with a
+    duplicate row or a constant column now and then, every estimator but ``empirical``
+    under every variance method gives finite numbers or a ``VarestError`` and never
+    warns; the same on a row permutation, bit for bit; and ``naive``, ``t_b``, ``full``
+    and ``single`` match the loops of ``tests/oracles.py`` to 1e-10 of the sum of the
+    absolute values of their summands."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(example=_oracle_examples())
+    def test_matches_the_loops(self, example):
+        x, y, beta, columns, perm = example
+        ds = LabeledDataset(x=x, y=y)
+        model, beta = CovariateModel.standard_gaussian(ds.p), CoefficientVector(beta)
+        outcomes = []
+        for data in (ds, LabeledDataset(x=x[perm], y=y[perm])):
+            stats = DatasetStats(data, model)
+            got = {(eid, method): _outcome(lambda: _report_numbers(stats, eid, beta, method))
+                   for eid in ORACLE_PROPERTY_IDS for method in (None, *VARIANCE_METHODS)}
+            got["t_b"] = _outcome(lambda: _t_b(stats, columns))
+            outcomes.append(got)
+        assert outcomes[0] == outcomes[1]
+        got = {eid: outcomes[0][(eid, None)] for eid in ("naive", "full", "single")}
+        got["t_b"] = outcomes[0]["t_b"]
+        with np.errstate(all="ignore"):
+            loops = _loop_values(ds, columns)
+        for eid, (want, scale) in loops.items():
+            if isinstance(got[eid], tuple) and math.isfinite(scale):
+                fast = float.fromhex(got[eid][0])
+                assert abs(fast - want) <= 1e-10 * max(scale, ORACLE_SCALE_FLOOR), \
+                    (eid, fast, want, scale)
+
+    def test_psi_sum_loop_is_the_sum_of_psi_loop(self):
+        g = np.random.default_rng(12)
+        for n, p in ((3, 1), (5, 3), (6, 2)):
+            x, y = g.standard_normal((n, p)), g.standard_normal(n)
+            w = oracles.w_loop(x, y)
+            each = [oracles.psi_loop(x, w, j, jp) for j in range(p) for jp in range(p)]
+            assert oracles.psi_sum_loop(x, w) == pytest.approx(sum(each), rel=1e-12, abs=1e-14)
+
+
 class TestFiniteOut:
     """Finite input gives finite reported numbers or a typed error, never a warning."""
 
@@ -559,7 +680,7 @@ class TestSummarize:
             summarize(self._records([3.1e299, -2.4e299, 1.2e299], eid="single"), 1.0)
 
     def test_non_finite_truth_raises(self):
-        with pytest.raises(NonFiniteResult, match="not finite"):
+        with pytest.raises(InvalidInput, match="^true_tau2 must be finite, got nan$"):
             summarize(self._records([1.0, 2.0]), float("nan"))
 
     def test_failed_replication_stays_nan(self):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from varest.model import (
     build_w,
     check_fields,
     column_set,
+    float_array,
     sample_variance_y,
     whiten,
 )
@@ -147,13 +149,25 @@ class TestWhiten:
         np.testing.assert_allclose(out, (x - mu) @ m.T, rtol=1e-12)
 
     def test_near_singular_raises(self):
-        wh = Whitening(mean=np.zeros(2), covariance=np.diag([1.0, 1e-12]))
-        with pytest.raises(NearSingularCovariance):
-            whiten(np.zeros((2, 2)), wh)
+        # the one singularity rule runs when the whitening is built, not when it is used
+        with pytest.raises(NearSingularCovariance, match="smallest eigenvalue 1e-12"):
+            Whitening(mean=np.zeros(2), covariance=np.diag([1.0, 1e-12]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             whiten(np.zeros((4, 2)), Whitening(np.zeros(3), np.eye(3)))
+
+    def test_root_is_the_one_eigendecomposition(self):
+        # built with the whitening, read-only, and the formula ``whiten`` always used
+        g = np.random.default_rng(11)
+        a = g.standard_normal((4, 4))
+        cov, mu, x = a @ a.T + 0.1 * np.eye(4), g.standard_normal(4), g.standard_normal((7, 4))
+        wh = Whitening(mu, cov)
+        eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
+        root = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
+        assert wh.sqrt_inverse_covariance.tobytes() == root.tobytes()
+        assert not wh.sqrt_inverse_covariance.flags.writeable
+        assert whiten(x, wh).tobytes() == ((x - mu) @ root.T).tobytes()
 
     def test_identity_covariance_only_subtracts_the_mean(self):
         mu = rng.standard_normal(3)
@@ -193,6 +207,61 @@ class TestInvalidInput:
 
     def test_exported(self):
         assert varest.InvalidInput is InvalidInput
+
+
+class TestFloatArray:
+    """``float_array`` decodes every numeric array a value type takes, by one rule."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: LabeledDataset(x=[["1", "2"], ["3", "4.5"]], y=["1", "2"]),
+         "x must hold numbers, got '4.5'"),
+        (lambda: LabeledDataset(x=[[True], [False]], y=[1.0, 2.0]),
+         "x must hold numbers, got False"),
+        (lambda: LabeledDataset(x=[[1.0], [2.0]], y=np.array([1, 0], dtype=bool)),
+         "y must hold numbers, got an array of bool"),
+        (lambda: CoefficientVector(["0.5", "1"]), "beta must hold numbers, got '1'"),
+        (lambda: CovariateModel(["3", "3"]), "fourth_moments must hold numbers, got '3'"),
+        (lambda: CovariateModel.independent(2, True), "fourth_moment must hold numbers, got True"),
+        (lambda: Whitening([True, False]), "mean must hold numbers, got False"),
+        (lambda: Whitening([0.0], [["1"]]), "covariance must hold numbers, got '1'"),
+    ], ids=["dataset-strings", "dataset-booleans", "dataset-bool-array", "beta-strings",
+            "fourth-moments-strings", "independent-boolean", "mean-booleans",
+            "covariance-string"])
+    def test_value_types_reject_strings_and_booleans(self, make, message):
+        # numpy would read "3" as 3.0 and True as 1.0
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            make()
+
+    @pytest.mark.parametrize("value, message", [
+        (None, "v must hold numbers, got None"),
+        ([1.0, None], "v must hold numbers, got None"),
+        ([1j], "v must hold numbers, got 1j"),
+        ([[1.0], {"a": 1}], "v must hold numbers, got {'a': 1}"),
+        (np.bool_(True), "v must hold numbers, got np.True_"),
+        (np.array(["1"]), "v must hold numbers, got an array of <U1"),
+        (np.array([1.0, None]), "v must hold numbers, got an array of object"),
+        (np.array([1j]), "v must hold numbers, got an array of complex128"),
+        ([[1.0, 2.0], [3.0]], "v must hold numbers: setting an array element with a sequence"),
+        ([2 ** 1024], "v must hold numbers: int too large to convert to float"),
+        ([1.0, float("nan")], "v must be finite, got nan"),
+        (np.array([[1.0, -np.inf]]), "v must be finite, got -inf"),
+    ])
+    def test_rejects(self, value, message):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}"):
+            float_array(value, "v")
+
+    @pytest.mark.parametrize("value", [
+        3, 2.5, np.float32(0.5), [1, 2.5], ((1, np.int8(2)), [3.0, np.float64(4)]),
+        np.arange(3), np.ones((2, 2), dtype=np.float32), [np.ones(2), np.zeros(2)],
+    ])
+    def test_accepts_numbers(self, value):
+        out = float_array(value, "v")
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, np.asarray(value, dtype=np.float64))
+
+    def test_float_array_is_not_copied(self):
+        a = np.ones((3, 2))
+        assert float_array(a, "v") is a
 
 
 class TestLabeledDataset:

@@ -8,7 +8,11 @@
   the top level.
 * The package raises no plain ``ValueError`` or ``TypeError``: every error
   it raises derives from ``VarestError`` (``InvalidInput`` is also a
-  ``ValueError``).
+  ``ValueError``).  ``cli.py`` defines no exception class: bad input is an
+  ``InvalidInput`` wherever it is found.
+* ``model.py`` calls ``np.isfinite`` only in ``float_array``, the one decoder
+  of the value types' numeric arrays, so no constructor keeps its own copy
+  of the finite rule.
 * Nothing sorts rows but the canonical order of ``LabeledDataset``: every
   reduction over observations is a plain sum over rows in that order.
   ``kernels`` calls no ``sort``, ``argsort`` or ``lexsort``, and the package
@@ -38,6 +42,7 @@
 """
 
 import ast
+import builtins
 import importlib
 import importlib.util
 import json
@@ -80,6 +85,17 @@ CONFIG_TYPES = {("model.py", "CovariateModel"), ("simgen.py", "ScenarioConfig"),
                 ("harness.py", "HarnessOptions"), ("zeroboost.py", "BootstrapConfig")}
 # The ``args`` attributes whose values only ``HarnessOptions`` checks.
 OPTION_FLAGS = ("boot", "initial", "select_split_fraction", "select_cap")
+
+# Builtin exception names and the package's own, any of which a class that derives from
+# an exception names among its bases.
+EXCEPTION_NAMES = {name for name, value in vars(builtins).items()
+                   if isinstance(value, type) and issubclass(value, BaseException)}
+EXCEPTION_NAMES |= {node.name for node in ast.walk(ast.parse(
+    (ROOT / "src" / "varest" / "errors.py").read_text())) if isinstance(node, ast.ClassDef)}
+# (module, function) -> why it calls ``np.isfinite``.
+MODEL_FINITE_SITES = {
+    ("model.py", "float_array"): "every numeric array a value type takes",
+}
 
 ZEROBOOST = ROOT / "src" / "varest" / "zeroboost.py"
 ZEROBOOST_ESTIMATORS = {"EstimateReport", "naive_tau2", "sigma2_from"}
@@ -145,6 +161,28 @@ def test_raises_only_varest_errors(path):
             if isinstance(exc, ast.Name) and exc.id in BUILTIN_ERRORS:
                 bad.append(f"{path.name}:{node.lineno}: {exc.id}")
     assert not bad
+
+
+def _exception_classes(path):
+    """``line: name`` of every class of ``path`` that names an exception among its bases."""
+    return [f"{node.lineno}: {node.name}" for node in ast.walk(_tree(path))
+            if isinstance(node, ast.ClassDef)
+            and any((getattr(base, "id", None) or getattr(base, "attr", None)) in EXCEPTION_NAMES
+                    for base in node.bases)]
+
+
+def test_cli_defines_no_exception_class():
+    assert _exception_classes(ROOT / "src" / "varest" / "cli.py") == []
+
+
+def _is_isfinite(node):
+    """A call of ``np.isfinite``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "isfinite" and getattr(node.func.value, "id", None) == "np")
+
+
+def test_model_checks_finite_input_in_one_decoder():
+    assert _sites(ROOT / "src" / "varest" / "model.py", _is_isfinite) == list(MODEL_FINITE_SITES)
 
 
 def _sites(path, matches):
@@ -387,6 +425,20 @@ def test_rules_catch_violations(tmp_path):
         test_all_names_defined(path)
     with pytest.raises(AssertionError):
         test_raises_only_varest_errors(path)
+    classes = tmp_path / "cli.py"
+    classes.write_text("import errors\nclass _ConfigError(Exception):\n    pass\n"
+                       "class Wrapped(errors.InvalidInput, KeyError):\n    pass\n"
+                       "class Plain:\n    pass\nclass Parser(argparse.ArgumentParser):\n"
+                       "    pass\n")
+    assert _exception_classes(classes) == ["2: _ConfigError", "4: Wrapped"]
+    finite = tmp_path / "model.py"
+    finite.write_text("import math\nimport numpy as np\n"
+                      "def float_array(a):\n    return np.isfinite(a).all()\n"
+                      "class Model:\n    def __post_init__(self):\n"
+                      "        if not np.all(np.isfinite(self.m4)) or math.isfinite(1.0):\n"
+                      "            raise E\n")
+    assert _sites(finite, _is_isfinite) == [("model.py", "float_array"),
+                                            ("model.py", "__post_init__")]
     zeroboost = tmp_path / "zeroboost.py"
     zeroboost.write_text("from .estimators import EstimateReport, t_full\n"
                          "from .model import LabeledDataset, build_w\n"
