@@ -35,10 +35,11 @@ from .errors import (
     DegenerateZeroEstimator,
     DimensionMismatch,
     IndexOutOfRange,
+    LengthMismatch,
     TooFewObservations,
     UnsupportedDependenceStructure,
 )
-from .kernels import chain_sum_distinct, gram, ordered_sum, triple_sum_distinct
+from .kernels import GramMatrix, chain_sum_distinct, ordered_sum, triple_sum_distinct
 from .model import CoefficientVector, CovariateModel, LabeledDataset, WMatrix, column_set
 
 __all__ = [
@@ -141,24 +142,27 @@ def psi_hat(ds: LabeledDataset, w: WMatrix, j: int, j_prime: int) -> float:
     return value / (n * (n - 1) * (n - 2))
 
 
-def t_full(ds: LabeledDataset, w: WMatrix) -> float:
+def t_full(ds: LabeledDataset, w: WMatrix, g: GramMatrix) -> float:
     """Feasible fully-corrected estimator ``naive - 2 sum_{j,j'} psi_hat``.
 
     The p^2 pair terms share one observation-pair structure: with
     ``a[i1, i3] = Y[i1] * (X[i1] . X[i3])`` the full double sum over (j, j')
     reduces to distinct-index sums of ``a``, an O(n^2 p) evaluation instead
     of O(p^2 n).  ``a'`` is ``X X'`` with column k scaled by ``Y[k]``, so
-    ``chain_sum_distinct(gram(X, Y))`` is ``sum a[i1, i2] a[i3, i2]`` over
-    distinct (i1, i2, i3).
+    with ``g = gram(X, Y)``, the dataset's one Gram product,
+    ``chain_sum_distinct(g)`` is ``sum a[i1, i2] a[i3, i2]`` over distinct
+    (i1, i2, i3); what remains is O(n).
     Unbiased, but when p is of the order of n the estimation of all p^2
     coefficients adds more variance than the correction removes.
     """
     n = ds.n
     if n < 3:
         raise TooFewObservations("t_full needs n >= 3")
+    if g.n != n:
+        raise LengthMismatch(f"the Gram statistics have n = {g.n}, the dataset n = {n}")
     naive = naive_tau2(w)
     # sum_{i1 != i2 != i3} G[i1, i2] = (n - 2) * n (n-1) * naive
-    triple = chain_sum_distinct(gram(ds.x, ds.y)) - (n - 2) * (n * (n - 1)) * naive
+    triple = chain_sum_distinct(g) - (n - 2) * (n * (n - 1)) * naive
     return naive - 2.0 * triple / (n * (n - 1) * (n - 2))
 
 

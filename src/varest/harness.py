@@ -163,8 +163,10 @@ class DatasetStats:
     """The per-dataset statistics every estimator and variance estimate reads.
 
     Each member is built on first use and then kept, so one object serves all
-    estimators on a dataset: W, its Gram row statistics, the single-zero statistic,
-    ``sigma_Y^2`` and the naive variance estimate of each method.
+    estimators on a dataset: W, the Gram row statistics, the single-zero statistic,
+    ``sigma_Y^2`` and the naive variance estimate of each method.  ``gram`` is the
+    dataset's one n x n product, ``gram(X, Y)``: ``t_full`` reduces it as it is,
+    and the tilde base reads W's Gram statistics as its rows scaled by Y.
     """
 
     ds: LabeledDataset
@@ -184,7 +186,7 @@ class DatasetStats:
 
     @cached_property
     def gram(self) -> GramMatrix:
-        return gram(self.w)
+        return gram(self.ds.x, self.ds.y)
 
     @cached_property
     def plugin_base(self) -> float:
@@ -192,7 +194,7 @@ class DatasetStats:
 
     @cached_property
     def tilde_base(self) -> float:
-        return var_tilde_naive(self.w, self.gram, self.ds.n)
+        return var_tilde_naive(self.w, self.gram.rows_scaled(self.ds.y), self.ds.n)
 
     def naive_variance(self, method: str | None) -> float | None:
         """The naive estimator's variance estimate by ``method`` (None: none)."""
@@ -205,7 +207,7 @@ class DatasetStats:
 _TAU2 = {
     "naive": lambda st: naive_tau2(st.w),
     "dicker": lambda st: dicker_tau2(st.ds, st.w),
-    "full": lambda st: t_full(st.ds, st.w),
+    "full": lambda st: t_full(st.ds, st.w, st.gram),
     "single": lambda st: t_c_hat_star(st.w, st.single),
 }
 # The named initials of the bootstrap: selection runs with ``t_gamma``'s

@@ -19,9 +19,12 @@ a sum along a contiguous row are pairwise, with error growing like
 ``log n``; a column sum (:func:`ordered_col_sums`) adds the rows one after
 another, with error growing like ``n``.
 
-:func:`gram`, the package's one n x n reduction (of W, and of X weighted by
-Y for ``t_full``), keeps only two row statistics of its product.  Products
-within one row (over columns) use ``np.einsum``, which reduces each row by itself.
+:func:`gram`, the package's one n x n reduction, keeps only two row
+statistics of its product.  A dataset forms one product, ``gram(X, Y)``:
+``t_full`` reduces it as it is, and the tilde variances read W's statistics
+from it with :meth:`GramMatrix.rows_scaled` by Y, since ``W W' = diag(Y) X X'
+diag(Y)``.  Products within one row (over columns) use ``np.einsum``, which
+reduces each row by itself.
 """
 
 from __future__ import annotations
@@ -114,8 +117,8 @@ def triple_sum_distinct(u, v, w) -> float:
 class GramMatrix:
     """The two off-diagonal row statistics of a (column-weighted) Gram matrix.
 
-    With ``g[i1, i2] = c[i2] sum_j R[i1, j] R[i2, j]`` for rows R (W, or X
-    for ``t_full``) and column weights c (all ones, or Y for ``t_full``):
+    With ``g[i1, i2] = c[i2] sum_j R[i1, j] R[i2, j]`` for rows R and column
+    weights c (all ones, or Y when R is a dataset's X):
     ``row_sums_offdiag[i] = sum_{i' != i} g[i, i']`` and
     ``row_square_sums_offdiag[i] = sum_{i' != i} g[i, i']^2``.  The n x n
     matrix itself is not kept.
@@ -132,16 +135,28 @@ class GramMatrix:
     def n(self) -> int:
         return self.row_sums_offdiag.shape[0]
 
+    def rows_scaled(self, c) -> GramMatrix:
+        """The statistics of ``diag(c) g``: row i scaled by ``c[i]``.
+
+        ``gram(X, Y).rows_scaled(Y)`` is W's Gram matrix, ``W W' = diag(Y) X X' diag(Y)``:
+        row sums times ``c``, row square sums times ``c^2``.
+        """
+        c = _as_vector(c, "c")
+        if c.shape[0] != self.n:
+            raise LengthMismatch(f"c has length {c.shape[0]}, n = {self.n}")
+        return GramMatrix(c * self.row_sums_offdiag, c * (c * self.row_square_sums_offdiag))
+
 
 def gram(rows, weights=None) -> GramMatrix:
     """The off-diagonal row statistics of ``rows @ rows.T``, column k scaled by ``weights[k]``.
 
-    ``rows`` is a WMatrix or an n x p array; ``weights``, when given, is a
-    length-n vector.  Cost O(n^2 p).  The product is scaled and its
-    diagonal zeroed in the buffer it returns, and its rows are reduced
-    there, so one n x n array is held while it runs and none after.
+    ``rows`` is an n x p array; ``weights``, when given, is a length-n
+    vector.  Cost O(n^2 p).  The product is scaled and its diagonal zeroed
+    in the buffer it returns, and its rows are reduced there, so one n x n
+    array is held while it runs and none after.  A dataset calls it once,
+    as ``gram(X, Y)``.
     """
-    rows = np.asarray(getattr(rows, "w", rows), dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2:
         raise InvalidInput("expected an n x p matrix")
     if rows.shape[0] < 2:

@@ -22,6 +22,8 @@ Feasible side:
 * ``var_tilde_naive`` / ``var_tilde_t_gamma`` / ``var_tilde_t_chat`` are the
   distribution-free versions: each unknown in the exact formula is replaced
   by its own distinct-index U-statistic built from the Gram matrix of W.
+  That matrix is the dataset's one product ``gram(X, Y)`` with its rows
+  scaled by Y (``GramMatrix.rows_scaled``), since ``W W' = diag(Y) X X' diag(Y)``.
 
 Negative variance estimates are possible and reported raw; callers that
 surface them attach a warning instead of clamping.

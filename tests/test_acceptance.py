@@ -120,7 +120,7 @@ def test_c01_kernel_oracle_equivalence():
         close(triple_sum_distinct(u, v, z), oracles.triple_sum_loop(u, v, z),
               np.abs(u).sum() * np.abs(v).sum() * np.abs(z).sum())
 
-        gm, g_loop = gram(w), oracles.gram_loop(w.w)
+        gm, g_loop = gram(w.w), oracles.gram_loop(w.w)
         frob_scale = float(np.sum(g_loop ** 2))
         close(offdiag_square_sum(gm), oracles.offdiag_square_sum_loop(g_loop),
               frob_scale)
@@ -163,7 +163,7 @@ def test_c02_unbiasedness():
         w = build_w(ds)
         vals["naive"][r] = naive_tau2(w)
         vals["oracle"][r] = t_oracle(ds, w, beta)
-        vals["full"][r] = t_full(ds, w)
+        vals["full"][r] = t_full(ds, w, gram(ds.x, ds.y))
         vals["t_b"][r] = t_b(ds, w, b_fixed)
     details = []
     ok = True
@@ -266,7 +266,7 @@ def test_c06_full_estimation_cost():
     vals = np.empty(reps)
     for r in range(reps):
         ds = gaussian_data(606, r, n, p, beta)
-        vals[r] = t_full(ds, build_w(ds))
+        vals[r] = t_full(ds, build_w(ds), gram(ds.x, ds.y))
     nv = n * vals.var(ddof=1)
     # 12 + 16 + 32 = 60 at n = p: oracle variance plus the second- and
     # third-order estimation costs (see var_t_full_theory)
@@ -407,7 +407,7 @@ def test_c10_variance_estimator_consistency():
         from varest.model import sample_variance_y
         plugin[r] = var_hat_naive_gaussian(naive_vals[r],
                                            sample_variance_y(ds.y), n, p)
-        tn = var_tilde_naive(w, gram(w), n)
+        tn = var_tilde_naive(w, gram(w.w), n)
         tilde_naive[r] = tn
         beta2 = beta_squared_estimates(w)
         tilde_tg[r] = var_tilde_t_gamma(tn, beta2, rep_sel.aux["selected"],

@@ -8,6 +8,7 @@ from varest.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidInput,
+    LengthMismatch,
     TooFewObservations,
     UnsupportedDependenceStructure,
 )
@@ -24,6 +25,7 @@ from varest.estimators import (
     t_full,
     t_oracle,
 )
+from varest.kernels import gram
 from varest.model import (
     CoefficientVector,
     CovariateModel,
@@ -187,7 +189,7 @@ class TestTFull:
         expected = naive_tau2(w) - 2.0 * sum(
             psi_loop(ds.x, w.w, j, jp) for j in range(3) for jp in range(3)
         )
-        np.testing.assert_allclose(t_full(ds, w), expected, rtol=1e-11)
+        np.testing.assert_allclose(t_full(ds, w, gram(ds.x, ds.y)), expected, rtol=1e-11)
 
     def test_degenerate_p1_equals_naive(self):
         # constant-magnitude X makes every centered second moment vanish
@@ -195,20 +197,26 @@ class TestTFull:
         y = np.array([0.5, 1.5, -0.7, 0.9])
         ds = LabeledDataset(x=x, y=y)
         w = build_w(ds)
-        np.testing.assert_allclose(t_full(ds, w), naive_tau2(w), rtol=1e-12)
+        np.testing.assert_allclose(t_full(ds, w, gram(ds.x, ds.y)), naive_tau2(w), rtol=1e-12)
 
     def test_too_few(self):
         ds = LabeledDataset(x=[[1.0], [2.0]], y=[1.0, 1.0])
         with pytest.raises(TooFewObservations):
-            t_full(ds, build_w(ds))
+            t_full(ds, build_w(ds), gram(ds.x, ds.y))
+
+    def test_gram_of_another_dataset_rejected(self):
+        ds, w = make_data(10, 8, 3)
+        other, _ = make_data(10, 9, 3)
+        with pytest.raises(LengthMismatch):
+            t_full(ds, w, gram(other.x, other.y))
 
     @staticmethod
     def _traced_peak(n=1000, p=20):
-        """Peak bytes held while ``t_full`` runs, over n x n doubles."""
+        """Peak bytes held while ``t_full`` and the product it reduces run, over n x n doubles."""
         ds, w = make_data(10, n, p)
         tracemalloc.start()
         try:
-            t_full(ds, w)
+            t_full(ds, w, gram(ds.x, ds.y))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -229,7 +237,8 @@ class TestTB:
 
     def test_full_set_is_t_full(self):
         ds, w = make_data(11, 10, 3, beta=np.ones(3))
-        np.testing.assert_allclose(t_b(ds, w, [0, 1, 2]), t_full(ds, w), rtol=1e-10)
+        np.testing.assert_allclose(t_b(ds, w, [0, 1, 2]), t_full(ds, w, gram(ds.x, ds.y)),
+                                   rtol=1e-10)
 
     def test_index_out_of_range(self):
         ds, w = make_data(12, 8, 3)

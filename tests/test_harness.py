@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 from dataclasses import replace
 
@@ -195,7 +196,7 @@ def two_step(ds, model, eid, beta, options, boot_seed):
         tau2 = {
             "naive": lambda: naive_tau2(w),
             "dicker": lambda: dicker_tau2(ds, w),
-            "full": lambda: t_full(ds, w),
+            "full": lambda: t_full(ds, w, gram(ds.x, ds.y)),
             "single": lambda: t_c_hat_star(w, build_single_zero(ds, model)),
             "oracle": lambda: t_oracle(ds, w, beta),
         }[eid]()
@@ -214,7 +215,7 @@ def two_step(ds, model, eid, beta, options, boot_seed):
         elif eid == "selection":
             value = var_hat_t_gamma(base, beta_squared_estimates(w), selected, ds.n)
     else:
-        base = var_tilde_naive(w, gram(w), ds.n)
+        base = tilde_base(ds, w)
         if eid in ("naive", "dicker"):
             value = base
         elif eid == "selection":
@@ -226,6 +227,16 @@ def two_step(ds, model, eid, beta, options, boot_seed):
     if warned:
         aux["variance_warning"] = " and ".join(warned)
     return replace(report, variance_estimate=value, aux=aux)
+
+
+def tilde_base(ds, w):
+    """The tilde naive variance, W's Gram statistics read as ``gram(X, Y)`` rows scaled by Y.
+
+    Within 1e-12 of the same variance from the Gram product of W itself.
+    """
+    base = var_tilde_naive(w, gram(ds.x, ds.y).rows_scaled(ds.y), ds.n)
+    assert base == pytest.approx(var_tilde_naive(w, gram(w.w), ds.n), rel=1e-12)
+    return base
 
 
 # Both draw a non-empty selected set and negative tilde variances; the
@@ -260,21 +271,20 @@ class TestEstimateDispatch:
 
     @staticmethod
     def _count_builds(monkeypatch):
-        """Count the calls of every binding that builds a per-dataset statistic."""
-        import varest.harness as harness
-        import varest.selection as selection
-        import varest.zeroboost as zeroboost
+        """Count the calls of every function that builds a per-dataset statistic, through
+        every module of the package that binds it."""
+        import varest.estimators as estimators
+        import varest.kernels as kernels
+        import varest.model as model
 
         calls = {"build_w": 0, "gram": 0, "build_single_zero": 0}
-        for module in (harness, selection, zeroboost):
-            for name in calls:
-                if not hasattr(module, name):
-                    continue
-
-                def counted(*args, _fn=getattr(module, name), _name=name):
-                    calls[_name] += 1
-                    return _fn(*args)
-                monkeypatch.setattr(module, name, counted)
+        for fn in (model.build_w, kernels.gram, estimators.build_single_zero):
+            def counted(*args, _fn=fn):
+                calls[_fn.__name__] += 1
+                return _fn(*args)
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] == "varest" and getattr(module, fn.__name__, None) is fn:
+                    monkeypatch.setattr(module, fn.__name__, counted)
         return calls
 
     def test_statistics_built_once(self, monkeypatch):
@@ -311,7 +321,7 @@ class TestEstimateDispatch:
             if method == "gaussian-plugin":
                 base = var_hat_naive_gaussian(naive_tau2(w), sample_variance_y(block.y), n, block.p)
                 return var_hat_t_gamma(base, beta_squared_estimates(w), selected, n)
-            base = var_tilde_naive(w, gram(w), n)
+            base = tilde_base(block, w)
             return var_tilde_t_gamma(base, beta_squared_estimates(w), selected, model, n)
 
         rest = ds.rank[k:]  # the caller's trailing rows
@@ -352,8 +362,40 @@ class TestEstimateDispatch:
         ds = generate_dataset(cfg, build_beta(cfg), 0)
         w = build_w(ds)
         assert calls == [(cfg.n, cfg.p)]
-        t_full(ds, w)
+        t_full(ds, w, gram(ds.x, ds.y))
         assert calls == [(cfg.n, cfg.p)]
+
+    # every id with tilde makes one product: test_statistics_built_once
+    @pytest.mark.parametrize("ids, method, products", [
+        ("full", None, 1),
+        ("naive,dicker,single,selection", "tilde", 1),
+        ("naive", None, 0),
+    ])
+    def test_one_gram_product_per_dataset(self, monkeypatch, ids, method, products):
+        # full and the tilde variances read the one product gram(X, Y)
+        calls = self._count_builds(monkeypatch)
+        cfg = small_cfg(reps=1)
+        stats = DatasetStats(generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg))
+        for eid in ids.split(","):
+            estimate(stats, eid, options=HarnessOptions(variance_method=method))
+        assert calls["gram"] == products
+
+    def test_cli_estimate_makes_one_gram_product(self, monkeypatch, tmp_path, capsys):
+        import varest.cli
+
+        calls = self._count_builds(monkeypatch)
+        g = np.random.default_rng(4)
+        x = g.standard_normal((12, 5))
+        data, model = tmp_path / "data.csv", tmp_path / "model.json"
+        np.savetxt(data, np.column_stack([x @ np.full(5, 0.4) + g.standard_normal(12), x]),
+                   delimiter=",", header="y," + ",".join(f"x{j + 1}" for j in range(5)),
+                   comments="")
+        model.write_text('{"covariance": "identity", "gaussian": true}')
+        assert varest.cli.main(["estimate", "--data", str(data), "--model", str(model),
+                                "--estimators", "naive,dicker,full,single,selection",
+                                "--variance", "tilde"]) == 0
+        assert calls["gram"] == 1
+        assert len(capsys.readouterr().out.splitlines()) == 6
 
     def test_accepts_every_estimator_id(self):
         cfg = small_cfg(reps=1)
@@ -405,22 +447,26 @@ class TestEstimateDispatch:
 
 
 class TestScaling:
-    """Scaling y by 2^k scales tau2 and sigma2 by exactly 4^k and a variance estimate by 16^k."""
+    """Scaling y by 2^k scales tau2 and sigma2 by exactly 4^k and a variance estimate by
+    16^k, for every estimator and variance method (the oracle's beta scaled by 2^k too)."""
 
     @pytest.mark.parametrize("select_split", [False, True], ids=["whole", "split"])
     @pytest.mark.parametrize("method", [None, "gaussian-plugin", "tilde"])
-    @pytest.mark.parametrize("eid", ["naive", "dicker", "full", "single", "selection",
-                                     "empirical"])
+    @pytest.mark.parametrize("eid", ESTIMATOR_IDS)
     def test_y_power_of_two_scales_exactly(self, eid, method, select_split):
         options = HarnessOptions(variance_method=method, boot=20, select_split=select_split)
         for x_dist in sorted(DISPATCH_CASES):
             cfg = small_cfg(x_dist=x_dist, reps=1, **DISPATCH_CASES[x_dist])
-            ds, model = generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg)
-            base = estimate(DatasetStats(ds, model), eid, options=options, boot_seed=7)
-            for k in (-3, 5):
+            beta, model = build_beta(cfg), covariate_model_for(cfg)
+            ds = generate_dataset(cfg, beta, 0)
+            base = estimate(DatasetStats(ds, model), eid, beta=beta, options=options,
+                            boot_seed=7)
+            for k in (-3, 5, 40):
                 # in the generated row order, which split blocks and resamples index
                 scaled = LabeledDataset(x=ds.x[ds.rank], y=ds.y[ds.rank] * 2.0**k)
-                got = estimate(DatasetStats(scaled, model), eid, options=options, boot_seed=7)
+                got = estimate(DatasetStats(scaled, model), eid,
+                               beta=CoefficientVector(beta.beta * 2.0**k), options=options,
+                               boot_seed=7)
                 assert (got.tau2, got.sigma2) == (base.tau2 * 4.0**k, base.sigma2 * 4.0**k)
                 if base.variance_estimate is None:
                     assert got.variance_estimate is None
@@ -502,7 +548,8 @@ def _oracle_examples(draw):
 
 def _loop_values(ds, columns):
     """Each checked id -> ``(value, scale)`` from the loops of ``oracles``: the value and
-    the sum of the absolute values of its summands."""
+    the sum of the absolute values of its summands.  ``tilde`` is the naive estimator's
+    tilde variance, reduced from the Gram matrix of W."""
     x, w = ds.x, oracles.w_loop(ds.x, ds.y)
     ax, aw = np.abs(x), np.abs(w)
     naive = (oracles.naive_loop(w), oracles.naive_loop(aw))
@@ -511,6 +558,13 @@ def _loop_values(ds, columns):
              oracles.psi_sum_loop(ax[:, columns], aw[:, columns], delta=-1.0))
     values = {"naive": naive, "full": (naive[0] - 2 * psi[0], naive[1] + 2 * psi[1]),
               "t_b": (naive[0] - 2 * psi_b[0], naive[1] + 2 * psi_b[1])}
+    # the tilde naive variance from W's Gram matrix: lead (b'Ab - b^4) + tail (|A|^2 - b^4)
+    n, gw = ds.n, oracles.gram_loop(w)
+    lead, tail = 4.0 * (n - 2) / (n * (n - 1)), 2.0 / (n * (n - 1))
+    frob = oracles.offdiag_square_sum_loop(gw) / (n * (n - 1))
+    quad = [oracles.chain_sum_loop(g) / (n * (n - 1) * (n - 2)) for g in (gw, np.abs(gw))]
+    values["tilde"] = (lead * (quad[0] - naive[0] ** 2) + tail * (frob - naive[0] ** 2),
+                       lead * (quad[1] + naive[1] ** 2) + tail * (frob + naive[1] ** 2))
     if ds.p >= 2:
         var_g = ds.p * (ds.p - 1) / 2.0
         g, ag = oracles.single_zero_loop(x), oracles.single_zero_loop(ax)
@@ -554,9 +608,9 @@ class TestOracleProperty:
     """Across shapes n in 3..40 and p in 1..40 and scales 10^-100..10^100, with a
     duplicate row or a constant column now and then, every estimator but ``empirical``
     under every variance method gives finite numbers or a ``VarestError`` and never
-    warns; the same on a row permutation, bit for bit; and ``naive``, ``t_b``, ``full``
-    and ``single`` match the loops of ``tests/oracles.py`` to 1e-10 of the sum of the
-    absolute values of their summands."""
+    warns; the same on a row permutation, bit for bit; and ``naive``, ``t_b``, ``full``,
+    ``single`` and the tilde variance of ``naive`` match the loops of ``tests/oracles.py``
+    to 1e-10 of the sum of the absolute values of their summands."""
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(example=_oracle_examples())
@@ -574,6 +628,8 @@ class TestOracleProperty:
         assert outcomes[0] == outcomes[1]
         got = {eid: outcomes[0][(eid, None)] for eid in ("naive", "full", "single")}
         got["t_b"] = outcomes[0]["t_b"]
+        tilde = outcomes[0][("naive", "tilde")]
+        got["tilde"] = tilde[2:] if isinstance(tilde, tuple) else tilde
         with np.errstate(all="ignore"):
             loops = _loop_values(ds, columns)
         for eid, (want, scale) in loops.items():

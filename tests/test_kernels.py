@@ -127,6 +127,31 @@ class TestGram:
         with pytest.raises(InvalidInput):
             gram(np.ones((4, 2)), np.ones((4, 1)))
 
+    def test_rows_scaled_by_y_is_the_gram_of_w(self):
+        # W W' = diag(y) X X' diag(y): the Gram statistics of W, to rounding
+        g0 = np.random.default_rng(31)
+        x, y = g0.standard_normal((9, 4)), g0.standard_normal(9)
+        w = x * y[:, None]
+        g = gram(x, y).rows_scaled(y)
+        sums, square_sums = _loop_row_stats(w)
+        np.testing.assert_allclose(g.row_sums_offdiag, sums, rtol=1e-12)
+        np.testing.assert_allclose(g.row_square_sums_offdiag, square_sums, rtol=1e-12)
+        np.testing.assert_allclose(chain_sum_distinct(g), chain_sum_loop(gram_loop(w)),
+                                   rtol=1e-12)
+
+    def test_rows_scaled_by_a_power_of_two_is_exact(self):
+        g = gram(np.random.default_rng(32).standard_normal((6, 3)))
+        scaled = g.rows_scaled(np.full(6, 0.25))
+        assert scaled.row_sums_offdiag.tobytes() == (g.row_sums_offdiag / 4).tobytes()
+        assert scaled.row_square_sums_offdiag.tobytes() == \
+            (g.row_square_sums_offdiag / 16).tobytes()
+
+    def test_rows_scaled_of_wrong_length(self):
+        with pytest.raises(LengthMismatch):
+            gram(np.ones((4, 2))).rows_scaled(np.ones(3))
+        with pytest.raises(InvalidInput):
+            gram(np.ones((4, 2))).rows_scaled(np.ones((4, 1)))
+
     @staticmethod
     def _traced_gram(n=1000, p=20):
         """(bytes kept after ``gram`` returns, peak bytes while it runs) over n x n doubles."""

@@ -350,9 +350,10 @@ class TestBuildW:
         x = rng.standard_normal((8, 5))
         y = rng.standard_normal(8)
         perm = rng.permutation(5)
-        w1 = build_w(LabeledDataset(x=x[:, perm], y=y))
-        w2 = build_w(LabeledDataset(x=x, y=y))
-        np.testing.assert_array_equal(w1.w, w2.w[:, perm])
+        ds1, ds2 = LabeledDataset(x=x[:, perm], y=y), LabeledDataset(x=x, y=y)
+        # in the caller's row order: the canonical order may differ between the two
+        w1, w2 = build_w(ds1).w[ds1.rank], build_w(ds2).w[ds2.rank]
+        np.testing.assert_array_equal(w1, w2[:, perm])
 
 
 class TestColumnSet:

@@ -19,7 +19,9 @@
   calls them only at the sites in ``SORT_SITES``, each for its stated reason.
 * The n x n self-product ``a @ a.T`` (the same expression on both sides) is
   formed only at the sites in ``SELF_PRODUCT_SITES``: every row-pair
-  reduction goes through ``kernels.gram``.
+  reduction goes through ``kernels.gram``.  And ``kernels.gram`` is called
+  only at the sites in ``GRAM_SITES``: a dataset forms one product, which
+  ``t_full`` and the tilde variances share.
 * Every input CSV is read by one strict reader: ``csv.reader`` is called only
   at the site in ``CSV_READER_SITES``, which alone opens a file with
   ``errors="surrogateescape"``, so every data and records file names a bad
@@ -69,7 +71,12 @@ SORT_SITES = {
 
 # (module, function) -> what its ``a @ a.T`` reduces.
 SELF_PRODUCT_SITES = {
-    ("kernels.py", "gram"): "the rows of W, or of X with the columns scaled by Y for t_full",
+    ("kernels.py", "gram"): "the rows it is given: a dataset's X, its columns scaled by Y",
+}
+# (module, function) -> what its ``kernels.gram`` call forms.
+GRAM_SITES = {
+    ("harness.py", "gram"): "the dataset's one product gram(X, Y), which t_full reduces and "
+                            "whose rows scaled by Y are W's Gram statistics",
 }
 
 # (module, function) -> what its ``csv.reader`` reads.
@@ -247,6 +254,21 @@ def test_sort_rule_catches_violations(tmp_path):
 def test_only_self_products_are_the_listed_sites():
     sites = {site for path in MODULES for site in _self_product_sites(path)}
     assert sites == set(SELF_PRODUCT_SITES)
+
+
+def _is_gram_call(node):
+    """A call of ``gram`` or ``kernels.gram``."""
+    if not isinstance(node, ast.Call):
+        return False
+    fn = node.func
+    return (getattr(fn, "id", None) == "gram"
+            or (isinstance(fn, ast.Attribute) and fn.attr == "gram"
+                and getattr(fn.value, "id", None) == "kernels"))
+
+
+def test_one_gram_product_per_dataset():
+    sites = [site for path in MODULES for site in _sites(path, _is_gram_call)]
+    assert sites == list(GRAM_SITES)
 
 
 def _is_csv_reader(node):
@@ -449,6 +471,11 @@ def test_rules_catch_violations(tmp_path):
     products.write_text("def t_full(ds):\n    a = ds.x @ ds.x.T\n    return a @ a.T\n"
                         "def fine(ds, b):\n    return ds.x @ ds.y.T, b @ ds.x.T, ds.x.T @ ds.x\n")
     assert _self_product_sites(products) == [("estimators.py", "t_full")] * 2
+    grams = tmp_path / "estimators.py"
+    grams.write_text("from . import kernels\nfrom .kernels import gram\n"
+                     "def t_full(ds, w):\n    return gram(ds.x, ds.y), kernels.gram(w.w)\n"
+                     "def fine(st):\n    return st.gram, other.gram(st), gram\n")
+    assert _sites(grams, _is_gram_call) == [("estimators.py", "t_full")] * 2
     readers = tmp_path / "cli.py"
     readers.write_text("import csv\n"
                        "def load(fh):\n    return csv.reader(fh, strict=True)\n"

@@ -229,7 +229,8 @@ class TestVarTFullTheory:
         n, p, reps = 300, 8, 2000
         beta = np.full(p, 1 / np.sqrt(p))
         model = GAUSS(p)
-        vals = mc_estimates(t_full, reps, n, p, beta, tag=4001)
+        vals = mc_estimates(lambda ds, w: t_full(ds, w, gram(ds.x, ds.y)), reps, n, p, beta,
+                            tag=4001)
         emp = vals.var(ddof=1)
         theory = var_t_full_theory(CoefficientVector(beta), 1.0, model, n, p)
         assert abs(theory - emp) / emp < 0.15
@@ -280,7 +281,7 @@ class TestVarTildeNaive:
         y = np.array([1.0, -2.0, 0.5, 3.0])
         ds = LabeledDataset(x=x, y=y)
         w = build_w(ds)
-        g = gram(w)
+        g = gram(w.w)
         n = 4
         tau2 = naive_tau2(w)
         expected = (4.0 * (n - 2) / (n * (n - 1)) + 2.0 / (n * (n - 1))) * (-(tau2 ** 2))
@@ -291,7 +292,7 @@ class TestVarTildeNaive:
         x = g0.standard_normal((10, 3))
         y = x @ np.array([0.8, 0.0, -0.3]) + g0.standard_normal(10)
         w = build_w(LabeledDataset(x=x, y=y))
-        g, g_loop = gram(w), gram_loop(w.w)
+        g, g_loop = gram(w.w), gram_loop(w.w)
         n = 10
         beta_quad_hat = chain_sum_loop(g_loop) / (n * (n - 1) * (n - 2))
         frob_hat = offdiag_square_sum_loop(g_loop) / (n * (n - 1))
@@ -308,8 +309,8 @@ class TestVarTildeNaive:
         perm = g0.permutation(12)
         w2 = build_w(LabeledDataset(x=x[perm], y=y[perm]))
         np.testing.assert_allclose(
-            var_tilde_naive(w1, gram(w1), 12),
-            var_tilde_naive(w2, gram(w2), 12),
+            var_tilde_naive(w1, gram(w1.w), 12),
+            var_tilde_naive(w2, gram(w2.w), 12),
             rtol=1e-12,
         )
 
