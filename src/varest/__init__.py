@@ -36,6 +36,7 @@ from .estimators import (
     c_star_oracle,
     dicker_tau2,
     naive_tau2,
+    pairwise_zero_variance,
     psi_hat,
     sigma2_from,
     t_b,
@@ -82,7 +83,6 @@ from .simgen import (
 )
 from .variance import (
     asymptotic_psi,
-    moment_matrix_a,
     var_hat_naive_gaussian,
     var_hat_t_gamma,
     var_naive_theory,

@@ -14,7 +14,7 @@ All simulation randomness flows from ``--seed`` (or the scenario file);
 omitting it is an error, never silent entropy.  Every number the CLI writes or prints goes
 through ``format_value`` (6 significant digits), and both ``simulate`` and
 ``summarize`` summarize a records file through one function, so the printed
-table shows the summary CSV's values.
+table shows the summary CSV's values; ``simulate`` also warns of failed replications.
 """
 
 from __future__ import annotations
@@ -201,12 +201,24 @@ def _cmd_simulate(args) -> int:
     records = run_scenario(cfg, estimators, options)
     with _file_errors(args.records_out):
         write_records_csv(args.records_out, records)
+    _warn_failed(records)
     summaries = _summarize_records(args.records_out, cfg.tau2, args.summary_out)
     tau2, tau2_b, sigma2 = map(format_value, (cfg.tau2, cfg.tau2_b, cfg.sigma2))
     print(f"scenario: n={cfg.n} p={cfg.p} tau2={tau2} tau2_b={tau2_b} sigma2={sigma2} "
           f"reps={cfg.reps} seed={cfg.seed}")
     _print_summary_table(summaries)
     return 0
+
+
+def _warn_failed(records) -> None:
+    """One stderr line per estimator with failed replications, whose errors the CSV drops."""
+    by_id = {}
+    for record in records:
+        by_id.setdefault(record.estimator_id, []).append(record.aux.get("error"))
+    for eid, errors in by_id.items():
+        if failed := [error for error in errors if error is not None]:
+            print(f"warning: {eid}: {len(failed)} of {len(errors)} replications failed: "
+                  f"{failed[0]}", file=sys.stderr)
 
 
 def _summarize_records(records_path: str, true_tau2: float, summary_path: str):

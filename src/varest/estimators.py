@@ -52,6 +52,7 @@ __all__ = [
     "c_star_oracle",
     "dicker_tau2",
     "naive_tau2",
+    "pairwise_zero_variance",
     "psi_hat",
     "sigma2_from",
     "t_b",
@@ -204,46 +205,44 @@ class SingleZeroStat:
         return self.g_per_obs.shape[0]
 
 
-def build_single_zero(ds: LabeledDataset, model: CovariateModel) -> SingleZeroStat:
-    """Compute g_i for every observation in O(p) per row.
+def pairwise_zero_variance(p: int, model: CovariateModel) -> float:
+    """``Var(g_i) = p (p - 1) / 2``: g_i sums p(p-1)/2 uncorrelated unit-variance products.
 
-    ``g_i = ((sum_j X_ij)^2 - sum_j X_ij^2) / 2``.  Requires p >= 2 (the
-    pair sum is empty otherwise) and an independent-columns model, which is
-    what makes Var(g_i) = p(p-1)/2 known.
+    Requires p >= 2 (the pair sum is empty otherwise), checked first, and an
+    independent-columns model.
     """
-    p = ds.p
     if p < 2:
         raise DegenerateZeroEstimator("the pairwise zero-estimator needs p >= 2")
     if not model.independent_columns:
         raise UnsupportedDependenceStructure(
             "the single-zero-estimator path requires independent whitened columns"
         )
+    return p * (p - 1) / 2.0
+
+
+def build_single_zero(ds: LabeledDataset, model: CovariateModel) -> SingleZeroStat:
+    """Compute g_i for every observation in O(p) per row.
+
+    ``g_i = ((sum_j X_ij)^2 - sum_j X_ij^2) / 2``; ``var_g`` and the checks
+    on p and the model are :func:`pairwise_zero_variance`'s.
+    """
+    var_g = pairwise_zero_variance(ds.p, model)
     row_sums = np.sum(ds.x, axis=1)
     row_sq_sums = np.einsum("ij,ij->i", ds.x, ds.x)
     g = 0.5 * (row_sums * row_sums - row_sq_sums)
-    return SingleZeroStat(
-        g_per_obs=g,
-        g_n=ordered_sum(g) / ds.n,
-        var_g=p * (p - 1) / 2.0,
-    )
+    return SingleZeroStat(g_per_obs=g, g_n=ordered_sum(g) / ds.n, var_g=var_g)
 
 
-def c_star_oracle(
-    beta: CoefficientVector,
-    single: SingleZeroStat,
-    model: CovariateModel,
-) -> float:
+def c_star_oracle(beta: CoefficientVector, model: CovariateModel) -> float:
     """Oracle coefficient ``c* = 2 sum_j beta_j theta_j / Var(g_i)``.
 
     For independent whitened columns ``theta_j = sum_{m != j} beta_m``, so
-    the numerator sum collapses to ``(sum_j beta_j)^2 - ||beta||^2``.
+    the numerator sum collapses to ``(sum_j beta_j)^2 - ||beta||^2``;
+    ``Var(g_i)`` is :func:`pairwise_zero_variance`'s.
     """
-    if beta.p < 2:
-        raise DegenerateZeroEstimator("c* needs p >= 2")
-    if not model.independent_columns:
-        raise UnsupportedDependenceStructure("c* closed form needs independent columns")
+    var_g = pairwise_zero_variance(beta.p, model)
     total = ordered_sum(beta.beta)
-    return 2.0 * (total * total - beta.tau2) / single.var_g
+    return 2.0 * (total * total - beta.tau2) / var_g
 
 
 def c_hat_star(w: WMatrix, single: SingleZeroStat) -> float:

@@ -132,7 +132,7 @@ class CovariateModel:
     independent_columns : bool
         Whether the whitened columns are fully independent (not merely
         uncorrelated).  Required by the single-zero-estimator path and the
-        analytic moment matrix.
+        theory variances.
     gaussian : bool
         Whether X is Gaussian; forces fourth moments of exactly 3.
     """

@@ -2,10 +2,9 @@
 
 Theory side (used as test oracles and for reporting):
 
-* ``var_naive_theory`` is the exact finite-n variance of the naive estimator
-  in terms of the second-moment matrix ``A = E(W W')``, which
-  ``moment_matrix_a`` builds analytically for independent whitened columns
-  (off-diagonal ``2 b_j b_j'``, diagonal ``sigma_Y^2 + b_j^2 (E X^4 - 1)``).
+* ``var_naive_theory`` is the exact finite-n variance of the naive estimator.
+  It reads ``A = E(W W')`` only through ``b'Ab`` and ``||A||_F^2``, O(p) sums
+  for independent whitened columns, so no theory variance forms a p x p matrix.
 * ``var_t_oracle_theory`` / ``var_t_b_theory`` / ``var_t_cstar_theory`` /
   ``var_t_full_theory`` apply the corresponding reduction (or estimation
   cost) terms.  The T_B and T_full formulas are leading order and reports
@@ -18,7 +17,7 @@ Theory side (used as test oracles and for reporting):
 Feasible side:
 
 * ``var_hat_naive_gaussian`` / ``var_hat_t_gamma`` plug sample moments into
-  the Gaussian closed form.
+  the exact formula's Gaussian part, the terms ``var_naive_theory`` starts from.
 * ``var_tilde_naive`` / ``var_tilde_t_gamma`` / ``var_tilde_t_chat`` are the
   distribution-free versions: each unknown in the exact formula is replaced
   by its own distinct-index U-statistic built from the Gram matrix of W.
@@ -33,18 +32,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DegenerateZeroEstimator,
-    TooFewObservations,
-    UnsupportedDependenceStructure,
-)
-from .estimators import SingleZeroStat, c_hat_numerator, naive_tau2
+from .errors import DegenerateZeroEstimator, TooFewObservations, UnsupportedDependenceStructure
+from .estimators import (SingleZeroStat, c_hat_numerator, c_star_oracle, naive_tau2,
+                         pairwise_zero_variance)
 from .kernels import GramMatrix, chain_sum_distinct, offdiag_square_sum, ordered_sum
 from .model import CoefficientVector, CovariateModel, WMatrix, column_set
 
 __all__ = [
     "asymptotic_psi",
-    "moment_matrix_a",
     "var_hat_naive_gaussian",
     "var_hat_t_gamma",
     "var_naive_theory",
@@ -58,33 +53,18 @@ __all__ = [
 ]
 
 
-def moment_matrix_a(
-    beta: CoefficientVector,
-    sigma2: float,
-    model: CovariateModel,
-) -> np.ndarray:
-    """Analytic ``A[j, j'] = E(W_j W_j')`` for independent whitened columns, read-only.
-
-    ``sigma_Y^2 = ||beta||^2 + sigma^2``; off-diagonal entries are
-    ``2 b_j b_j'`` and the diagonal is ``sigma_Y^2 + b_j^2 (E X_j^4 - 1)``.
-    """
-    if not model.independent_columns:
-        raise UnsupportedDependenceStructure(
-            "analytic moment matrix requires independent columns"
-        )
-    b = beta.beta
-    sigma_y2 = beta.tau2 + sigma2
-    a = 2.0 * np.outer(b, b)
-    np.fill_diagonal(a, sigma_y2 + b * b * (model.fourth_moments - 1.0))
-    a.setflags(write=False)
-    return a
-
-
 def _eq5(n: int, beta_quad_centered: float, frob_centered: float) -> float:
     """Exact variance of the naive estimator given centered A components."""
     lead = 4.0 * (n - 2) / (n * (n - 1))
     tail = 2.0 / (n * (n - 1))
     return lead * beta_quad_centered + tail * frob_centered
+
+
+def _gaussian_terms(tau2: float, sigma_y2: float, p: int) -> tuple[float, float]:
+    """``(b'Ab - tau^4, ||A||_F^2 - tau^4)`` under a Gaussian model (every k_j = 0)."""
+    t4 = tau2 * tau2
+    return (sigma_y2 * tau2 + t4,
+            p * sigma_y2 * sigma_y2 + 4.0 * sigma_y2 * tau2 + 3.0 * t4)
 
 
 def var_naive_theory(
@@ -93,13 +73,28 @@ def var_naive_theory(
     model: CovariateModel,
     n: int,
 ) -> float:
-    """Exact finite-n variance of the naive estimator.
+    """Exact finite-n variance of the naive estimator, in O(p).
 
-    ``(4(n-2)/(n(n-1))) [b'Ab - ||b||^4] + (2/(n(n-1))) [||A||_F^2 - ||b||^4]``.
+    ``(4(n-2)/(n(n-1))) [b'Ab - t^2] + (2/(n(n-1))) [||A||_F^2 - t^2]`` for
+    ``A = E(W W') = 2 b b' + diag(s + k_j b_j^2)`` (independent columns), with
+    ``t = tau^2``, ``s = sigma_Y^2`` and excess kurtoses ``k_j = E X_j^4 - 3``:
+
+    * ``b'Ab - t^2 = t^2 + s t + sum_j k_j b_j^4``;
+    * ``||A||_F^2 - t^2 = 3 t^2 + p s^2 + 4 s t
+      + sum_j (2 s k_j b_j^2 + (k_j^2 + 4 k_j) b_j^4)``.
+
+    The sums vanish under a Gaussian model, leaving what
+    :func:`var_hat_naive_gaussian` plugs estimates into.
     """
-    a = moment_matrix_a(beta, sigma2, model)
-    tau4 = beta.tau2 ** 2
-    return _eq5(n, float(beta.beta @ a @ beta.beta) - tau4, float(np.sum(a * a)) - tau4)
+    if not model.independent_columns:
+        raise UnsupportedDependenceStructure("var_naive_theory needs independent columns")
+    sigma_y2 = beta.tau2 + sigma2
+    b2 = beta.beta * beta.beta
+    k = model.fourth_moments - 3.0
+    kb4 = k * b2 * b2
+    quad, frob = _gaussian_terms(beta.tau2, sigma_y2, beta.p)
+    return _eq5(n, quad + ordered_sum(kb4),
+                frob + ordered_sum(2.0 * sigma_y2 * k * b2 + (k + 4.0) * kb4))
 
 
 def asymptotic_psi(tau2: float, sigma2: float, p: int, n: int) -> float:
@@ -159,18 +154,12 @@ def var_t_cstar_theory(
 ) -> float:
     """Variance of the oracle single-correction estimator T_{c*}.
 
-    Subtracts ``[2 ((sum b_j)^2 - tau^2)]^2 / (n Var(g_i))`` with
-    ``Var(g_i) = p (p - 1) / 2``.
+    Subtracts ``c*^2 Var(g_i) / n``, with c* from :func:`c_star_oracle` and
+    ``Var(g_i)`` from :func:`pairwise_zero_variance`.
     """
-    p = beta.p
-    if p < 2:
-        raise DegenerateZeroEstimator("T_c* needs p >= 2")
-    if not model.independent_columns:
-        raise UnsupportedDependenceStructure("T_c* theory needs independent columns")
-    total = ordered_sum(beta.beta)
-    numerator = (2.0 * (total * total - beta.tau2)) ** 2
-    var_g = p * (p - 1) / 2.0
-    return var_naive_theory(beta, sigma2, model, n) - numerator / (n * var_g)
+    c_star = c_star_oracle(beta, model)
+    reduction = c_star * c_star * pairwise_zero_variance(beta.p, model) / n
+    return var_naive_theory(beta, sigma2, model, n) - reduction
 
 
 def var_t_full_theory(
@@ -214,17 +203,12 @@ def var_t_full_theory(
 def var_hat_naive_gaussian(tau2_hat: float, sigma_y2_hat: float, n: int, p: int) -> float:
     """Gaussian plug-in variance estimate for the naive estimator.
 
+    The exact formula's Gaussian part at the estimates ``t2`` and ``sy2``:
     ``(4/n)[ ((n-2)/(n-1)) (sy2 t2 + t2^2)
-             + (1/(2(n-1))) (p sy2^2 + 4 sy2 t2 + 3 t2^2) ]``
-    evaluated as written; a negative tau^2-hat is plugged in raw.
+             + (1/(2(n-1))) (p sy2^2 + 4 sy2 t2 + 3 t2^2) ]``;
+    a negative tau^2-hat is plugged in raw.
     """
-    t2 = tau2_hat
-    t4 = t2 * t2
-    sy2 = sigma_y2_hat
-    sy4 = sy2 * sy2
-    lead = (n - 2) / (n - 1) * (sy2 * t2 + t4)
-    tail = (p * sy4 + 4.0 * sy2 * t2 + 3.0 * t4) / (2.0 * (n - 1))
-    return 4.0 / n * (lead + tail)
+    return _eq5(n, *_gaussian_terms(tau2_hat, sigma_y2_hat, p))
 
 
 def var_hat_t_gamma(var_hat_naive: float, beta2, b_gamma, n: int) -> float:

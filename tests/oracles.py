@@ -105,6 +105,48 @@ def beta2_loop(w) -> np.ndarray:
     return out / (n * (n - 1))
 
 
+def moment_matrix_loop(beta, sigma2, fourth_moments) -> np.ndarray:
+    """``A[j, k] = E(W_j W_k)`` for independent whitened columns, entry by entry.
+
+    ``W_j = X_j Y`` with ``Y = sum_m beta_m X_m + eps``.  Off the diagonal only
+    the ``X_j^2 X_k^2`` terms survive, twice: ``2 beta_j beta_k``.  On it,
+    ``E X_j^4 beta_j^2 + sum_{m != j} beta_m^2 + sigma^2``.
+    """
+    b = np.asarray(beta, dtype=float)
+    p = len(b)
+    a = np.zeros((p, p))
+    for j in range(p):
+        for k in range(p):
+            if j != k:
+                a[j, k] = 2.0 * b[j] * b[k]
+        a[j, j] = fourth_moments[j] * b[j] ** 2 + sigma2
+        for m in range(p):
+            if m != j:
+                a[j, j] += b[m] ** 2
+    return a
+
+
+def naive_variance_loop(beta, sigma2, fourth_moments, n):
+    """Exact variance of the naive estimator from ``moment_matrix_loop``, and its scale.
+
+    ``(4(n-2)/(n(n-1))) [b'Ab - tau^4] + (2/(n(n-1))) [||A||_F^2 - tau^4]``; the
+    scale is the same expression with each ``- tau^4`` made ``+ tau^4``.
+    """
+    b = np.asarray(beta, dtype=float)
+    a = moment_matrix_loop(b, sigma2, fourth_moments)
+    p = len(b)
+    quad = frob = tau2 = 0.0
+    for j in range(p):
+        tau2 += b[j] ** 2
+        for k in range(p):
+            quad += b[j] * a[j, k] * b[k]
+            frob += a[j, k] ** 2
+    lead, tail = 4.0 * (n - 2) / (n * (n - 1)), 2.0 / (n * (n - 1))
+    tau4 = tau2 * tau2
+    return (lead * (quad - tau4) + tail * (frob - tau4),
+            lead * (quad + tau4) + tail * (frob + tau4))
+
+
 def psi_loop(x, w, j, j_prime) -> float:
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)

@@ -213,13 +213,11 @@ def mc200():
     bv = CoefficientVector(beta)
     model = GAUSS(p)
     out = {k: np.empty(reps) for k in ("naive", "oracle", "tcstar", "chat")}
-    c_star = None
+    c_star = c_star_oracle(bv, model)
     for r in range(reps):
         ds = gaussian_data(405, r, n, p, beta)
         w = build_w(ds)
         single = build_single_zero(ds, model)
-        if c_star is None:
-            c_star = c_star_oracle(bv, single, model)
         out["naive"][r] = naive_tau2(w)
         out["oracle"][r] = t_oracle(ds, w, bv)
         out["tcstar"][r] = out["naive"][r] - c_star * single.g_n
@@ -456,7 +454,7 @@ def test_c11_bootstrap_non_degradation():
     ds0 = generate_dataset(cfg, beta, 0)
     # the coefficient the bootstrap estimates; a mean c_tilde near 2 c*
     # is the same-row-pair inflation described in the module docstring
-    c_star = c_star_oracle(beta, build_single_zero(ds0, model), model)
+    c_star = c_star_oracle(beta, model)
     bcfg = BootstrapConfig(n_boot=200, seed=1000, initial_estimator="naive")
     first = empirical_estimator(DatasetStats(ds0, model), bcfg)
     second = empirical_estimator(DatasetStats(ds0, model), bcfg)

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varest import cli
+from varest import cli, harness
 from varest.cli import main
+from varest.errors import NonFiniteResult
 from varest.estimators import ESTIMATOR_IDS
-from varest.harness import INITIAL_IDS, SummaryStats, read_records_csv
+from varest.harness import INITIAL_IDS, SummaryStats, estimate, read_records_csv
 
 
 def run_cli(args):
@@ -217,6 +218,46 @@ class TestSimulate:
         assert run_cli(args + ["--estimators", "naive,empirical"]) == 0
         assert [row[1] for row in csv.reader(open(tmp_path / "r.csv"))][1:3] == \
             ["naive", "empirical"]
+
+
+class TestFailedReplications:
+    """``simulate`` names each estimator whose replications failed on stderr; the records
+    CSV, which drops ``aux``, and the summary stay as they are."""
+
+    @staticmethod
+    def simulate(tmp_path, tau2, tau2b):
+        return run_cli(["simulate", "--n", "10", "--p", "5", "--tau2", tau2, "--tau2b", tau2b,
+                        "--b-size", "2", "--reps", "3", "--seed", "1",
+                        "--estimators", "naive,single",
+                        "--records-out", str(tmp_path / "r.csv"),
+                        "--summary-out", str(tmp_path / "s.csv")])
+
+    def test_overflow_warns_once_per_estimator(self, tmp_path, capsys):
+        assert self.simulate(tmp_path, "1e308", "1e308") == 0
+        captured = capsys.readouterr()
+        assert captured.err == "".join(
+            f"warning: {eid}: 3 of 3 replications failed: NonFiniteResult: "
+            f"estimator '{eid}': overflow encountered in multiply\n" for eid in ("naive", "single"))
+        records = read_records_csv(tmp_path / "r.csv")
+        assert len(records) == 6 and all(math.isnan(r.tau2_hat) for r in records)
+        assert [line.split()[1] for line in captured.out.splitlines()[2:]] == ["nan", "nan"]
+
+    def test_counts_only_the_failed_replications(self, tmp_path, capsys, monkeypatch):
+        naive_reps = iter(range(3))
+
+        def fail_second_naive(stats, eid, **kwargs):
+            if eid == "naive" and next(naive_reps) == 1:
+                raise NonFiniteResult("estimator 'naive': stub")
+            return estimate(stats, eid, **kwargs)
+
+        monkeypatch.setattr(harness, "estimate", fail_second_naive)
+        assert self.simulate(tmp_path, "1", "0.4") == 0
+        assert capsys.readouterr().err == \
+            "warning: naive: 1 of 3 replications failed: NonFiniteResult: estimator 'naive': stub\n"
+
+    def test_no_failure_prints_nothing(self, tmp_path, capsys):
+        assert self.simulate(tmp_path, "1", "0.4") == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestSummaryTable:

@@ -18,6 +18,7 @@ from varest.estimators import (
     c_star_oracle,
     dicker_tau2,
     naive_tau2,
+    pairwise_zero_variance,
     psi_hat,
     sigma2_from,
     t_b,
@@ -294,21 +295,34 @@ class TestSingleZero:
             build_single_zero(ds, model)
 
 
+class TestPairwiseZeroVariance:
+    def test_closed_form(self):
+        assert [pairwise_zero_variance(p, GAUSS(p)) for p in (2, 3, 7)] == [1.0, 3.0, 21.0]
+
+    def test_checks_p_before_the_model(self):
+        dependent = CovariateModel(np.full(1, 3.0), independent_columns=False)
+        with pytest.raises(DegenerateZeroEstimator):
+            pairwise_zero_variance(1, dependent)
+        with pytest.raises(UnsupportedDependenceStructure):
+            pairwise_zero_variance(2, CovariateModel(np.full(2, 3.0), independent_columns=False))
+
+    def test_c_star_checks_as_build_single_zero(self):
+        with pytest.raises(DegenerateZeroEstimator):
+            c_star_oracle(CoefficientVector(np.ones(1)), GAUSS(1))
+        with pytest.raises(UnsupportedDependenceStructure):
+            c_star_oracle(CoefficientVector(np.ones(3)),
+                          CovariateModel(np.full(3, 3.0), independent_columns=False))
+
+
 class TestCStar:
     def test_zero_beta(self):
-        ds, _ = make_data(19, 5, 4)
-        single = build_single_zero(ds, GAUSS(4))
-        assert c_star_oracle(CoefficientVector(np.zeros(4)), single, GAUSS(4)) == 0.0
+        assert c_star_oracle(CoefficientVector(np.zeros(4)), GAUSS(4)) == 0.0
 
     def test_uniform_beta_closed_form(self):
         # beta_j = 1/sqrt(p)  =>  c* = 4/p
         for p in (4, 9, 25):
-            ds, _ = make_data(20 + p, 5, p)
-            single = build_single_zero(ds, GAUSS(p))
             beta = CoefficientVector(np.full(p, 1.0 / np.sqrt(p)))
-            np.testing.assert_allclose(
-                c_star_oracle(beta, single, GAUSS(p)), 4.0 / p, rtol=1e-12
-            )
+            np.testing.assert_allclose(c_star_oracle(beta, GAUSS(p)), 4.0 / p, rtol=1e-12)
 
     def test_numerator_matches_loop(self):
         p = 5
@@ -317,11 +331,9 @@ class TestCStar:
         brute = sum(beta[j] * sum(beta[m] for m in range(p) if m != j) for j in range(p))
         closed = np.sum(beta) ** 2 - np.sum(beta ** 2)
         np.testing.assert_allclose(closed, brute, rtol=1e-12)
-        ds, _ = make_data(60, 5, p)
-        single = build_single_zero(ds, GAUSS(p))
         np.testing.assert_allclose(
-            c_star_oracle(CoefficientVector(beta), single, GAUSS(p)),
-            2.0 * brute / single.var_g,
+            c_star_oracle(CoefficientVector(beta), GAUSS(p)),
+            2.0 * brute / (p * (p - 1) / 2),
             rtol=1e-12,
         )
 

@@ -22,6 +22,9 @@
   reduction goes through ``kernels.gram``.  And ``kernels.gram`` is called
   only at the sites in ``GRAM_SITES``: a dataset forms one product, which
   ``t_full`` and the tilde variances share.
+* The variance layer forms no matrix: ``variance.py`` uses no ``@`` and calls
+  none of ``MATRIX_BUILDERS``, so every theory variance is an O(p) formula
+  and every feasible one reduces the statistics it is given.
 * Every input CSV is read by one strict reader: ``csv.reader`` is called only
   at the site in ``CSV_READER_SITES``, which alone opens a file with
   ``errors="surrogateescape"``, so every data and records file names a bad
@@ -78,6 +81,9 @@ GRAM_SITES = {
     ("harness.py", "gram"): "the dataset's one product gram(X, Y), which t_full reduces and "
                             "whose rows scaled by Y are W's Gram statistics",
 }
+
+# numpy functions that build a matrix, which ``variance.py`` never calls.
+MATRIX_BUILDERS = ("outer", "eye", "fill_diagonal")
 
 # (module, function) -> what its ``csv.reader`` reads.
 CSV_READER_SITES = {
@@ -269,6 +275,23 @@ def _is_gram_call(node):
 def test_one_gram_product_per_dataset():
     sites = [site for path in MODULES for site in _sites(path, _is_gram_call)]
     assert sites == list(GRAM_SITES)
+
+
+def _matrix_forms(path):
+    """``line: form`` of every ``@`` and every call of one of ``MATRIX_BUILDERS`` in ``path``."""
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in MATRIX_BUILDERS
+              and getattr(node.func.value, "id", None) == "np"):
+            found.append((node.lineno, f"np.{node.func.attr}"))
+    return [f"{line}: {form}" for line, form in sorted(found)]
+
+
+def test_variance_forms_no_matrix():
+    assert _matrix_forms(ROOT / "src" / "varest" / "variance.py") == []
 
 
 def _is_csv_reader(node):
@@ -476,6 +499,12 @@ def test_rules_catch_violations(tmp_path):
                      "def t_full(ds, w):\n    return gram(ds.x, ds.y), kernels.gram(w.w)\n"
                      "def fine(st):\n    return st.gram, other.gram(st), gram\n")
     assert _sites(grams, _is_gram_call) == [("estimators.py", "t_full")] * 2
+    variance = tmp_path / "variance.py"
+    variance.write_text("import numpy as np\n"
+                        "def f(a, b):\n    m = np.outer(b, b)\n    np.fill_diagonal(m, 1.0)\n"
+                        "    m @= np.eye(2)\n    return b @ m @ b, a.outer, np.sum(a * a)\n")
+    assert _matrix_forms(variance) == ["3: np.outer", "4: np.fill_diagonal", "5: @",
+                                       "5: np.eye", "6: @", "6: @"]
     readers = tmp_path / "cli.py"
     readers.write_text("import csv\n"
                        "def load(fh):\n    return csv.reader(fh, strict=True)\n"

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varest.errors import IndexOutOfRange, InvalidInput, UnsupportedDependenceStructure
 from varest.estimators import (
     build_single_zero,
-    c_star_oracle,
     naive_tau2,
     t_b,
     t_full,
@@ -14,7 +17,6 @@ from varest.kernels import gram
 from varest.model import CoefficientVector, CovariateModel, LabeledDataset, build_w
 from varest.variance import (
     asymptotic_psi,
-    moment_matrix_a,
     var_hat_naive_gaussian,
     var_hat_t_gamma,
     var_naive_theory,
@@ -27,7 +29,14 @@ from varest.variance import (
     var_tilde_t_gamma,
 )
 
-from oracles import chain_sum_loop, chat_numerator_loop, gram_loop, offdiag_square_sum_loop
+from oracles import (
+    chain_sum_loop,
+    chat_numerator_loop,
+    gram_loop,
+    moment_matrix_loop,
+    naive_variance_loop,
+    offdiag_square_sum_loop,
+)
 
 GAUSS = CovariateModel.standard_gaussian
 
@@ -45,24 +54,21 @@ def mc_estimates(estimator, reps, n, p, beta, sigma=1.0, tag=0):
 
 
 class TestMomentMatrixA:
+    """``A = E(W W')`` as ``tests/oracles.py`` builds it, entry by entry."""
+
     def test_zero_beta_gaussian_is_identity(self):
-        a = moment_matrix_a(CoefficientVector(np.zeros(3)), 1.0, GAUSS(3))
+        a = moment_matrix_loop(np.zeros(3), 1.0, np.full(3, 3.0))
         np.testing.assert_array_equal(a, np.eye(3))
 
     def test_p1_hand_value(self):
-        a = moment_matrix_a(CoefficientVector(np.array([1.0])), 1.0, GAUSS(1))
+        a = moment_matrix_loop(np.array([1.0]), 1.0, np.array([3.0]))
         np.testing.assert_allclose(a, [[4.0]])
-
-    def test_requires_independent_columns(self):
-        model = CovariateModel(np.full(2, 3.0), independent_columns=False)
-        with pytest.raises(UnsupportedDependenceStructure):
-            moment_matrix_a(CoefficientVector(np.zeros(2)), 1.0, model)
 
     def test_entries_match_monte_carlo(self):
         p = 4
         g = np.random.default_rng(17)
         beta = g.standard_normal(p) * 0.5
-        a = moment_matrix_a(CoefficientVector(beta), 1.0, GAUSS(p))
+        a = moment_matrix_loop(beta, 1.0, np.full(p, 3.0))
         draws = 100_000
         x = g.standard_normal((draws, p))
         y = x @ beta + g.standard_normal(draws)
@@ -73,7 +79,51 @@ class TestMomentMatrixA:
         assert np.all(np.abs(emp - a) < 3 * se)
 
 
+@st.composite
+def _theory_cases(draw):
+    """``(beta, sigma2, fourth_moments, n)``: p in 1..60, n in 3..500, sigma^2 in
+    [0, 3], and Gaussian, all-equal or per-column fourth moments in [1, 9]."""
+    p = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(("gaussian", "equal", "per-column")))
+    if kind == "per-column":
+        m4 = draw(st.lists(st.floats(1.0, 9.0), min_size=p, max_size=p))
+    else:
+        m4 = [3.0 if kind == "gaussian" else draw(st.floats(1.0, 9.0))] * p
+    beta = draw(st.lists(st.floats(-3.0, 3.0), min_size=p, max_size=p))
+    return np.array(beta), draw(st.floats(0.0, 3.0)), np.array(m4), draw(st.integers(3, 500))
+
+
 class TestVarNaiveTheory:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(case=_theory_cases())
+    def test_matches_moment_matrix_loop(self, case):
+        # to 1e-12 of the formula's scale: with p = 1, sigma^2 = 0 and E X^4 = 1 the
+        # variance is exactly 0 and the loop leaves rounding noise
+        beta, sigma2, m4, n = case
+        want, scale = naive_variance_loop(beta, sigma2, m4, n)
+        got = var_naive_theory(CoefficientVector(beta), sigma2, CovariateModel(m4), n)
+        assert abs(got - want) <= 1e-12 * scale
+
+    def test_requires_independent_columns(self):
+        model = CovariateModel(np.full(2, 3.0), independent_columns=False)
+        with pytest.raises(UnsupportedDependenceStructure):
+            var_naive_theory(CoefficientVector(np.zeros(2)), 1.0, model, 10)
+
+    @pytest.mark.parametrize("theory", [var_naive_theory, var_t_oracle_theory,
+                                        var_t_cstar_theory, var_t_full_theory])
+    def test_forms_no_p_by_p_array(self, theory):
+        # A = E(W W') at p = 2000 is 32 MB; the O(p) formula holds a few p-vectors
+        p = 2000
+        beta, model = CoefficientVector(np.full(p, 1 / np.sqrt(p))), GAUSS(p)
+        args = (beta, 1.0, model, p) + ((p,) if theory is var_t_full_theory else ())
+        tracemalloc.start()
+        try:
+            theory(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_zero_beta_closed_form(self):
         p, n = 6, 20
         got = var_naive_theory(CoefficientVector(np.zeros(p)), 1.5, GAUSS(p), n)

@@ -143,8 +143,7 @@ class TestEmpiricalEstimator:
             report = empirical_estimator(DatasetStats(ds, model), cfg)
             vals[r] = report.aux["c_tilde"]
             emp_vals[r] = report.tau2
-        single = build_single_zero(ds, model)
-        c_star = c_star_oracle(beta, single, model)
+        c_star = c_star_oracle(beta, model)
         se = vals.std(ddof=1) / np.sqrt(reps)
         assert abs(vals.mean() - c_star) < 3 * se
         # and the correction clearly reduces the spread in this regime
