@@ -50,6 +50,7 @@ from .harness import (
     write_summary_csv,
 )
 from .model import CovariateModel, LabeledDataset, Whitening, float_array, whiten
+from .selection import DEFAULT_SPLIT
 from .simgen import ScenarioConfig
 
 _SCENARIO_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioConfig))
@@ -114,9 +115,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_selection_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--select-split", action="store_true",
-                   help="split rows: select on one part, correct on the other")
-    p.add_argument("--select-split-fraction", type=float, default=0.5)
+    p.add_argument("--select-split", nargs="?", type=float, const=DEFAULT_SPLIT,
+                   metavar="FRACTION", help="split rows: select on the leading FRACTION "
+                                            "(default %(const)s), correct on the rest")
     p.add_argument("--select-cap", type=int, default=None,
                    help="bound on the selected-set size (default: uncapped)")
 

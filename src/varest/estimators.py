@@ -1,13 +1,13 @@
 """Point estimators of the signal level tau^2 = ||beta||^2.
 
-Everything here is an unbiased (or asymptotically equivalent) moment
-estimator built on the W matrix.  The family:
+Everything here is a moment estimator built on the W matrix, exactly unbiased
+under any i.i.d. law of the rows unless its entry says otherwise.  The family:
 
 ``naive_tau2``
     sum over columns of the distinct-pair U-statistic; the baseline.
 ``dicker_tau2``
     the method-of-moments variant ``(||X'Y||^2 - p ||Y||^2) / (n (n+1))``,
-    asymptotically equivalent to the naive estimator for Gaussian designs.
+    biased by ``sum_j (E X_j^4 - 3) beta_j^2 / (n + 1)``, zero for Gaussian designs.
 ``t_oracle``
     naive minus the optimal linear combination of second-moment
     zero-estimators; needs the true beta, so it is a simulation reference.
@@ -18,7 +18,7 @@ estimator built on the W matrix.  The family:
     corrects over a fixed index set B only.
 ``t_c_hat_star`` (with ``build_single_zero`` / ``c_hat_star``)
     subtracts a single pairwise-product zero-estimator with an estimated
-    coefficient; ``c_star_oracle`` is its oracle counterpart.
+    coefficient, biased by O(1/n); ``c_star_oracle`` is its oracle counterpart.
 
 Estimators may return negative values; unbiasedness is the contract and
 clamping would break it.  Consumers that need nonnegative reports clamp
@@ -259,11 +259,18 @@ def c_hat_star(w: WMatrix, single: SingleZeroStat) -> float:
 
 
 def c_hat_numerator(w: WMatrix, single: SingleZeroStat) -> float:
-    """The bracketed pair sum ``(2/(n(n-1))) sum_{i1 != i2} sum_j W S``."""
+    """The bracketed pair sum ``(2/(n(n-1))) sum_{i1 != i2} sum_j W S``; W and g share n."""
+    if single.n != w.n:
+        raise LengthMismatch(f"the single-zero statistic has n = {single.n}, W has n = {w.n}")
     per_row = np.einsum("ij,j->i", w.w, w.column_sums) - np.einsum("ij,ij->i", w.w, w.w)
     return 2.0 * ordered_sum(single.g_per_obs * per_row) / (w.n * (w.n - 1))
 
 
 def t_c_hat_star(w: WMatrix, single: SingleZeroStat) -> float:
-    """Feasible single-correction estimator ``naive - c_hat_star * g_n``."""
+    """Feasible single-correction estimator ``naive - c_hat_star * g_n``.
+
+    Biased by O(1/n), as c-hat and g_n are correlated (same rows): at tau^2 =
+    sigma^2 = 1 the bias measured -0.248 +- 0.005 at n = 50, p = 20 (38% of
+    its standard error) and -0.026 +- 0.004 at n = p = 400.
+    """
     return naive_tau2(w) - c_hat_star(w, single) * single.g_n

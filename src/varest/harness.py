@@ -39,7 +39,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InsufficientRecords, InvalidInput, NonFiniteResult, VarestError
+from .errors import (DimensionMismatch, InsufficientRecords, InvalidInput, NonFiniteResult,
+                     VarestError)
 from .estimators import (
     ESTIMATOR_IDS,
     EstimateReport,
@@ -131,8 +132,7 @@ class SummaryStats:
 class HarnessOptions:
     """Estimator options of a run; each field is checked when built, whatever estimators run."""
 
-    select_split: bool = False
-    select_split_fraction: float = 0.5  # in (0, 1)
+    select_split: float | None = None  # share of rows that selects, in (0, 1); None: no split
     select_cap: int | None = None  # >= 0, or None: uncapped (benchmark reproduction)
     boot: int = 200  # bootstrap resamples, >= 2
     initial: str = "naive"  # one of INITIAL_IDS
@@ -141,9 +141,8 @@ class HarnessOptions:
 
     def __post_init__(self):
         check_fields(self, InvalidInput)
-        if not 0.0 < self.select_split_fraction < 1.0:
-            raise InvalidInput(
-                f"select_split_fraction must be in (0, 1), got {self.select_split_fraction}")
+        if self.select_split is not None and not 0.0 < self.select_split < 1.0:
+            raise InvalidInput(f"select_split must be in (0, 1), got {self.select_split}")
         if self.select_cap is not None and self.select_cap < 0:
             raise InvalidInput(f"select_cap must be nonnegative, got {self.select_cap}")
         if self.boot < 2:
@@ -166,11 +165,17 @@ class DatasetStats:
     estimators on a dataset: W, the Gram row statistics, the single-zero statistic,
     ``sigma_Y^2`` and the naive variance estimate of each method.  ``gram`` is the
     dataset's one n x n product, ``gram(X, Y)``: ``t_full`` reduces it as it is,
-    and the tilde base reads W's Gram statistics as its rows scaled by Y.
+    and the tilde base reads W's Gram statistics as its rows scaled by Y.  A
+    model whose p is not the dataset's raises ``DimensionMismatch``.
     """
 
     ds: LabeledDataset
     model: CovariateModel
+
+    def __post_init__(self):
+        if self.model.p != self.ds.p:
+            raise DimensionMismatch(
+                f"the covariate model has p = {self.model.p}, the dataset p = {self.ds.p}")
 
     @cached_property
     def w(self) -> WMatrix:
@@ -194,7 +199,7 @@ class DatasetStats:
 
     @cached_property
     def tilde_base(self) -> float:
-        return var_tilde_naive(self.w, self.gram.rows_scaled(self.ds.y), self.ds.n)
+        return var_tilde_naive(self.w, self.gram.rows_scaled(self.ds.y))
 
     def naive_variance(self, method: str | None) -> float | None:
         """The naive estimator's variance estimate by ``method`` (None: none)."""
@@ -260,8 +265,8 @@ def _estimate(stats, estimator_id, beta, options, boot_seed) -> EstimateReport:
     variance = None
     if estimator_id == "selection":
         est, select_w = stats, None
-        if options.select_split:
-            select_ds, est_ds = split_rows(ds, options.select_split_fraction)
+        if options.select_split is not None:
+            select_ds, est_ds = split_rows(ds, options.select_split)
             est, select_w = DatasetStats(est_ds, model), build_w(select_ds)
         report = t_gamma(est.ds, est.w, select_w=select_w, cap=options.select_cap)
         if method is not None:
@@ -287,7 +292,7 @@ def _estimate(stats, estimator_id, beta, options, boot_seed) -> EstimateReport:
         if estimator_id in ("naive", "dicker"):
             variance = stats.naive_variance(method)
         elif estimator_id == "single" and method == "tilde":
-            variance = var_tilde_t_chat(stats.tilde_base, stats.w, stats.single, ds.n)
+            variance = var_tilde_t_chat(stats.tilde_base, stats.w, stats.single)
         report = EstimateReport(tau2=tau2, sigma2=sigma2_from(tau2, stats.sigma_y2),
                                 estimator_id=estimator_id)
 
@@ -372,15 +377,11 @@ def summarize(records, true_tau2: float) -> list[SummaryStats]:
     """
     float_array(true_tau2, "true_tau2")
     by_estimator: dict[str, list[float]] = {}
-    order: list[str] = []
     for rec in records:
-        if rec.estimator_id not in by_estimator:
-            by_estimator[rec.estimator_id] = []
-            order.append(rec.estimator_id)
-        by_estimator[rec.estimator_id].append(rec.tau2_hat)
+        by_estimator.setdefault(rec.estimator_id, []).append(rec.tau2_hat)
 
     out = []
-    for eid in sorted(order):
+    for eid in sorted(by_estimator):
         values = np.asarray(by_estimator[eid], dtype=np.float64)
         m = values.shape[0]
         if m < 2:

@@ -30,6 +30,8 @@ __all__ = [
 
 # Library default bound on |B_gamma|; keeps the O(|B|^2 n) correction bounded.
 DEFAULT_CAP = 50
+# Default share of the rows that selects in a sample split.
+DEFAULT_SPLIT = 0.5
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,8 @@ def gap_select(beta2) -> SelectionResult:
     return SelectionResult(selected=selected, threshold_value=threshold, gaps=gaps)
 
 
-def split_rows(ds: LabeledDataset, fraction: float = 0.5) -> tuple[LabeledDataset, LabeledDataset]:
+def split_rows(ds: LabeledDataset,
+               fraction: float = DEFAULT_SPLIT) -> tuple[LabeledDataset, LabeledDataset]:
     """The selection and estimation row blocks of a sample split.
 
     The caller's leading ``fraction`` of the rows (a fraction in (0, 1),

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateZeroEstimator, TooFewObservations, UnsupportedDependenceStructure
+from .errors import (DegenerateZeroEstimator, DimensionMismatch, LengthMismatch,
+                     TooFewObservations, UnsupportedDependenceStructure)
 from .estimators import (SingleZeroStat, c_hat_numerator, c_star_oracle, naive_tau2,
                          pairwise_zero_variance)
 from .kernels import GramMatrix, chain_sum_distinct, offdiag_square_sum, ordered_sum
@@ -88,6 +89,8 @@ def var_naive_theory(
     """
     if not model.independent_columns:
         raise UnsupportedDependenceStructure("var_naive_theory needs independent columns")
+    if beta.p != model.p:
+        raise DimensionMismatch(f"beta has p = {beta.p}, the covariate model p = {model.p}")
     sigma_y2 = beta.tau2 + sigma2
     b2 = beta.beta * beta.beta
     k = model.fourth_moments - 3.0
@@ -112,11 +115,13 @@ def _reduced(base: float, beta2, b_set, fourth_moments, n: int) -> float:
     ``fourth_moments`` is one value per column or one for all columns.
     """
     b2 = np.asarray(beta2, dtype=np.float64)
+    m4 = np.asarray(fourth_moments, dtype=np.float64)
+    if m4.ndim and m4.shape != b2.shape:
+        raise DimensionMismatch(f"{len(m4)} fourth moments for {len(b2)} squared coefficients")
     indices = column_set(b_set, len(b2))
     if not indices:
         return base
     idx = np.asarray(indices, dtype=np.intp)
-    m4 = np.asarray(fourth_moments, dtype=np.float64)
     b2 = b2[idx]
     b4 = b2 * b2
     quartic = ordered_sum(b4 * ((m4[idx] if m4.ndim else m4) - 1.0))
@@ -167,9 +172,8 @@ def var_t_full_theory(
     sigma2: float,
     model: CovariateModel,
     n: int,
-    p: int,
 ) -> float:
-    """Leading-order variance of the fully-corrected estimator.
+    """Leading-order variance of the fully-corrected estimator, with p = ``beta.p``.
 
     ``Var(T_oracle) + 16 p tau^4 / n^2 + 8 p^2 sigma_Y^4 / n^3``; the two
     estimation-cost terms are what make full correction counterproductive
@@ -195,8 +199,8 @@ def var_t_full_theory(
     """
     tau4 = beta.tau2 ** 2
     sigma_y2 = beta.tau2 + sigma2
-    second_order = 16.0 * p * tau4 / n ** 2
-    third_order = 8.0 * p * p * sigma_y2 * sigma_y2 / n ** 3
+    second_order = 16.0 * beta.p * tau4 / n ** 2
+    third_order = 8.0 * beta.p * beta.p * sigma_y2 * sigma_y2 / n ** 3
     return var_t_oracle_theory(beta, sigma2, model, n) + second_order + third_order
 
 
@@ -223,16 +227,21 @@ def var_hat_t_gamma(var_hat_naive: float, beta2, b_gamma, n: int) -> float:
     return _reduced(var_hat_naive, beta2, b_gamma, 3.0, n)
 
 
-def var_tilde_naive(w: WMatrix, g: GramMatrix, n: int) -> float:
-    """Distribution-free variance estimate of the naive estimator.
+def var_tilde_naive(w: WMatrix, g: GramMatrix) -> float:
+    """Distribution-free variance estimate of the naive estimator, n = ``w.n``.
 
     The exact formula with each component replaced by a U-statistic:
-    ``b'Ab`` by the distinct-triple chain sum over the Gram matrix,
-    ``||A||_F^2`` by the off-diagonal square sum, and ``||b||^4`` by the
-    squared naive estimate.
+    ``b'Ab`` by the distinct-triple chain sum over the Gram matrix ``g`` of
+    W's rows, ``||A||_F^2`` by the off-diagonal square sum, and ``||b||^4`` by
+    the squared naive estimate.  That square has mean ``tau^4 + Var(naive)``,
+    so under any i.i.d. law the estimate's mean is exactly
+    ``(n-2)(n-3)/(n(n-1)) Var(naive)``: 1.0% low at n = 400, 7.9% at n = 50.
     """
+    n = w.n
     if n < 3:
         raise TooFewObservations("var_tilde_naive needs n >= 3")
+    if g.n != n:
+        raise LengthMismatch(f"the Gram statistics have n = {g.n}, W has n = {n}")
     beta_quad_hat = chain_sum_distinct(g) / (n * (n - 1) * (n - 2))
     frob_hat = offdiag_square_sum(g) / (n * (n - 1))
     beta4_hat = naive_tau2(w) ** 2
@@ -249,26 +258,23 @@ def var_tilde_t_gamma(
     """Distribution-free variance estimate of the selection estimator.
 
     Subtracts the reduction term with estimated coefficients and the model's
-    known fourth moments over the selected set.
+    known fourth moments over the selected set.  Its squared estimates are each
+    biased up by their own variance, so it reads low beyond ``var_tilde``'s bias.
     """
     return _reduced(var_tilde, beta2, b_gamma, model.fourth_moments, n)
 
 
-def var_tilde_t_chat(
-    var_tilde: float,
-    w: WMatrix,
-    single: SingleZeroStat,
-    n: int,
-) -> float:
-    """Distribution-free variance estimate of the single-correction estimator.
+def var_tilde_t_chat(var_tilde: float, w: WMatrix, single: SingleZeroStat) -> float:
+    """Distribution-free variance estimate of the single-correction estimator, n = ``w.n``.
 
     Subtracts ``[(2/(n(n-1))) sum_{i1 != i2} sum_j W S]^2 / (n Var(g_i))``,
     reusing the pair sums of the c*-hat numerator.  The n in the denominator
     matches the oracle reduction (the bracket estimates 2 sum_j b_j theta_j,
     a per-observation quantity, while the correction applies to the mean of
-    n zero-estimators).
+    n zero-estimators).  The squared bracket is biased up by its own variance,
+    so the estimate reads low beyond ``var_tilde``'s bias.
     """
     if single.n < 2 or w.p < 2:
         raise DegenerateZeroEstimator("single-correction variance needs p >= 2")
     bracket = c_hat_numerator(w, single)
-    return var_tilde - bracket * bracket / (n * single.var_g)
+    return var_tilde - bracket * bracket / (w.n * single.var_g)

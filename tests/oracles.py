@@ -7,6 +7,9 @@ the library's algebraic shortcuts: loops over explicit index tuples only.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 
@@ -270,3 +273,42 @@ def empirical_loop(ds, model, cfg, initial=None):
         g_stars[b] = np.mean(single.g_per_obs[idx])
     c_tilde = float(np.cov(tau_stars, g_stars, ddof=1)[0, 1]) / (single.var_g / n)
     return initial(ds, model) - c_tilde * single.g_n, c_tilde
+
+
+def sign_population(beta, sigma):
+    """The finite population ``X in {-1, 1}^p`` crossed with ``eps in {-sigma, sigma}``.
+
+    Returns its ``2^(p+1)`` rows as ``(x, y)`` with ``Y = X beta + eps``.  A row
+    drawn uniformly has independent Rademacher columns (mean 0, variance 1,
+    ``E X_j^4 = 1``) and noise of mean 0 and variance ``sigma^2``.
+    """
+    b = np.asarray(beta, dtype=float)
+    xs, ys = [], []
+    for signs in itertools.product((-1.0, 1.0), repeat=len(b)):
+        for e in (-sigma, sigma):
+            y = e
+            for j in range(len(b)):
+                y += signs[j] * b[j]
+            xs.append(list(signs))
+            ys.append(y)
+    return np.array(xs), np.array(ys)
+
+
+def enumerated_moments(x_pop, y_pop, n, statistics):
+    """Exact ``{name: (mean, variance)}`` over i.i.d. samples of n population rows.
+
+    Loops over every one of the ``N^n`` ordered samples, each of probability
+    ``N^-n``; ``statistics`` maps a ``LabeledDataset`` to ``{name: value}``.
+    """
+    from varest.model import LabeledDataset
+
+    values = {}
+    for rows in itertools.product(range(len(y_pop)), repeat=n):
+        idx = list(rows)
+        for name, value in statistics(LabeledDataset(x_pop[idx], y_pop[idx])).items():
+            values.setdefault(name, []).append(value)
+    moments = {}
+    for name, vals in values.items():
+        mean = math.fsum(vals) / len(vals)
+        moments[name] = (mean, math.fsum((v - mean) ** 2 for v in vals) / len(vals))
+    return moments

@@ -268,7 +268,7 @@ def test_c06_full_estimation_cost():
     nv = n * vals.var(ddof=1)
     # 12 + 16 + 32 = 60 at n = p: oracle variance plus the second- and
     # third-order estimation costs (see var_t_full_theory)
-    target = n * var_t_full_theory(CoefficientVector(beta), 1.0, model, n, p)
+    target = n * var_t_full_theory(CoefficientVector(beta), 1.0, model, n)
     ok = target - 4.0 < nv < target + 4.0
     elapsed = time.time() - t0
     assert report(6, "cost of full estimation", ok,
@@ -405,12 +405,12 @@ def test_c10_variance_estimator_consistency():
         from varest.model import sample_variance_y
         plugin[r] = var_hat_naive_gaussian(naive_vals[r],
                                            sample_variance_y(ds.y), n, p)
-        tn = var_tilde_naive(w, gram(w.w), n)
+        tn = var_tilde_naive(w, gram(w.w))
         tilde_naive[r] = tn
         beta2 = beta_squared_estimates(w)
         tilde_tg[r] = var_tilde_t_gamma(tn, beta2, rep_sel.aux["selected"],
                                         model, n)
-        tilde_tchat[r] = var_tilde_t_chat(tn, w, single, n)
+        tilde_tchat[r] = var_tilde_t_chat(tn, w, single)
     checks = [
         ("gaussian-plugin naive", plugin.mean(), naive_vals.var(ddof=1), 0.10),
         ("tilde naive", tilde_naive.mean(), naive_vals.var(ddof=1), 0.20),

@@ -18,6 +18,7 @@ from varest.cli import main
 from varest.errors import NonFiniteResult
 from varest.estimators import ESTIMATOR_IDS
 from varest.harness import INITIAL_IDS, SummaryStats, estimate, read_records_csv
+from varest.selection import DEFAULT_SPLIT
 
 
 def run_cli(args):
@@ -405,7 +406,7 @@ class TestEmpiricalFlags:
 
     @pytest.mark.parametrize("flags, message", [
         (["--boot", "1"], "boot must be at least 2, got 1"),
-        (["--select-split-fraction", "1.5"], "select_split_fraction must be in (0, 1), got 1.5"),
+        (["--select-split", "1.5"], "select_split must be in (0, 1), got 1.5"),
         (["--variance", "bogus"], "unknown variance method 'bogus'; "
                                   "expected None or one of ['gaussian-plugin', 'tilde']"),
     ], ids=["boot", "fraction", "variance"])
@@ -426,10 +427,8 @@ class TestSelectionFlags:
     base_args = staticmethod(TestEmpiricalFlags.base_args)
 
     @pytest.mark.parametrize("flags, message", [
-        (["--select-split", "--select-split-fraction", "1.5"],
-         "select_split_fraction must be in (0, 1), got 1.5"),
-        (["--select-split", "--select-split-fraction", "0"],
-         "select_split_fraction must be in (0, 1), got 0.0"),
+        (["--select-split", "1.5"], "select_split must be in (0, 1), got 1.5"),
+        (["--select-split", "0"], "select_split must be in (0, 1), got 0.0"),
         (["--select-cap", "-1"], "select_cap must be nonnegative, got -1"),
     ], ids=["fraction-above-1", "fraction-0", "negative-cap"])
     @pytest.mark.parametrize("command", ["simulate", "estimate"])
@@ -443,13 +442,17 @@ class TestSelectionFlags:
     def test_ignored_without_selection(self, tmp_path, toy_dataset, command):
         # the selection flags are checked even when the selection estimator does not run
         args = self.base_args(command, tmp_path, toy_dataset)
-        flags = ["--select-split", "--select-split-fraction", "1.5", "--select-cap", "-1"]
+        flags = ["--select-split", "1.5", "--select-cap", "-1"]
         assert run_cli(args + flags) == 2
 
-    def test_fraction_ignored_without_split(self, tmp_path, toy_dataset):
-        # the split fraction is checked even without --select-split
-        args = self.base_args("simulate", tmp_path, toy_dataset)
-        assert run_cli(args + ["--estimators", "selection", "--select-split-fraction", "1.5"]) == 2
+    def test_bare_flag_splits_at_default_share(self, tmp_path, toy_dataset):
+        def summary(*flags):
+            args = self.base_args("simulate", tmp_path, toy_dataset)
+            assert run_cli(args + ["--estimators", "selection", *flags]) == 0
+            return (tmp_path / "s.csv").read_text()
+
+        assert summary("--select-split") == summary("--select-split", str(DEFAULT_SPLIT))
+        assert summary("--select-split") not in (summary("--select-split", "0.3"), summary())
 
 
 class TestOutputDirectories:
@@ -1006,7 +1009,7 @@ _BAD_NUMBERS = [-1.0, 0.5, 1e308, -1e308, float("nan"), float("inf"), 2 ** 70, "
 # Flag values: the first ones are valid, then ones out of range or of the wrong type.
 _FLAG_VALUES = {
     "--variance": (["gaussian-plugin", "tilde"], ["bogus", ""]),
-    "--select-split-fraction": (["0.5", "0.3", "0.999", "1e-300"], ["0", "1.5", "nan", "abc"]),
+    "--select-split": (["0.5", "0.3", "0.999", "1e-300"], ["0", "1.5", "nan", "abc"]),
     "--select-cap": (["0", "1", "3"], ["-1", "abc"]),
     "--initial": (list(INITIAL_IDS), ["bogus"]),
     "--boot": (["2", "3", "17"], ["1", "-5", "abc"]),

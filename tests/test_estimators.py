@@ -14,6 +14,7 @@ from varest.errors import (
 )
 from varest.estimators import (
     build_single_zero,
+    c_hat_numerator,
     c_hat_star,
     c_star_oracle,
     dicker_tau2,
@@ -375,6 +376,13 @@ class TestCHatStar:
         se = vals.std(ddof=1) / np.sqrt(reps)
         assert abs(vals.mean() - 4.0 / p) < 3 * se
 
+    @pytest.mark.parametrize("statistic", [c_hat_numerator, c_hat_star, t_c_hat_star])
+    def test_single_of_another_dataset_rejected(self, statistic):
+        ds, w = make_data(26, 80, 4)
+        other, _ = make_data(27, 40, 4)
+        with pytest.raises(LengthMismatch, match="n = 40, W has n = 80"):
+            statistic(w, build_single_zero(other, GAUSS(4)))
+
 
 class TestSingleRowPermutation:
     """A permuted dataset stores the same rows, so its single-zero statistic is identical."""
@@ -393,7 +401,7 @@ class TestSingleRowPermutation:
             w2, single2 = build_w(ds2), build_single_zero(ds2, GAUSS(p))
             assert single2.g_per_obs.tobytes() == single.g_per_obs.tobytes()
             assert t_c_hat_star(w2, single2) == t_c_hat_star(w, single)
-            assert var_tilde_t_chat(0.5, w2, single2, n) == var_tilde_t_chat(0.5, w, single, n)
+            assert var_tilde_t_chat(0.5, w2, single2) == var_tilde_t_chat(0.5, w, single)
 
 
 class TestTCHatStar:

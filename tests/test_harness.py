@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varest.errors import InsufficientRecords, InvalidInput, NonFiniteResult, VarestError
+from varest.errors import (
+    DimensionMismatch,
+    InsufficientRecords,
+    InvalidInput,
+    NonFiniteResult,
+    VarestError,
+)
 from varest.estimators import (
     ESTIMATOR_IDS,
     EstimateReport,
@@ -77,13 +83,13 @@ class TestHarnessOptions:
         ({"variance_method": ""}, "unknown variance method ''"),
         ({"workers": 0}, "workers must be at least 1, got 0"),
         ({"workers": -3}, "workers must be at least 1, got -3"),
-        ({"select_split": "yes"}, "select_split must be true or false, got 'yes'"),
-        ({"select_split": 1}, "select_split must be true or false, got 1"),
-        ({"select_split_fraction": 1.5}, "select_split_fraction must be in (0, 1), got 1.5"),
-        ({"select_split_fraction": 0}, "select_split_fraction must be in (0, 1), got 0"),
-        ({"select_split_fraction": 1.0}, "select_split_fraction must be in (0, 1), got 1.0"),
-        ({"select_split_fraction": float("nan")}, "select_split_fraction must be finite, got nan"),
-        ({"select_split_fraction": True}, "select_split_fraction must be a number, got True"),
+        ({"select_split": "yes"}, "select_split must be a number or None, got 'yes'"),
+        ({"select_split": True}, "select_split must be a number or None, got True"),
+        ({"select_split": 1.5}, "select_split must be in (0, 1), got 1.5"),
+        ({"select_split": 0}, "select_split must be in (0, 1), got 0"),
+        ({"select_split": 1.0}, "select_split must be in (0, 1), got 1.0"),
+        ({"select_split": float("nan")}, "select_split must be finite, got nan"),
+        ({"select_split": 1}, "select_split must be in (0, 1), got 1"),
         ({"select_cap": -1}, "select_cap must be nonnegative, got -1"),
         ({"select_cap": True}, "select_cap must be an integer or None, got True"),
         ({"select_cap": 2.0}, "select_cap must be an integer or None, got 2.0"),
@@ -176,6 +182,17 @@ class TestRunScenario:
         assert all(r.variance_estimate is not None for r in records)
 
 
+class TestDatasetStats:
+    def test_model_of_another_width_rejected(self):
+        # an 8-column dataset whose strong columns 5 and 6 lie past a 3-column model
+        g = np.random.default_rng(1)
+        x = g.standard_normal((200, 8))
+        ds = LabeledDataset(x=x, y=x @ np.array([0, 0, 0, 0, 0, 3.0, 3.2, 0])
+                            + g.standard_normal(200))
+        with pytest.raises(DimensionMismatch, match="model has p = 3, the dataset p = 8"):
+            DatasetStats(ds, CovariateModel.independent(3, 3.0, gaussian=True))
+
+
 def two_step(ds, model, eid, beta, options, boot_seed):
     """The public functions composed as estimate-then-attach-variance.
 
@@ -183,8 +200,8 @@ def two_step(ds, model, eid, beta, options, boot_seed):
     block of rows.
     """
     select_w = None
-    if eid == "selection" and options.select_split:
-        select_ds, ds = split_rows(ds, options.select_split_fraction)
+    if eid == "selection" and options.select_split is not None:
+        select_ds, ds = split_rows(ds, options.select_split)
         select_w = build_w(select_ds)
     w = build_w(ds)
     if eid == "selection":
@@ -221,7 +238,7 @@ def two_step(ds, model, eid, beta, options, boot_seed):
         elif eid == "selection":
             value = var_tilde_t_gamma(base, beta_squared_estimates(w), selected, model, ds.n)
         elif eid == "single":
-            value = var_tilde_t_chat(base, w, build_single_zero(ds, model), ds.n)
+            value = var_tilde_t_chat(base, w, build_single_zero(ds, model))
     if value is not None and value < 0.0:
         warned.append("negative variance estimate (reported raw)")
     if warned:
@@ -234,8 +251,8 @@ def tilde_base(ds, w):
 
     Within 1e-12 of the same variance from the Gram product of W itself.
     """
-    base = var_tilde_naive(w, gram(ds.x, ds.y).rows_scaled(ds.y), ds.n)
-    assert base == pytest.approx(var_tilde_naive(w, gram(w.w), ds.n), rel=1e-12)
+    base = var_tilde_naive(w, gram(ds.x, ds.y).rows_scaled(ds.y))
+    assert base == pytest.approx(var_tilde_naive(w, gram(w.w)), rel=1e-12)
     return base
 
 
@@ -260,14 +277,14 @@ class TestEstimateDispatch:
     @pytest.mark.parametrize("method", [None, "gaussian-plugin", "tilde"])
     @pytest.mark.parametrize("eid", ESTIMATOR_IDS)
     def test_matches_two_step(self, eid, method, x_dist):
-        assert_matches_two_step(eid, method, x_dist, select_split=False)
+        assert_matches_two_step(eid, method, x_dist, select_split=None)
 
     @pytest.mark.parametrize("x_dist", sorted(DISPATCH_CASES))
     @pytest.mark.parametrize("method", [None, "gaussian-plugin", "tilde"])
     @pytest.mark.parametrize("eid", ESTIMATOR_IDS)
     def test_split_matches_two_step(self, eid, method, x_dist):
         # the split option reaches selection only; every other estimator ignores it
-        assert_matches_two_step(eid, method, x_dist, select_split=True)
+        assert_matches_two_step(eid, method, x_dist, select_split=0.5)
 
     @staticmethod
     def _count_builds(monkeypatch):
@@ -303,7 +320,7 @@ class TestEstimateDispatch:
         cfg = small_cfg(reps=1)
         stats = DatasetStats(generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg))
         estimate(stats, "selection",
-                 options=HarnessOptions(variance_method=method, select_split=True))
+                 options=HarnessOptions(variance_method=method, select_split=0.5))
         assert calls["build_w"] == 2
 
     @pytest.mark.parametrize("method", ["gaussian-plugin", "tilde"])
@@ -311,7 +328,7 @@ class TestEstimateDispatch:
         cfg = small_cfg(n=40, p=20, reps=1, seed=3)  # selects five columns
         beta, model = build_beta(cfg), covariate_model_for(cfg)
         ds = generate_dataset(cfg, beta, 0)
-        options = HarnessOptions(variance_method=method, select_split=True)
+        options = HarnessOptions(variance_method=method, select_split=0.5)
         got = estimate(DatasetStats(ds, model), "selection", options=options)
         selected, k = got.aux["selected"], got.aux["n_select_rows"]
         assert selected and 0 < k < ds.n
@@ -450,7 +467,7 @@ class TestScaling:
     """Scaling y by 2^k scales tau2 and sigma2 by exactly 4^k and a variance estimate by
     16^k, for every estimator and variance method (the oracle's beta scaled by 2^k too)."""
 
-    @pytest.mark.parametrize("select_split", [False, True], ids=["whole", "split"])
+    @pytest.mark.parametrize("select_split", [None, 0.5], ids=["whole", "split"])
     @pytest.mark.parametrize("method", [None, "gaussian-plugin", "tilde"])
     @pytest.mark.parametrize("eid", ESTIMATOR_IDS)
     def test_y_power_of_two_scales_exactly(self, eid, method, select_split):

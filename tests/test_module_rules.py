@@ -44,6 +44,10 @@
   its ``__post_init__`` starts with ``check_fields(self, ...)``, the one
   field checker.  ``cli.py`` compares none of the flags in ``OPTION_FLAGS``
   against a bound or a set, so the CLI keeps no copy of an option's rule.
+* No public function of ``SIZE_RULE_MODULES`` takes a size beside a statistic
+  that carries it (``SIZE_CARRIERS``): one that is given W, a Gram matrix or the
+  single-zero statistic reads n from it, and one that is given beta, W or a
+  dataset reads p from it, so no wrong size can be passed.
 """
 
 import ast
@@ -97,7 +101,11 @@ DEFERRED_MODULES = ("multiprocessing", "concurrent.futures", "numpy.random")
 CONFIG_TYPES = {("model.py", "CovariateModel"), ("simgen.py", "ScenarioConfig"),
                 ("harness.py", "HarnessOptions"), ("zeroboost.py", "BootstrapConfig")}
 # The ``args`` attributes whose values only ``HarnessOptions`` checks.
-OPTION_FLAGS = ("boot", "initial", "select_split_fraction", "select_cap")
+OPTION_FLAGS = ("boot", "initial", "select_split", "select_cap")
+# Size parameter -> the annotations of the statistics that carry it.
+SIZE_CARRIERS = {"n": {"WMatrix", "GramMatrix", "SingleZeroStat"},
+                 "p": {"CoefficientVector", "WMatrix", "LabeledDataset"}}
+SIZE_RULE_MODULES = ("estimators.py", "selection.py", "variance.py")
 
 # Builtin exception names and the package's own, any of which a class that derives from
 # an exception names among its bases.
@@ -357,6 +365,26 @@ def _option_comparisons(path):
     return found
 
 
+def _restated_sizes(path):
+    """``function: size`` of each public function of ``path`` with a parameter named after a
+    size that another of its parameters carries, by its annotation."""
+    found = []
+    for node in _tree(path).body:
+        if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            continue
+        params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        annotated = {name.id for param in params if param.annotation is not None
+                     for name in ast.walk(param.annotation) if isinstance(name, ast.Name)}
+        found += [f"{node.name}: {size}" for size, carriers in SIZE_CARRIERS.items()
+                  if annotated & carriers and size in {param.arg for param in params}]
+    return found
+
+
+def test_no_size_beside_the_statistic_that_carries_it():
+    paths = [ROOT / "src" / "varest" / name for name in SIZE_RULE_MODULES]
+    assert [site for path in paths for site in _restated_sizes(path)] == []
+
+
 def test_config_types_check_their_fields():
     checked = set().union(*(_field_checked_classes(path) for path in MODULES))
     assert CONFIG_TYPES <= checked
@@ -527,10 +555,17 @@ def test_rules_catch_violations(tmp_path):
     rules = tmp_path / "cli.py"
     rules.write_text("def options(args, estimators):\n"
                      "    if args.boot < 2 or args.initial not in IDS:\n        raise E\n"
-                     "    if 0.0 < args.select_split_fraction < 1.0 and args.select_cap is None:\n"
+                     "    if 0.0 < args.select_split < 1.0 and args.select_cap is None:\n"
                      "        return args.boot, args.workers < 1, other.boot > 2\n")
     assert _option_comparisons(rules) == ["2: args.boot", "2: args.initial",
-                                          "4: args.select_split_fraction", "4: args.select_cap"]
+                                          "4: args.select_split", "4: args.select_cap"]
+    sizes = tmp_path / "variance.py"
+    sizes.write_text("def f(w: WMatrix, g: GramMatrix, n: int):\n    pass\n"
+                     "def g(beta: CoefficientVector, n: int, *, p: int):\n    pass\n"
+                     "def h(ds: LabeledDataset | None, n, p):\n    pass\n"
+                     "def _private(w: WMatrix, n):\n    pass\n"
+                     "def fine(beta2, n: int, p: int, model: CovariateModel):\n    pass\n")
+    assert _restated_sizes(sizes) == ["f: n", "g: p", "h: p"]
     eager = tmp_path / "eager"
     eager.mkdir()
     (eager / "eager.py").write_text("import numpy.random\nfrom concurrent.futures import "

@@ -5,14 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from varest.errors import IndexOutOfRange, InvalidInput, UnsupportedDependenceStructure
+from varest.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    InvalidInput,
+    LengthMismatch,
+    UnsupportedDependenceStructure,
+)
 from varest.estimators import (
     build_single_zero,
+    dicker_tau2,
     naive_tau2,
     t_b,
     t_full,
     t_oracle,
 )
+from varest.harness import DatasetStats
 from varest.kernels import gram
 from varest.model import CoefficientVector, CovariateModel, LabeledDataset, build_w
 from varest.variance import (
@@ -32,10 +40,12 @@ from varest.variance import (
 from oracles import (
     chain_sum_loop,
     chat_numerator_loop,
+    enumerated_moments,
     gram_loop,
     moment_matrix_loop,
     naive_variance_loop,
     offdiag_square_sum_loop,
+    sign_population,
 )
 
 GAUSS = CovariateModel.standard_gaussian
@@ -111,14 +121,20 @@ class TestVarNaiveTheory:
 
     @pytest.mark.parametrize("theory", [var_naive_theory, var_t_oracle_theory,
                                         var_t_cstar_theory, var_t_full_theory])
+    def test_beta_and_model_widths_must_agree(self, theory):
+        beta = CoefficientVector(np.full(8, 0.5))
+        with pytest.raises(DimensionMismatch, match="beta has p = 8, the covariate model p = 3"):
+            theory(beta, 1.0, GAUSS(3), 50)
+
+    @pytest.mark.parametrize("theory", [var_naive_theory, var_t_oracle_theory,
+                                        var_t_cstar_theory, var_t_full_theory])
     def test_forms_no_p_by_p_array(self, theory):
         # A = E(W W') at p = 2000 is 32 MB; the O(p) formula holds a few p-vectors
         p = 2000
         beta, model = CoefficientVector(np.full(p, 1 / np.sqrt(p))), GAUSS(p)
-        args = (beta, 1.0, model, p) + ((p,) if theory is var_t_full_theory else ())
         tracemalloc.start()
         try:
-            theory(*args)
+            theory(beta, 1.0, model, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -263,13 +279,13 @@ class TestVarTFullTheory:
         # limit at n = p, tau^2 = sigma^2 = 1 is 12 + 32 + 16 = 60.
         n = p = 400
         beta = CoefficientVector(np.full(p, 1 / np.sqrt(p)))
-        assert abs(n * var_t_full_theory(beta, 1.0, GAUSS(p), n, p) - 60.0) / 60.0 < 0.02
+        assert abs(n * var_t_full_theory(beta, 1.0, GAUSS(p), n) - 60.0) / 60.0 < 0.02
 
     def test_fixed_p_limit_is_oracle(self):
         p = 6
         beta = CoefficientVector(np.full(p, 0.4))
         big_n = 10_000_000
-        full = var_t_full_theory(beta, 1.0, GAUSS(p), big_n, p)
+        full = var_t_full_theory(beta, 1.0, GAUSS(p), big_n)
         oracle = var_t_oracle_theory(beta, 1.0, GAUSS(p), big_n)
         np.testing.assert_allclose(full, oracle, rtol=1e-4)
 
@@ -282,7 +298,7 @@ class TestVarTFullTheory:
         vals = mc_estimates(lambda ds, w: t_full(ds, w, gram(ds.x, ds.y)), reps, n, p, beta,
                             tag=4001)
         emp = vals.var(ddof=1)
-        theory = var_t_full_theory(CoefficientVector(beta), 1.0, model, n, p)
+        theory = var_t_full_theory(CoefficientVector(beta), 1.0, model, n)
         assert abs(theory - emp) / emp < 0.15
 
 
@@ -335,7 +351,7 @@ class TestVarTildeNaive:
         n = 4
         tau2 = naive_tau2(w)
         expected = (4.0 * (n - 2) / (n * (n - 1)) + 2.0 / (n * (n - 1))) * (-(tau2 ** 2))
-        np.testing.assert_allclose(var_tilde_naive(w, g, n), expected, rtol=1e-12)
+        np.testing.assert_allclose(var_tilde_naive(w, g), expected, rtol=1e-12)
 
     def test_components_match_loops(self):
         g0 = np.random.default_rng(47)
@@ -349,7 +365,7 @@ class TestVarTildeNaive:
         b4 = naive_tau2(w) ** 2
         expected = (4.0 * (n - 2) / (n * (n - 1))) * (beta_quad_hat - b4) \
             + (2.0 / (n * (n - 1))) * (frob_hat - b4)
-        np.testing.assert_allclose(var_tilde_naive(w, g, n), expected, rtol=1e-11)
+        np.testing.assert_allclose(var_tilde_naive(w, g), expected, rtol=1e-11)
 
     def test_row_permutation_invariant(self):
         g0 = np.random.default_rng(48)
@@ -359,10 +375,17 @@ class TestVarTildeNaive:
         perm = g0.permutation(12)
         w2 = build_w(LabeledDataset(x=x[perm], y=y[perm]))
         np.testing.assert_allclose(
-            var_tilde_naive(w1, gram(w1.w), 12),
-            var_tilde_naive(w2, gram(w2.w), 12),
+            var_tilde_naive(w1, gram(w1.w)),
+            var_tilde_naive(w2, gram(w2.w)),
             rtol=1e-12,
         )
+
+    def test_gram_of_another_dataset_rejected(self):
+        g0 = np.random.default_rng(49)
+        w = build_w(LabeledDataset(x=g0.standard_normal((10, 3)), y=g0.standard_normal(10)))
+        other = build_w(LabeledDataset(x=g0.standard_normal((12, 3)), y=g0.standard_normal(12)))
+        with pytest.raises(LengthMismatch, match="n = 12, W has n = 10"):
+            var_tilde_naive(w, gram(other.w))
 
 
 class TestVarTildeTGamma:
@@ -379,6 +402,11 @@ class TestVarTildeTGamma:
     def test_empty_identity(self):
         assert var_tilde_t_gamma(0.04, np.array([0.5]), [], GAUSS(1), 100) == 0.04
 
+    @pytest.mark.parametrize("b_set", [[0, 1], []])
+    def test_model_of_another_width_rejected(self, b_set):
+        with pytest.raises(DimensionMismatch, match="8 fourth moments for 3 squared"):
+            var_tilde_t_gamma(0.05, np.array([0.6, 0.4, 0.1]), b_set, GAUSS(8), 200)
+
     def test_gaussian_single_column_subtraction(self):
         n = 200
         beta2 = np.array([1.0, 0.0])
@@ -392,7 +420,7 @@ class TestVarTildeTChat:
                             y=np.zeros(6))
         w = build_w(ds)
         single = build_single_zero(ds, GAUSS(3))
-        assert var_tilde_t_chat(0.03, w, single, 6) == 0.03
+        assert var_tilde_t_chat(0.03, w, single) == 0.03
 
     def test_bracket_matches_loop(self):
         g0 = np.random.default_rng(53)
@@ -403,8 +431,15 @@ class TestVarTildeTChat:
         single = build_single_zero(ds, GAUSS(3))
         bracket = chat_numerator_loop(w.w, single.g_per_obs)
         expected = 0.1 - bracket ** 2 / (8 * single.var_g)
-        np.testing.assert_allclose(var_tilde_t_chat(0.1, w, single, 8), expected,
+        np.testing.assert_allclose(var_tilde_t_chat(0.1, w, single), expected,
                                    rtol=1e-11)
+
+    def test_single_of_another_dataset_rejected(self):
+        g0 = np.random.default_rng(54)
+        ds = LabeledDataset(x=g0.standard_normal((8, 3)), y=g0.standard_normal(8))
+        other = LabeledDataset(x=g0.standard_normal((6, 3)), y=g0.standard_normal(6))
+        with pytest.raises(LengthMismatch, match="n = 6, W has n = 8"):
+            var_tilde_t_chat(0.1, build_w(ds), build_single_zero(other, GAUSS(3)))
 
 
 class TestReductionOrdering:
@@ -417,3 +452,53 @@ class TestReductionOrdering:
             sigma2 = float(g.lognormal(0, 0.5))
             assert var_t_oracle_theory(beta, sigma2, GAUSS(p), n) <= \
                 var_naive_theory(beta, sigma2, GAUSS(p), n)
+
+
+@st.composite
+def _sign_cases(draw):
+    """``(beta, sigma, n, B)`` for ``oracles.sign_population`` with at most 4096 ordered samples.
+
+    The population has ``N = 2^(p+1)`` rows, so p = 1 allows n = 4..6 and p = 2 allows n = 4.
+    """
+    p = draw(st.integers(1, 2))
+    n = draw(st.integers(4, 6 if p == 1 else 4))
+    beta = draw(st.lists(st.floats(-2.0, 2.0, allow_subnormal=False), min_size=p, max_size=p))
+    sigma = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    return np.array(beta), sigma, n, draw(st.lists(st.integers(0, p - 1), unique=True))
+
+
+class TestExactMoments:
+    """Moments over every ordered sample of a finite population, exact up to rounding.
+
+    A U-statistic is unbiased under i.i.d. sampling (Hoeffding, Ann. Math.
+    Statist. 1948), and the theory variances are exact finite-n formulas, so
+    each identity holds for any population: here Rademacher columns
+    (``E X^4 = 1``) and two-point noise.
+    """
+
+    @settings(max_examples=6, derandomize=True, deadline=None)
+    @given(case=_sign_cases())
+    def test_enumerated_moments(self, case):
+        beta, sigma, n, b_set = case
+        coef, model = CoefficientVector(beta), CovariateModel(np.ones(len(beta)))
+
+        def statistics(ds):
+            stats = DatasetStats(ds, model)
+            w = stats.w
+            return {"naive": naive_tau2(w), "t_b": t_b(ds, w, b_set),
+                    "full": t_full(ds, w, stats.gram), "oracle": t_oracle(ds, w, coef),
+                    "dicker": dicker_tau2(ds, w), "tilde": stats.tilde_base}
+
+        moments = enumerated_moments(*sign_population(beta, sigma), n, statistics)
+        tau2 = coef.tau2
+        for name in ("naive", "t_b", "full", "oracle"):
+            assert abs(moments[name][0] - tau2) <= 1e-12 * (1.0 + tau2), name
+        # biased by sum_j (E X_j^4 - 3) beta_j^2 / (n + 1) = -2 tau^2 / (n + 1)
+        assert abs(moments["dicker"][0] - tau2 * (n - 1) / (n + 1)) <= 1e-12 * (1.0 + tau2)
+        var_naive = moments["naive"][1]
+        assert var_naive == pytest.approx(var_naive_theory(coef, sigma ** 2, model, n), rel=1e-10)
+        assert moments["oracle"][1] == pytest.approx(
+            var_t_oracle_theory(coef, sigma ** 2, model, n), rel=1e-10)
+        # the squared naive estimate in the tilde variance has mean tau^4 + Var(naive)
+        assert moments["tilde"][0] == pytest.approx(
+            (n - 2) * (n - 3) / (n * (n - 1)) * var_naive, rel=1e-10)
