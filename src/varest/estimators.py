@@ -39,7 +39,7 @@ from .errors import (
     TooFewObservations,
     UnsupportedDependenceStructure,
 )
-from .kernels import GramMatrix, chain_sum_distinct, ordered_sum, triple_sum_distinct
+from .kernels import chain_sum_distinct, ordered_sum, triple_sum_distinct
 from .model import CoefficientVector, CovariateModel, LabeledDataset, WMatrix, column_set
 
 __all__ = [
@@ -76,7 +76,6 @@ class EstimateReport:
 
     tau2: float
     sigma2: float
-    estimator_id: str
     variance_estimate: float | None = None
     aux: dict = field(default_factory=dict)
 
@@ -99,14 +98,14 @@ def naive_tau2(w: WMatrix) -> float:
     return ordered_sum(per_column) / (w.n * (w.n - 1))
 
 
-def dicker_tau2(ds: LabeledDataset, w: WMatrix) -> float:
-    """Method-of-moments ``(||X'Y||^2 - p ||Y||^2) / (n (n + 1))``; ``X'Y = w.column_sums``."""
-    xy = w.column_sums
+def dicker_tau2(ds: LabeledDataset) -> float:
+    """Method-of-moments ``(||X'Y||^2 - p ||Y||^2) / (n (n + 1))``; ``X'Y = ds.w.column_sums``."""
+    xy = ds.w.column_sums
     y_sq = ordered_sum(ds.y * ds.y)
     return (ordered_sum(xy * xy) - ds.p * y_sq) / (ds.n * (ds.n + 1))
 
 
-def t_oracle(ds: LabeledDataset, w: WMatrix, beta: CoefficientVector) -> float:
+def t_oracle(ds: LabeledDataset, beta: CoefficientVector) -> float:
     """Oracle-corrected estimator; requires the true beta.
 
     Subtracts ``2 sum_{j,j'} beta_j beta_j' h_jj'`` where ``h_jj'`` is the
@@ -116,12 +115,13 @@ def t_oracle(ds: LabeledDataset, w: WMatrix, beta: CoefficientVector) -> float:
     """
     if beta.p != ds.p:
         raise DimensionMismatch(f"beta has length {beta.p}, data has p = {ds.p}")
+    w = ds.w
     xb = np.einsum("ij,j->i", ds.x, beta.beta)
     correction = 2.0 * ordered_sum(xb * xb - beta.tau2) / ds.n
     return naive_tau2(w) - correction
 
 
-def psi_hat(ds: LabeledDataset, w: WMatrix, j: int, j_prime: int) -> float:
+def psi_hat(ds: LabeledDataset, j: int, j_prime: int) -> float:
     """Mean-zero correction term for the column pair (j, j').
 
     The distinct-triple U-statistic
@@ -139,19 +139,19 @@ def psi_hat(ds: LabeledDataset, w: WMatrix, j: int, j_prime: int) -> float:
         raise IndexOutOfRange(f"column pair ({j}, {j_prime}) outside range(0, {p})")
     expected = 1.0 if j == j_prime else 0.0
     z = ds.x[:, j] * ds.x[:, j_prime] - expected
-    value = triple_sum_distinct(w.w[:, j], w.w[:, j_prime], z)
+    value = triple_sum_distinct(ds.w.w[:, j], ds.w.w[:, j_prime], z)
     return value / (n * (n - 1) * (n - 2))
 
 
-def t_full(ds: LabeledDataset, w: WMatrix, g: GramMatrix) -> float:
+def t_full(ds: LabeledDataset) -> float:
     """Feasible fully-corrected estimator ``naive - 2 sum_{j,j'} psi_hat``.
 
     The p^2 pair terms share one observation-pair structure: with
     ``a[i1, i3] = Y[i1] * (X[i1] . X[i3])`` the full double sum over (j, j')
     reduces to distinct-index sums of ``a``, an O(n^2 p) evaluation instead
     of O(p^2 n).  ``a'`` is ``X X'`` with column k scaled by ``Y[k]``, so
-    with ``g = gram(X, Y)``, the dataset's one Gram product,
-    ``chain_sum_distinct(g)`` is ``sum a[i1, i2] a[i3, i2]`` over distinct
+    with ``ds.gram = gram(X, Y)``, the dataset's one Gram product,
+    ``chain_sum_distinct(ds.gram)`` is ``sum a[i1, i2] a[i3, i2]`` over distinct
     (i1, i2, i3); what remains is O(n).
     Unbiased, but when p is of the order of n the estimation of all p^2
     coefficients adds more variance than the correction removes.
@@ -159,15 +159,14 @@ def t_full(ds: LabeledDataset, w: WMatrix, g: GramMatrix) -> float:
     n = ds.n
     if n < 3:
         raise TooFewObservations("t_full needs n >= 3")
-    if g.n != n:
-        raise LengthMismatch(f"the Gram statistics have n = {g.n}, the dataset n = {n}")
+    w, g = ds.w, ds.gram
     naive = naive_tau2(w)
     # sum_{i1 != i2 != i3} G[i1, i2] = (n - 2) * n (n-1) * naive
     triple = chain_sum_distinct(g) - (n - 2) * (n * (n - 1)) * naive
     return naive - 2.0 * triple / (n * (n - 1) * (n - 2))
 
 
-def t_b(ds: LabeledDataset, w: WMatrix, b_set) -> float:
+def t_b(ds: LabeledDataset, b_set) -> float:
     """Corrected estimator over a fixed column set B.
 
     ``naive - 2 sum_{j, j' in B} psi_hat_{jj'}``; unbiased for any
@@ -176,12 +175,12 @@ def t_b(ds: LabeledDataset, w: WMatrix, b_set) -> float:
     """
     n = ds.n
     indices = column_set(b_set, ds.p)
-    naive = naive_tau2(w)
+    naive = naive_tau2(ds.w)
     if not indices:
         return naive
     if n < 3:
         raise TooFewObservations("t_b needs n >= 3")
-    terms = [psi_hat(ds, w, j, j_prime) for j in indices for j_prime in indices]
+    terms = [psi_hat(ds, j, j_prime) for j in indices for j_prime in indices]
     return naive - 2.0 * ordered_sum(terms)
 
 

@@ -1,12 +1,13 @@
 """Monte Carlo driver: one estimate dispatch, scenario runs and summaries.
 
 ``estimate`` runs one estimator by id together with its variance estimate
-(``HarnessOptions.variance_method``).  It reads W, the Gram row statistics,
-the single-zero statistic, ``sigma_Y^2`` and the naive variance estimates from
-one ``DatasetStats`` per dataset, so each is built at most once.  Split
-selection selects on the first row block of ``split_rows`` and estimates on
-the second, so its estimate and variance read one ``DatasetStats`` of that
-block instead.  One id -> estimate table serves both ``estimate`` and the
+(``HarnessOptions.variance_method``).  It reads W, the Gram row statistics
+and ``sigma_Y^2`` from the dataset, and the single-zero statistic and the
+naive variance estimates from one ``DatasetStats`` per dataset, so each is
+built at most once.  Split selection selects on the first row block of
+``split_rows`` and estimates on the second, so its estimate and variance
+read one ``DatasetStats`` of that block instead.  One id -> estimate table
+serves both ``estimate`` and the
 bootstrap's named initials (``INITIAL_IDS``).  Overflow, invalid operations
 and division by zero raise ``NonFiniteResult`` instead of reporting NaN or
 infinity.
@@ -53,17 +54,9 @@ from .estimators import (
     t_full,
     t_oracle,
 )
-from .kernels import GramMatrix, gram, ordered_sum
-from .model import (
-    CovariateModel,
-    LabeledDataset,
-    WMatrix,
-    build_w,
-    check_fields,
-    float_array,
-    sample_variance_y,
-)
-from .selection import beta_squared_estimates, split_rows, t_gamma
+from .kernels import ordered_sum
+from .model import CovariateModel, LabeledDataset, check_fields, float_array
+from .selection import split_rows, t_gamma
 from .simgen import ScenarioConfig, build_beta, covariate_model_for, generate_dataset
 from .variance import (
     var_hat_naive_gaussian,
@@ -159,14 +152,14 @@ class HarnessOptions:
 
 @dataclass(frozen=True, eq=False)
 class DatasetStats:
-    """The per-dataset statistics every estimator and variance estimate reads.
+    """A dataset and the statistics of it that also need the covariate model.
 
-    Each member is built on first use and then kept, so one object serves all
-    estimators on a dataset: W, the Gram row statistics, the single-zero statistic,
-    ``sigma_Y^2`` and the naive variance estimate of each method.  ``gram`` is the
-    dataset's one n x n product, ``gram(X, Y)``: ``t_full`` reduces it as it is,
-    and the tilde base reads W's Gram statistics as its rows scaled by Y.  A
-    model whose p is not the dataset's raises ``DimensionMismatch``.
+    The dataset keeps its own W, Gram row statistics and ``sigma_Y^2``
+    (``ds.w``, ``ds.gram``, ``ds.sigma_y2``); the members here are the
+    single-zero statistic and the naive variance estimate of each method.
+    Each is built on first use and then kept, so one object serves all
+    estimators on a dataset.  A model whose p is not the dataset's raises
+    ``DimensionMismatch``.
     """
 
     ds: LabeledDataset
@@ -178,28 +171,17 @@ class DatasetStats:
                 f"the covariate model has p = {self.model.p}, the dataset p = {self.ds.p}")
 
     @cached_property
-    def w(self) -> WMatrix:
-        return build_w(self.ds)
-
-    @cached_property
-    def sigma_y2(self) -> float:
-        return sample_variance_y(self.ds.y)
-
-    @cached_property
     def single(self) -> SingleZeroStat:
         return build_single_zero(self.ds, self.model)
 
     @cached_property
-    def gram(self) -> GramMatrix:
-        return gram(self.ds.x, self.ds.y)
-
-    @cached_property
     def plugin_base(self) -> float:
-        return var_hat_naive_gaussian(naive_tau2(self.w), self.sigma_y2, self.ds.n, self.ds.p)
+        ds = self.ds
+        return var_hat_naive_gaussian(naive_tau2(ds.w), ds.sigma_y2, ds.n, ds.p)
 
     @cached_property
     def tilde_base(self) -> float:
-        return var_tilde_naive(self.w, self.gram.rows_scaled(self.ds.y))
+        return var_tilde_naive(self.ds)
 
     def naive_variance(self, method: str | None) -> float | None:
         """The naive estimator's variance estimate by ``method`` (None: none)."""
@@ -210,14 +192,14 @@ class DatasetStats:
 
 # The estimators that read nothing but a dataset's statistics, by id.
 _TAU2 = {
-    "naive": lambda st: naive_tau2(st.w),
-    "dicker": lambda st: dicker_tau2(st.ds, st.w),
-    "full": lambda st: t_full(st.ds, st.w, st.gram),
-    "single": lambda st: t_c_hat_star(st.w, st.single),
+    "naive": lambda st: naive_tau2(st.ds.w),
+    "dicker": lambda st: dicker_tau2(st.ds),
+    "full": lambda st: t_full(st.ds),
+    "single": lambda st: t_c_hat_star(st.ds.w, st.single),
 }
 # The named initials of the bootstrap: selection runs with ``t_gamma``'s
 # defaults, unsplit and capped.
-_INITIALS = {**_TAU2, "selection": lambda st: t_gamma(st.ds, st.w).tau2}
+_INITIALS = {**_TAU2, "selection": lambda st: t_gamma(st.ds).tau2}
 # Identifiers accepted for the initial estimator (the CLI's --initial).
 INITIAL_IDS = tuple(_INITIALS)
 
@@ -264,17 +246,16 @@ def _estimate(stats, estimator_id, beta, options, boot_seed) -> EstimateReport:
     ds, model, method = stats.ds, stats.model, options.variance_method
     variance = None
     if estimator_id == "selection":
-        est, select_w = stats, None
+        est, select = stats, None
         if options.select_split is not None:
-            select_ds, est_ds = split_rows(ds, options.select_split)
-            est, select_w = DatasetStats(est_ds, model), build_w(select_ds)
-        report = t_gamma(est.ds, est.w, select_w=select_w, cap=options.select_cap)
+            select, est_ds = split_rows(ds, options.select_split)
+            est = DatasetStats(est_ds, model)
+        report = t_gamma(est.ds, select=select, cap=options.select_cap)
         if method is not None:
-            beta2, selected = beta_squared_estimates(est.w), report.aux["selected"]
-            base, n = est.naive_variance(method), est.ds.n
-            variance = (var_hat_t_gamma(base, beta2, selected, n)
+            base, selected = est.naive_variance(method), report.aux["selected"]
+            variance = (var_hat_t_gamma(base, est.ds, selected)
                         if method == "gaussian-plugin"
-                        else var_tilde_t_gamma(base, beta2, selected, model, n))
+                        else var_tilde_t_gamma(base, est.ds, selected, model))
     elif estimator_id == "empirical":
         entry = _INITIALS[options.initial]
         initial = "naive" if options.initial == "naive" else (
@@ -288,13 +269,12 @@ def _estimate(stats, estimator_id, beta, options, boot_seed) -> EstimateReport:
         elif beta is None:
             raise InvalidInput("the oracle estimator needs the true beta")
         else:
-            tau2 = t_oracle(ds, stats.w, beta)
+            tau2 = t_oracle(ds, beta)
         if estimator_id in ("naive", "dicker"):
             variance = stats.naive_variance(method)
         elif estimator_id == "single" and method == "tilde":
-            variance = var_tilde_t_chat(stats.tilde_base, stats.w, stats.single)
-        report = EstimateReport(tau2=tau2, sigma2=sigma2_from(tau2, stats.sigma_y2),
-                                estimator_id=estimator_id)
+            variance = var_tilde_t_chat(stats.tilde_base, ds.w, stats.single)
+        report = EstimateReport(tau2=tau2, sigma2=sigma2_from(tau2, ds.sigma_y2))
 
     warned = []
     if method == "gaussian-plugin" and not model.gaussian:
@@ -317,7 +297,7 @@ def _run_rep(args) -> list[RepRecord]:
         try:
             report = estimate(stats, eid, beta=beta, options=options, boot_seed=boot_seed)
         except VarestError as exc:
-            report = EstimateReport(tau2=float("nan"), sigma2=float("nan"), estimator_id=eid,
+            report = EstimateReport(tau2=float("nan"), sigma2=float("nan"),
                                     aux={"error": f"{type(exc).__name__}: {exc}"})
         records.append(RepRecord(
             rep_index=rep,

@@ -9,6 +9,10 @@ covariance that whitening removes (:class:`Whitening`, applied by
 the per-observation products ``W[i, j] = X[i, j] * Y[i]`` (:class:`WMatrix`)
 on which every estimator downstream is built.
 
+A dataset carries the statistics the estimators read of it, ``ds.w``,
+``ds.gram`` (``gram(X, Y)``) and ``ds.sigma_y2``, each built once, on first
+read: an estimator takes the dataset alone, never a statistic of other rows.
+
 Every estimator is a U-statistic over distinct observation tuples, so it is
 symmetric in the rows.  :class:`LabeledDataset` stores its rows in a
 canonical order that depends only on the multiset of rows, so every
@@ -17,7 +21,8 @@ depend on the order in which the caller supplied the rows.
 
 All types are immutable after construction (arrays are marked read-only) and
 every operation is a pure function, so instances are safe to share across
-threads and worker processes.
+threads and worker processes.  Two threads that race on a dataset's first
+read of a statistic may each build it; the values are equal.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +41,7 @@ from .errors import (
     NearSingularCovariance,
     TooFewObservations,
 )
-from .kernels import ordered_col_sums, ordered_sum
+from .kernels import GramMatrix, gram, ordered_col_sums, ordered_sum
 
 __all__ = [
     "CoefficientVector",
@@ -246,7 +252,8 @@ class LabeledDataset:
     in the order given: two datasets that hold the same multiset of rows have
     byte-identical ``x`` and ``y``.  ``rank[i]`` is the stored position of
     the caller's row ``i``, so ``x[rank]`` gives the rows back in the
-    caller's order.
+    caller's order.  ``w`` (:func:`build_w`), ``gram`` (``gram(x, y)``) and
+    ``sigma_y2`` (the sample variance of y) are built on first read and kept.
     """
 
     x: np.ndarray
@@ -278,6 +285,18 @@ class LabeledDataset:
     @property
     def p(self) -> int:
         return self.x.shape[1]
+
+    @cached_property
+    def w(self) -> WMatrix:
+        return build_w(self)
+
+    @cached_property
+    def gram(self) -> GramMatrix:
+        return gram(self.x, self.y)
+
+    @cached_property
+    def sigma_y2(self) -> float:
+        return sample_variance_y(self.y)
 
     def center_y(self) -> "LabeledDataset":
         """Return a copy with the sample mean subtracted from Y.

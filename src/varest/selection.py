@@ -7,7 +7,8 @@ strictly above the order statistic at the gap.  Because a data-dependent B
 can bias the correction (a post-selected "zero"-estimator no longer has mean
 zero), an optional sample split performs selection and correction on disjoint
 row blocks: ``split_rows`` holds the split rule, and ``t_gamma`` selects on
-the first block's W (``select_w``) and corrects on the second block's.
+the first block (``select``) and corrects on the second.  Each block is a
+dataset that carries its own W.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidInput, TooFewColumns, TooFewObservations
 from .estimators import EstimateReport, sigma2_from, t_b
-from .model import LabeledDataset, WMatrix, sample_variance_y
+from .model import LabeledDataset
 
 __all__ = [
     "SelectionResult",
@@ -94,7 +95,7 @@ def split_rows(ds: LabeledDataset,
     leading block is statistically equivalent to a random subset.
     """
     if not 0.0 < fraction < 1.0:
-        raise InvalidInput(f"split_fraction must be in (0, 1), got {fraction}")
+        raise InvalidInput(f"fraction must be in (0, 1), got {fraction}")
     n = ds.n
     if n < 6:
         raise TooFewObservations("split selection needs n >= 6")
@@ -105,18 +106,17 @@ def split_rows(ds: LabeledDataset,
 
 def t_gamma(
     ds: LabeledDataset,
-    w: WMatrix,
     *,
-    select_w: WMatrix | None = None,
+    select: LabeledDataset | None = None,
     cap: int | None = DEFAULT_CAP,
 ) -> EstimateReport:
     """Selection estimator: naive minus the correction over the gap-selected set.
 
-    ``w`` is the W matrix of ``ds``, the rows that compute both the naive
-    estimate and the correction terms.  B_gamma is selected on ``select_w``
-    when it is given, and on ``w`` otherwise.  Selecting on the W of a
-    disjoint row block (the first block of :func:`split_rows`, with ``ds``
-    the second) removes post-selection bias.
+    ``ds`` holds the rows that compute both the naive estimate and the
+    correction terms.  B_gamma is selected on the W of ``select`` when it is
+    given, and on that of ``ds`` otherwise.  Selecting on a disjoint row
+    block (the first block of :func:`split_rows`, with ``ds`` the second)
+    removes post-selection bias.
 
     ``cap >= 0`` bounds |B_gamma|, keeping the ``cap`` strongest estimates
     (in ascending column order); pass ``cap=None`` to disable.  The gap rule
@@ -126,23 +126,22 @@ def t_gamma(
         raise InvalidInput(f"cap must be nonnegative, got {cap}")
     if ds.n < 3:
         raise TooFewObservations("t_gamma needs n >= 3")
-    split = select_w is not None
-    beta2 = beta_squared_estimates(select_w if split else w)
+    split = select is not None
+    selecting = select if split else ds
+    beta2 = beta_squared_estimates(selecting.w)
     result = gap_select(beta2)
     selected = list(result.selected)
     if cap is not None and len(selected) > cap:
         selected = sorted(sorted(selected, key=lambda j: -beta2[j])[:cap])
 
-    tau2 = t_b(ds, w, selected)
-    sigma_y2 = sample_variance_y(ds.y)
+    tau2 = t_b(ds, selected)
     return EstimateReport(
         tau2=tau2,
-        sigma2=sigma2_from(tau2, sigma_y2),
-        estimator_id="selection",
+        sigma2=sigma2_from(tau2, ds.sigma_y2),
         aux={
             "selected": tuple(selected),
             "threshold": result.threshold_value,
             "split": split,
-            "n_select_rows": select_w.n if split else ds.n,
+            "n_select_rows": selecting.n,
         },
     )

@@ -21,8 +21,8 @@ Feasible side:
 * ``var_tilde_naive`` / ``var_tilde_t_gamma`` / ``var_tilde_t_chat`` are the
   distribution-free versions: each unknown in the exact formula is replaced
   by its own distinct-index U-statistic built from the Gram matrix of W.
-  That matrix is the dataset's one product ``gram(X, Y)`` with its rows
-  scaled by Y (``GramMatrix.rows_scaled``), since ``W W' = diag(Y) X X' diag(Y)``.
+  That matrix is the dataset's one product ``ds.gram = gram(X, Y)`` with its
+  rows scaled by Y (``GramMatrix.rows_scaled``), since ``W W' = diag(Y) X X' diag(Y)``.
 
 Negative variance estimates are possible and reported raw; callers that
 surface them attach a warning instead of clamping.
@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (DegenerateZeroEstimator, DimensionMismatch, LengthMismatch,
-                     TooFewObservations, UnsupportedDependenceStructure)
+from .errors import (DegenerateZeroEstimator, DimensionMismatch, TooFewObservations,
+                     UnsupportedDependenceStructure)
 from .estimators import (SingleZeroStat, c_hat_numerator, c_star_oracle, naive_tau2,
                          pairwise_zero_variance)
-from .kernels import GramMatrix, chain_sum_distinct, offdiag_square_sum, ordered_sum
-from .model import CoefficientVector, CovariateModel, WMatrix, column_set
+from .kernels import chain_sum_distinct, offdiag_square_sum, ordered_sum
+from .model import CoefficientVector, CovariateModel, LabeledDataset, WMatrix, column_set
+from .selection import beta_squared_estimates
 
 __all__ = [
     "asymptotic_psi",
@@ -215,8 +216,8 @@ def var_hat_naive_gaussian(tau2_hat: float, sigma_y2_hat: float, n: int, p: int)
     return _eq5(n, *_gaussian_terms(tau2_hat, sigma_y2_hat, p))
 
 
-def var_hat_t_gamma(var_hat_naive: float, beta2, b_gamma, n: int) -> float:
-    """Gaussian plug-in variance estimate for the selection estimator.
+def var_hat_t_gamma(var_hat_naive: float, ds: LabeledDataset, b_gamma) -> float:
+    """Gaussian plug-in variance estimate for the selection estimator on ``ds``.
 
     The reduction of :func:`var_tilde_t_gamma` with the Gaussian fourth
     moment 3, which is ``(8/n) (sum_{j in B_gamma} beta_j^2-hat)^2``; may be
@@ -224,24 +225,24 @@ def var_hat_t_gamma(var_hat_naive: float, beta2, b_gamma, n: int) -> float:
     plug-in and tilde selection variances therefore differ only in their
     naive base.
     """
-    return _reduced(var_hat_naive, beta2, b_gamma, 3.0, n)
+    return _reduced(var_hat_naive, beta_squared_estimates(ds.w), b_gamma, 3.0, ds.n)
 
 
-def var_tilde_naive(w: WMatrix, g: GramMatrix) -> float:
-    """Distribution-free variance estimate of the naive estimator, n = ``w.n``.
+def var_tilde_naive(ds: LabeledDataset) -> float:
+    """Distribution-free variance estimate of the naive estimator on ``ds``.
 
     The exact formula with each component replaced by a U-statistic:
-    ``b'Ab`` by the distinct-triple chain sum over the Gram matrix ``g`` of
-    W's rows, ``||A||_F^2`` by the off-diagonal square sum, and ``||b||^4`` by
-    the squared naive estimate.  That square has mean ``tau^4 + Var(naive)``,
-    so under any i.i.d. law the estimate's mean is exactly
-    ``(n-2)(n-3)/(n(n-1)) Var(naive)``: 1.0% low at n = 400, 7.9% at n = 50.
+    ``b'Ab`` by the distinct-triple chain sum over the Gram matrix of W's
+    rows (``ds.gram`` with its rows scaled by Y), ``||A||_F^2`` by the
+    off-diagonal square sum, and ``||b||^4`` by the squared naive estimate.
+    That square has mean ``tau^4 + Var(naive)``, so under any i.i.d. law the
+    estimate's mean is exactly ``(n-2)(n-3)/(n(n-1)) Var(naive)``: 1.0% low
+    at n = 400, 7.9% at n = 50.
     """
-    n = w.n
+    n = ds.n
     if n < 3:
         raise TooFewObservations("var_tilde_naive needs n >= 3")
-    if g.n != n:
-        raise LengthMismatch(f"the Gram statistics have n = {g.n}, W has n = {n}")
+    w, g = ds.w, ds.gram.rows_scaled(ds.y)
     beta_quad_hat = chain_sum_distinct(g) / (n * (n - 1) * (n - 2))
     frob_hat = offdiag_square_sum(g) / (n * (n - 1))
     beta4_hat = naive_tau2(w) ** 2
@@ -250,18 +251,18 @@ def var_tilde_naive(w: WMatrix, g: GramMatrix) -> float:
 
 def var_tilde_t_gamma(
     var_tilde: float,
-    beta2,
+    ds: LabeledDataset,
     b_gamma,
     model: CovariateModel,
-    n: int,
 ) -> float:
-    """Distribution-free variance estimate of the selection estimator.
+    """Distribution-free variance estimate of the selection estimator on ``ds``.
 
     Subtracts the reduction term with estimated coefficients and the model's
     known fourth moments over the selected set.  Its squared estimates are each
     biased up by their own variance, so it reads low beyond ``var_tilde``'s bias.
     """
-    return _reduced(var_tilde, beta2, b_gamma, model.fourth_moments, n)
+    return _reduced(var_tilde, beta_squared_estimates(ds.w), b_gamma, model.fourth_moments,
+                    ds.n)
 
 
 def var_tilde_t_chat(var_tilde: float, w: WMatrix, single: SingleZeroStat) -> float:
@@ -274,7 +275,7 @@ def var_tilde_t_chat(var_tilde: float, w: WMatrix, single: SingleZeroStat) -> fl
     n zero-estimators).  The squared bracket is biased up by its own variance,
     so the estimate reads low beyond ``var_tilde``'s bias.
     """
-    if single.n < 2 or w.p < 2:
+    if w.p < 2:
         raise DegenerateZeroEstimator("single-correction variance needs p >= 2")
     bracket = c_hat_numerator(w, single)
     return var_tilde - bracket * bracket / (w.n * single.var_g)

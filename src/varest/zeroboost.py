@@ -6,8 +6,8 @@ depends on the covariance between the estimator and g_n, which has no closed
 form for estimators defined only algorithmically.  The empirical estimator
 approximates that covariance from bootstrap resamples:
 
-1. compute the initial estimate and g_n on the full data (the caller's
-   ``DatasetStats`` holds W, g and ``sigma_Y^2``);
+1. compute the initial estimate and g_n on the full data (the dataset holds
+   W and ``sigma_Y^2``, the caller's ``DatasetStats`` g);
 2. for b = 1..B, resample n rows with replacement and recompute both;
 3. ``c = Cov-hat(initial*, g_n*) / Var(g_n)`` with Var(g_n) = Var(g_i)/n
    known analytically from the covariate model;
@@ -277,13 +277,14 @@ def _rebuilt_stars(
 def empirical_estimator(stats: DatasetStats, cfg: BootstrapConfig) -> EstimateReport:
     """Run the bootstrap-coefficient correction around an initial estimator.
 
-    ``stats`` holds the dataset and its W, g and ``sigma_Y^2``.  The ``naive``
-    initial reads W there and is evaluated on all resamples from the count
-    matrix (see the module docstring).  A callable initial is called on the
-    dataset and then on each rebuilt resample in index order, and a failure
-    there raises :class:`InitialEstimatorFailure` carrying the resample
-    index.  Returns a report with ``aux`` recording the fitted coefficient,
-    the bootstrap count, and the initial: ``"naive"`` or ``"custom"``.
+    ``stats`` holds the dataset, which keeps its W and ``sigma_Y^2``, and the
+    single-zero statistic g.  The ``naive`` initial reads the dataset's W and
+    is evaluated on all resamples from the count matrix (see the module
+    docstring).  A callable initial is called on the dataset and then on
+    each rebuilt resample in index order, and a failure there raises
+    :class:`InitialEstimatorFailure` carrying the resample index.  Returns a
+    report with ``aux`` recording the fitted coefficient, the bootstrap
+    count, and the initial: ``"naive"`` or ``"custom"``.
     """
     ds, model, single = stats.ds, stats.model, stats.single
     initial = cfg.initial_estimator
@@ -293,8 +294,8 @@ def empirical_estimator(stats: DatasetStats, cfg: BootstrapConfig) -> EstimateRe
         tau2_init = initial(ds, model)
         tau_stars, g_stars = _rebuilt_stars(ds, model, cfg, initial, single.g_per_obs)
     else:
-        tau2_init = naive_tau2(stats.w)
-        tau_stars, g_stars = _naive_stars(stats.w.w, ds.rank, cfg, single.g_per_obs)
+        tau2_init = naive_tau2(ds.w)
+        tau_stars, g_stars = _naive_stars(ds.w.w, ds.rank, cfg, single.g_per_obs)
 
     cov = float(np.cov(tau_stars, g_stars, ddof=1)[0, 1])
     var_g_n = single.var_g / n
@@ -303,8 +304,7 @@ def empirical_estimator(stats: DatasetStats, cfg: BootstrapConfig) -> EstimateRe
     tau2 = tau2_init - c_tilde * single.g_n
     return EstimateReport(
         tau2=tau2,
-        sigma2=sigma2_from(tau2, stats.sigma_y2),
-        estimator_id="empirical",
+        sigma2=sigma2_from(tau2, ds.sigma_y2),
         aux={"c_tilde": c_tilde, "n_boot": cfg.n_boot,
              "initial": "custom" if callable(initial) else "naive"},
     )

@@ -233,16 +233,15 @@ def gap_select_loop(beta2):
 def _named_initial(name):
     """The library calls behind each named bootstrap initial, as the README documents them."""
     from varest.estimators import build_single_zero, dicker_tau2, naive_tau2, t_c_hat_star, t_full
-    from varest.kernels import gram
     from varest.model import build_w
     from varest.selection import t_gamma
 
     return {
         "naive": lambda d, m: naive_tau2(build_w(d)),
-        "dicker": lambda d, m: dicker_tau2(d, build_w(d)),
+        "dicker": lambda d, m: dicker_tau2(d),
         "single": lambda d, m: t_c_hat_star(build_w(d), build_single_zero(d, m)),
-        "full": lambda d, m: t_full(d, build_w(d), gram(d.x, d.y)),
-        "selection": lambda d, m: t_gamma(d, build_w(d)).tau2,
+        "full": lambda d, m: t_full(d),
+        "selection": lambda d, m: t_gamma(d).tau2,
     }[name]
 
 

@@ -56,7 +56,7 @@ from varest.model import (
     LabeledDataset,
     build_w,
 )
-from varest.selection import beta_squared_estimates, t_gamma
+from varest.selection import t_gamma
 from varest.simgen import ScenarioConfig, build_beta, generate_dataset
 from varest.variance import (
     var_hat_naive_gaussian,
@@ -112,7 +112,7 @@ def test_c01_kernel_oracle_equivalence():
         beta = rng.standard_normal(p)
         y = x @ beta + rng.standard_normal(n)
         ds = LabeledDataset(x=x, y=y)
-        w = build_w(ds)
+        w = ds.w
         u, v, z = w.w[:, 0], rng.standard_normal(n), rng.standard_normal(n)
 
         close(pair_sum_distinct(u, v), oracles.pair_sum_loop(u, v),
@@ -132,7 +132,7 @@ def test_c01_kernel_oracle_equivalence():
         jp = int(rng.integers(0, p))
         npairs = n * (n - 1) * (n - 2)
         from varest.estimators import c_hat_numerator, psi_hat
-        close(psi_hat(ds, w, j, jp), oracles.psi_loop(ds.x, w.w, j, jp),
+        close(psi_hat(ds, j, jp), oracles.psi_loop(ds.x, w.w, j, jp),
               np.abs(w.w[:, j]).sum() * np.abs(w.w[:, jp]).sum() / npairs * n)
         if p >= 2:
             single = build_single_zero(ds, model)
@@ -160,11 +160,11 @@ def test_c02_unbiasedness():
     vals = {k: np.empty(reps) for k in ("naive", "oracle", "full", "t_b")}
     for r in range(reps):
         ds = gaussian_data(202, r, n, p, beta.beta)
-        w = build_w(ds)
+        w = ds.w
         vals["naive"][r] = naive_tau2(w)
-        vals["oracle"][r] = t_oracle(ds, w, beta)
-        vals["full"][r] = t_full(ds, w, gram(ds.x, ds.y))
-        vals["t_b"][r] = t_b(ds, w, b_fixed)
+        vals["oracle"][r] = t_oracle(ds, beta)
+        vals["full"][r] = t_full(ds)
+        vals["t_b"][r] = t_b(ds, b_fixed)
     details = []
     ok = True
     for k, v in vals.items():
@@ -216,10 +216,10 @@ def mc200():
     c_star = c_star_oracle(bv, model)
     for r in range(reps):
         ds = gaussian_data(405, r, n, p, beta)
-        w = build_w(ds)
+        w = ds.w
         single = build_single_zero(ds, model)
         out["naive"][r] = naive_tau2(w)
-        out["oracle"][r] = t_oracle(ds, w, bv)
+        out["oracle"][r] = t_oracle(ds, bv)
         out["tcstar"][r] = out["naive"][r] - c_star * single.g_n
         out["chat"][r] = c_hat_star(w, single)
     out["n"] = n
@@ -264,7 +264,7 @@ def test_c06_full_estimation_cost():
     vals = np.empty(reps)
     for r in range(reps):
         ds = gaussian_data(606, r, n, p, beta)
-        vals[r] = t_full(ds, build_w(ds), gram(ds.x, ds.y))
+        vals[r] = t_full(ds)
     nv = n * vals.var(ddof=1)
     # 12 + 16 + 32 = 60 at n = p: oracle variance plus the second- and
     # third-order estimation costs (see var_t_full_theory)
@@ -292,9 +292,9 @@ def test_c07_fixed_set_reduction():
     tb_vals = np.empty(reps)
     for r in range(reps):
         ds = gaussian_data(707, r, n, p, beta.beta)
-        w = build_w(ds)
+        w = ds.w
         naive_vals[r] = naive_tau2(w)
-        tb_vals[r] = t_b(ds, w, b_fixed)
+        tb_vals[r] = t_b(ds, b_fixed)
     gap = n * (naive_vals.var(ddof=1) - tb_vals.var(ddof=1))
     ok = 1.4 < gap < 2.6
     elapsed = time.time() - t0
@@ -364,8 +364,8 @@ def test_c09_dicker_equivalence():
         diffs = np.empty(200)
         for r in range(200):
             ds = gaussian_data(909 + n, r, n, p, beta)
-            w = build_w(ds)
-            diffs[r] = math.sqrt(n) * abs(naive_tau2(w) - dicker_tau2(ds, w))
+            w = ds.w
+            diffs[r] = math.sqrt(n) * abs(naive_tau2(w) - dicker_tau2(ds))
         medians.append(float(np.median(diffs)))
     ok = medians[0] > medians[1] > medians[2]
     elapsed = time.time() - t0
@@ -396,20 +396,16 @@ def test_c10_variance_estimator_consistency():
     tilde_tchat = np.empty(reps)
     for r in range(reps):
         ds = gaussian_data(1025, r, n, p, beta.beta)
-        w = build_w(ds)
+        w = ds.w
         naive_vals[r] = naive_tau2(w)
         single = build_single_zero(ds, model)
         tchat_vals[r] = t_c_hat_star(w, single)
-        rep_sel = t_gamma(ds, w, cap=None)
+        rep_sel = t_gamma(ds, cap=None)
         tg_vals[r] = rep_sel.tau2
-        from varest.model import sample_variance_y
-        plugin[r] = var_hat_naive_gaussian(naive_vals[r],
-                                           sample_variance_y(ds.y), n, p)
-        tn = var_tilde_naive(w, gram(w.w))
+        plugin[r] = var_hat_naive_gaussian(naive_vals[r], ds.sigma_y2, n, p)
+        tn = var_tilde_naive(ds)
         tilde_naive[r] = tn
-        beta2 = beta_squared_estimates(w)
-        tilde_tg[r] = var_tilde_t_gamma(tn, beta2, rep_sel.aux["selected"],
-                                        model, n)
+        tilde_tg[r] = var_tilde_t_gamma(tn, ds, rep_sel.aux["selected"], model)
         tilde_tchat[r] = var_tilde_t_chat(tn, w, single)
     checks = [
         ("gaussian-plugin naive", plugin.mean(), naive_vals.var(ddof=1), 0.10),

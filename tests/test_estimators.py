@@ -27,7 +27,6 @@ from varest.estimators import (
     t_full,
     t_oracle,
 )
-from varest.kernels import gram
 from varest.model import (
     CoefficientVector,
     CovariateModel,
@@ -50,7 +49,7 @@ def make_data(seed, n, p, beta=None, sigma=1.0):
         beta = np.zeros(p)
     y = x @ beta + sigma * g.standard_normal(n)
     ds = LabeledDataset(x=x, y=y)
-    return ds, build_w(ds)
+    return ds, ds.w
 
 
 class TestNaive:
@@ -77,12 +76,12 @@ class TestNaive:
 class TestDicker:
     def test_hand_example(self):
         ds = LabeledDataset(x=[[1.0], [2.0]], y=[1.0, 1.0])
-        assert dicker_tau2(ds, build_w(ds)) == pytest.approx(7.0 / 6.0, rel=1e-12)
+        assert dicker_tau2(ds) == pytest.approx(7.0 / 6.0, rel=1e-12)
 
     def test_zero_response(self):
         ds = LabeledDataset(x=np.random.default_rng(0).standard_normal((5, 2)),
                             y=np.zeros(5))
-        assert dicker_tau2(ds, build_w(ds)) == 0.0
+        assert dicker_tau2(ds) == 0.0
 
 
 class TestSigma2From:
@@ -103,20 +102,20 @@ class TestOracle:
     def test_zero_beta_equals_naive(self):
         ds, w = make_data(5, 12, 4)
         beta = CoefficientVector(np.zeros(4))
-        assert t_oracle(ds, w, beta) == naive_tau2(w)
+        assert t_oracle(ds, beta) == naive_tau2(w)
 
     def test_p1_correction_form(self):
         # with p = 1 the correction is 2*beta^2 * mean(X^2 - 1)
         ds, w = make_data(6, 20, 1, beta=np.array([1.3]))
         beta = CoefficientVector(np.array([1.3]))
-        got = t_oracle(ds, w, beta)
+        got = t_oracle(ds, beta)
         expected = naive_tau2(w) - 2.0 * 1.3 ** 2 * np.mean(ds.x[:, 0] ** 2 - 1.0)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_dimension_mismatch(self):
-        ds, w = make_data(7, 5, 2)
+        ds, _ = make_data(7, 5, 2)
         with pytest.raises(DimensionMismatch):
-            t_oracle(ds, w, CoefficientVector(np.zeros(3)))
+            t_oracle(ds, CoefficientVector(np.zeros(3)))
 
     @pytest.mark.parametrize("x_dist", ["gaussian", "rademacher-mix"])
     @pytest.mark.parametrize("n, p", [(60, 40), (150, 300), (400, 400), (7, 64)])
@@ -128,7 +127,7 @@ class TestOracle:
             ds = generate_dataset(cfg, beta, 0)
             perm = np.random.default_rng(seed).permutation(n)
             ds2 = LabeledDataset(x=ds.x[perm], y=ds.y[perm])
-            assert t_oracle(ds2, build_w(ds2), beta) == t_oracle(ds, build_w(ds), beta)
+            assert t_oracle(ds2, beta) == t_oracle(ds, beta)
 
     def test_unbiased_and_lower_variance(self):
         # small monte carlo: mean near tau2 and variance below naive
@@ -141,9 +140,9 @@ class TestOracle:
             x = g.standard_normal((n, p))
             y = x @ beta.beta + g.standard_normal(n)
             ds = LabeledDataset(x=x, y=y)
-            w = build_w(ds)
+            w = ds.w
             naive_vals[r] = naive_tau2(w)
-            oracle_vals[r] = t_oracle(ds, w, beta)
+            oracle_vals[r] = t_oracle(ds, beta)
         se = oracle_vals.std(ddof=1) / np.sqrt(reps)
         assert abs(oracle_vals.mean() - 1.0) < 3 * se
         assert oracle_vals.var(ddof=1) < naive_vals.var(ddof=1)
@@ -153,14 +152,13 @@ class TestPsiHat:
     def test_zero_response(self):
         ds = LabeledDataset(x=np.random.default_rng(1).standard_normal((5, 2)),
                             y=np.zeros(5))
-        w = build_w(ds)
-        assert psi_hat(ds, w, 0, 1) == 0.0
+        assert psi_hat(ds, 0, 1) == 0.0
 
     def test_matches_loop(self):
         ds, w = make_data(8, 10, 3, beta=np.array([1.0, 0.5, 0.0]))
         for j, jp in [(0, 0), (0, 1), (2, 1)]:
             np.testing.assert_allclose(
-                psi_hat(ds, w, j, jp),
+                psi_hat(ds, j, jp),
                 psi_loop(ds.x, w.w, j, jp),
                 rtol=1e-11,
             )
@@ -175,14 +173,14 @@ class TestPsiHat:
             x = g.standard_normal((n, p))
             y = x @ beta + g.standard_normal(n)
             ds = LabeledDataset(x=x, y=y)
-            vals[r] = psi_hat(ds, build_w(ds), 0, 1)
+            vals[r] = psi_hat(ds, 0, 1)
         se = vals.std(ddof=1) / np.sqrt(reps)
         assert abs(vals.mean()) < 3 * se
 
     def test_too_few(self):
         ds = LabeledDataset(x=[[1.0], [2.0]], y=[1.0, 1.0])
         with pytest.raises(TooFewObservations):
-            psi_hat(ds, build_w(ds), 0, 0)
+            psi_hat(ds, 0, 0)
 
 
 class TestTFull:
@@ -191,34 +189,28 @@ class TestTFull:
         expected = naive_tau2(w) - 2.0 * sum(
             psi_loop(ds.x, w.w, j, jp) for j in range(3) for jp in range(3)
         )
-        np.testing.assert_allclose(t_full(ds, w, gram(ds.x, ds.y)), expected, rtol=1e-11)
+        np.testing.assert_allclose(t_full(ds), expected, rtol=1e-11)
 
     def test_degenerate_p1_equals_naive(self):
         # constant-magnitude X makes every centered second moment vanish
         x = np.array([[1.0], [-1.0], [1.0], [-1.0]])
         y = np.array([0.5, 1.5, -0.7, 0.9])
         ds = LabeledDataset(x=x, y=y)
-        w = build_w(ds)
-        np.testing.assert_allclose(t_full(ds, w, gram(ds.x, ds.y)), naive_tau2(w), rtol=1e-12)
+        w = ds.w
+        np.testing.assert_allclose(t_full(ds), naive_tau2(w), rtol=1e-12)
 
     def test_too_few(self):
         ds = LabeledDataset(x=[[1.0], [2.0]], y=[1.0, 1.0])
         with pytest.raises(TooFewObservations):
-            t_full(ds, build_w(ds), gram(ds.x, ds.y))
-
-    def test_gram_of_another_dataset_rejected(self):
-        ds, w = make_data(10, 8, 3)
-        other, _ = make_data(10, 9, 3)
-        with pytest.raises(LengthMismatch):
-            t_full(ds, w, gram(other.x, other.y))
+            t_full(ds)
 
     @staticmethod
     def _traced_peak(n=1000, p=20):
         """Peak bytes held while ``t_full`` and the product it reduces run, over n x n doubles."""
-        ds, w = make_data(10, n, p)
+        ds, _ = make_data(10, n, p)
         tracemalloc.start()
         try:
-            t_full(ds, w, gram(ds.x, ds.y))
+            t_full(ds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -235,31 +227,31 @@ class TestTFull:
 class TestTB:
     def test_empty_set_is_naive(self):
         ds, w = make_data(10, 8, 3, beta=np.ones(3))
-        assert t_b(ds, w, []) == naive_tau2(w)
+        assert t_b(ds, []) == naive_tau2(w)
 
     def test_full_set_is_t_full(self):
-        ds, w = make_data(11, 10, 3, beta=np.ones(3))
-        np.testing.assert_allclose(t_b(ds, w, [0, 1, 2]), t_full(ds, w, gram(ds.x, ds.y)),
+        ds, _ = make_data(11, 10, 3, beta=np.ones(3))
+        np.testing.assert_allclose(t_b(ds, [0, 1, 2]), t_full(ds),
                                    rtol=1e-10)
 
     def test_index_out_of_range(self):
-        ds, w = make_data(12, 8, 3)
+        ds, _ = make_data(12, 8, 3)
         with pytest.raises(IndexOutOfRange):
-            t_b(ds, w, [3])
+            t_b(ds, [3])
 
     def test_checks_columns(self):
-        ds, w = make_data(12, 8, 3, beta=np.ones(3))
-        assert t_b(ds, w, np.array([2, 0, 2])) == t_b(ds, w, [0, 2])
+        ds, _ = make_data(12, 8, 3, beta=np.ones(3))
+        assert t_b(ds, np.array([2, 0, 2])) == t_b(ds, [0, 2])
         with pytest.raises(IndexOutOfRange):
-            t_b(ds, w, [-1])
+            t_b(ds, [-1])
         with pytest.raises(InvalidInput):
-            t_b(ds, w, [1.7])
+            t_b(ds, [1.7])
 
     def test_row_permutation_bitwise(self):
-        ds, w = make_data(13, 20, 4, beta=np.full(4, 0.4))
+        ds, _ = make_data(13, 20, 4, beta=np.full(4, 0.4))
         perm = np.random.default_rng(14).permutation(20)
         ds2 = LabeledDataset(x=ds.x[perm], y=ds.y[perm])
-        assert t_b(ds, w, [0, 2]) == t_b(ds2, build_w(ds2), [0, 2])
+        assert t_b(ds, [0, 2]) == t_b(ds2, [0, 2])
 
 
 class TestSingleZero:
@@ -343,7 +335,7 @@ class TestCHatStar:
     def test_zero_response(self):
         ds = LabeledDataset(x=np.random.default_rng(2).standard_normal((6, 3)),
                             y=np.zeros(6))
-        w = build_w(ds)
+        w = ds.w
         single = build_single_zero(ds, GAUSS(3))
         assert c_hat_star(w, single) == 0.0
 
@@ -356,7 +348,7 @@ class TestCHatStar:
             if constant:
                 x[:, -1] = 1.5
             ds = LabeledDataset(x=x, y=x[:, 0] - 0.5 * x[:, 1] + g.standard_normal(n))
-            w = build_w(ds)
+            w = ds.w
             single = build_single_zero(ds, GAUSS(p))
             expected = chat_numerator_loop(w.w, single.g_per_obs) / single.var_g
             np.testing.assert_allclose(c_hat_star(w, single), expected, rtol=1e-11)
@@ -410,7 +402,6 @@ class TestTCHatStar:
         x = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])
         y = np.array([0.3, 1.0, -0.4, 0.8])
         ds = LabeledDataset(x=x, y=y)
-        w = build_w(ds)
         single = build_single_zero(ds, GAUSS(2))
         assert single.g_n == -1.0  # g_i = -1 for every row here
         # with nonzero g_n the estimator differs from naive; force g_n = 0
@@ -432,7 +423,7 @@ class TestZeroEstimatorNeutrality:
             x = g.standard_normal((n, p))
             y = x @ beta + g.standard_normal(n)
             ds = LabeledDataset(x=x, y=y)
-            w = build_w(ds)
+            w = ds.w
             single = build_single_zero(ds, model)
             out[r] = c_hat_star(w, single) * single.g_n
         return out
@@ -449,10 +440,10 @@ class TestZeroEstimatorNeutrality:
             x = g.standard_normal((n, p))
             y = x @ beta.beta + g.standard_normal(n)
             ds = LabeledDataset(x=x, y=y)
-            w = build_w(ds)
+            w = ds.w
             naive = naive_tau2(w)
-            corr_oracle[r] = naive - t_oracle(ds, w, beta)
-            corr_b[r] = naive - t_b(ds, w, [0, 1, 2])
+            corr_oracle[r] = naive - t_oracle(ds, beta)
+            corr_b[r] = naive - t_b(ds, [0, 1, 2])
         for corr in (corr_oracle, corr_b):
             se = corr.std(ddof=1) / np.sqrt(reps)
             assert abs(corr.mean()) < 3 * se

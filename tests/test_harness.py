@@ -44,7 +44,7 @@ from varest.harness import (
     write_records_csv,
     write_summary_csv,
 )
-from varest.kernels import gram, ordered_col_sums
+from varest.kernels import chain_sum_distinct, gram, offdiag_square_sum, ordered_col_sums
 from varest.model import (
     CoefficientVector,
     CovariateModel,
@@ -52,7 +52,7 @@ from varest.model import (
     build_w,
     sample_variance_y,
 )
-from varest.selection import beta_squared_estimates, split_rows, t_gamma
+from varest.selection import split_rows, t_gamma
 from varest.simgen import ScenarioConfig, build_beta, covariate_model_for, generate_dataset
 from varest.variance import (
     var_hat_naive_gaussian,
@@ -192,6 +192,12 @@ class TestDatasetStats:
         with pytest.raises(DimensionMismatch, match="model has p = 3, the dataset p = 8"):
             DatasetStats(ds, CovariateModel.independent(3, 3.0, gaussian=True))
 
+    def test_keeps_no_statistic_of_the_rows(self):
+        # W, the Gram statistics and sigma_Y^2 live on the dataset alone
+        cfg = small_cfg(reps=1)
+        stats = DatasetStats(generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg))
+        assert [name for name in ("w", "gram", "sigma_y2") if hasattr(stats, name)] == []
+
 
 def two_step(ds, model, eid, beta, options, boot_seed):
     """The public functions composed as estimate-then-attach-variance.
@@ -199,25 +205,24 @@ def two_step(ds, model, eid, beta, options, boot_seed):
     Split selection estimates on, and takes its variance from, the second
     block of rows.
     """
-    select_w = None
+    select = None
     if eid == "selection" and options.select_split is not None:
-        select_ds, ds = split_rows(ds, options.select_split)
-        select_w = build_w(select_ds)
+        select, ds = split_rows(ds, options.select_split)
     w = build_w(ds)
     if eid == "selection":
-        report = t_gamma(ds, w, select_w=select_w, cap=options.select_cap)
+        report = t_gamma(ds, select=select, cap=options.select_cap)
     elif eid == "empirical":
         report = empirical_estimator(DatasetStats(ds, model), BootstrapConfig(
             n_boot=options.boot, seed=boot_seed, initial_estimator=options.initial))
     else:
         tau2 = {
             "naive": lambda: naive_tau2(w),
-            "dicker": lambda: dicker_tau2(ds, w),
-            "full": lambda: t_full(ds, w, gram(ds.x, ds.y)),
+            "dicker": lambda: dicker_tau2(ds),
+            "full": lambda: t_full(ds),
             "single": lambda: t_c_hat_star(w, build_single_zero(ds, model)),
-            "oracle": lambda: t_oracle(ds, w, beta),
+            "oracle": lambda: t_oracle(ds, beta),
         }[eid]()
-        report = EstimateReport(tau2, sigma2_from(tau2, sample_variance_y(ds.y)), eid)
+        report = EstimateReport(tau2, sigma2_from(tau2, sample_variance_y(ds.y)))
     method = options.variance_method
     if method is None:
         return report
@@ -230,13 +235,13 @@ def two_step(ds, model, eid, beta, options, boot_seed):
         if eid in ("naive", "dicker"):
             value = base
         elif eid == "selection":
-            value = var_hat_t_gamma(base, beta_squared_estimates(w), selected, ds.n)
+            value = var_hat_t_gamma(base, ds, selected)
     else:
-        base = tilde_base(ds, w)
+        base = tilde_base(ds)
         if eid in ("naive", "dicker"):
             value = base
         elif eid == "selection":
-            value = var_tilde_t_gamma(base, beta_squared_estimates(w), selected, model, ds.n)
+            value = var_tilde_t_gamma(base, ds, selected, model)
         elif eid == "single":
             value = var_tilde_t_chat(base, w, build_single_zero(ds, model))
     if value is not None and value < 0.0:
@@ -246,13 +251,18 @@ def two_step(ds, model, eid, beta, options, boot_seed):
     return replace(report, variance_estimate=value, aux=aux)
 
 
-def tilde_base(ds, w):
+def tilde_base(ds):
     """The tilde naive variance, W's Gram statistics read as ``gram(X, Y)`` rows scaled by Y.
 
     Within 1e-12 of the same variance from the Gram product of W itself.
     """
-    base = var_tilde_naive(w, gram(ds.x, ds.y).rows_scaled(ds.y))
-    assert base == pytest.approx(var_tilde_naive(w, gram(w.w)), rel=1e-12)
+    base = var_tilde_naive(ds)
+    w, g, n = build_w(ds), gram(ds.w.w), ds.n
+    beta4 = naive_tau2(w) ** 2
+    from_w = (4.0 * (n - 2) / (n * (n - 1))
+              * (chain_sum_distinct(g) / (n * (n - 1) * (n - 2)) - beta4)
+              + 2.0 / (n * (n - 1)) * (offdiag_square_sum(g) / (n * (n - 1)) - beta4))
+    assert base == pytest.approx(from_w, rel=1e-12)
     return base
 
 
@@ -268,8 +278,8 @@ def assert_matches_two_step(eid, method, x_dist, select_split):
     options = HarnessOptions(variance_method=method, boot=20, select_split=select_split)
     got = estimate(DatasetStats(ds, model), eid, beta=beta, options=options, boot_seed=7)
     want = two_step(ds, model, eid, beta, options, boot_seed=7)
-    assert (got.estimator_id, got.tau2, got.sigma2, got.variance_estimate, got.aux) == \
-        (want.estimator_id, want.tau2, want.sigma2, want.variance_estimate, want.aux)
+    assert (got.tau2, got.sigma2, got.variance_estimate, got.aux) == \
+        (want.tau2, want.sigma2, want.variance_estimate, want.aux)
 
 
 class TestEstimateDispatch:
@@ -334,12 +344,11 @@ class TestEstimateDispatch:
         assert selected and 0 < k < ds.n
 
         def composed(block):
-            w, n = build_w(block), block.n
             if method == "gaussian-plugin":
-                base = var_hat_naive_gaussian(naive_tau2(w), sample_variance_y(block.y), n, block.p)
-                return var_hat_t_gamma(base, beta_squared_estimates(w), selected, n)
-            base = tilde_base(block, w)
-            return var_tilde_t_gamma(base, beta_squared_estimates(w), selected, model, n)
+                base = var_hat_naive_gaussian(naive_tau2(build_w(block)),
+                                              sample_variance_y(block.y), block.n, block.p)
+                return var_hat_t_gamma(base, block, selected)
+            return var_tilde_t_gamma(tilde_base(block), block, selected, model)
 
         rest = ds.rank[k:]  # the caller's trailing rows
         assert got.variance_estimate == composed(LabeledDataset(ds.x[rest], ds.y[rest]))
@@ -359,7 +368,7 @@ class TestEstimateDispatch:
         monkeypatch.setattr(model, "ordered_col_sums", counted)
         cfg = small_cfg(reps=1)
         stats = DatasetStats(generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg))
-        assert stats.w.n == cfg.n and calls == [(cfg.n, cfg.p)]
+        assert stats.ds.w.n == cfg.n and calls == [(cfg.n, cfg.p)]
         calls.clear()
         estimate(stats, "single", options=HarnessOptions(variance_method=method))
         assert calls == []
@@ -377,9 +386,8 @@ class TestEstimateDispatch:
         monkeypatch.setattr(model, "ordered_col_sums", counted)
         cfg = small_cfg(reps=1)
         ds = generate_dataset(cfg, build_beta(cfg), 0)
-        w = build_w(ds)
-        assert calls == [(cfg.n, cfg.p)]
-        t_full(ds, w, gram(ds.x, ds.y))
+        assert ds.w.n == cfg.n and calls == [(cfg.n, cfg.p)]
+        t_full(ds)
         assert calls == [(cfg.n, cfg.p)]
 
     # every id with tilde makes one product: test_statistics_built_once
@@ -421,7 +429,7 @@ class TestEstimateDispatch:
         for eid in ESTIMATOR_IDS:
             report = estimate(stats, eid, beta=beta if eid == "oracle" else None,
                               options=HarnessOptions(boot=5))
-            assert report.estimator_id == eid and math.isfinite(report.tau2)
+            assert math.isfinite(report.tau2), eid
 
     @pytest.mark.parametrize("eid, message", [
         ("bogus", "unknown estimator ids ['bogus']"),
@@ -615,7 +623,7 @@ def _t_b(stats, columns):
     # the harness's floating-point rule: overflow or an invalid operation is an error
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            tau2 = t_b(stats.ds, stats.w, columns)
+            tau2 = t_b(stats.ds, columns)
     except FloatingPointError as exc:
         raise NonFiniteResult(str(exc)) from exc
     return (tau2,)

@@ -279,6 +279,24 @@ class TestLabeledDataset:
         np.testing.assert_allclose(centered.y[centered.rank], [-1.0, 1.0])
         assert centered.rank.tobytes() == ds.rank.tobytes()
 
+    def test_statistics_are_its_own_and_kept(self):
+        g = np.random.default_rng(7)
+        x = g.standard_normal((9, 4))
+        ds = LabeledDataset(x=x, y=x[:, 1] + g.standard_normal(9))
+        w, want = ds.w, build_w(ds)
+        assert ds.w is w
+        for got, ref in ((w.w, want.w), (w.column_sums, want.column_sums),
+                         (w.column_square_sums, want.column_square_sums)):
+            assert got.tobytes() == ref.tobytes()
+        assert ds.gram is ds.gram
+        ref = gram(ds.x, ds.y)
+        assert ds.gram.row_sums_offdiag.tobytes() == ref.row_sums_offdiag.tobytes()
+        assert ds.gram.row_square_sums_offdiag.tobytes() == ref.row_square_sums_offdiag.tobytes()
+        assert ds.sigma_y2 == sample_variance_y(ds.y)
+        # a centered copy is a dataset of its own, with statistics of its own rows
+        assert ds.center_y().sigma_y2 == pytest.approx(ds.sigma_y2, rel=1e-12)
+        assert ds.center_y().w is not w
+
 
 _ENTRIES = (-2.5, -1.0, -0.0, 0.0, 1e-3, 1.5, 7.0)
 

@@ -45,9 +45,12 @@
   field checker.  ``cli.py`` compares none of the flags in ``OPTION_FLAGS``
   against a bound or a set, so the CLI keeps no copy of an option's rule.
 * No public function of ``SIZE_RULE_MODULES`` takes a size beside a statistic
-  that carries it (``SIZE_CARRIERS``): one that is given W, a Gram matrix or the
-  single-zero statistic reads n from it, and one that is given beta, W or a
-  dataset reads p from it, so no wrong size can be passed.
+  that carries it (``SIZE_CARRIERS``): one that is given a dataset, W, a Gram
+  matrix or the single-zero statistic reads n from it, and one that is given
+  beta, W or a dataset reads p from it, so no wrong size can be passed.
+* No public function of ``SIZE_RULE_MODULES`` takes a dataset beside W or a
+  Gram matrix (``ROW_STATISTICS``): a dataset carries its own, so a statistic
+  of other rows cannot be passed with it.
 """
 
 import ast
@@ -82,8 +85,8 @@ SELF_PRODUCT_SITES = {
 }
 # (module, function) -> what its ``kernels.gram`` call forms.
 GRAM_SITES = {
-    ("harness.py", "gram"): "the dataset's one product gram(X, Y), which t_full reduces and "
-                            "whose rows scaled by Y are W's Gram statistics",
+    ("model.py", "gram"): "the dataset's one product gram(X, Y), which t_full reduces and "
+                          "whose rows scaled by Y are W's Gram statistics",
 }
 
 # numpy functions that build a matrix, which ``variance.py`` never calls.
@@ -103,9 +106,11 @@ CONFIG_TYPES = {("model.py", "CovariateModel"), ("simgen.py", "ScenarioConfig"),
 # The ``args`` attributes whose values only ``HarnessOptions`` checks.
 OPTION_FLAGS = ("boot", "initial", "select_split", "select_cap")
 # Size parameter -> the annotations of the statistics that carry it.
-SIZE_CARRIERS = {"n": {"WMatrix", "GramMatrix", "SingleZeroStat"},
+SIZE_CARRIERS = {"n": {"LabeledDataset", "WMatrix", "GramMatrix", "SingleZeroStat"},
                  "p": {"CoefficientVector", "WMatrix", "LabeledDataset"}}
 SIZE_RULE_MODULES = ("estimators.py", "selection.py", "variance.py")
+# The statistics of a dataset's rows that the dataset carries itself.
+ROW_STATISTICS = {"WMatrix", "GramMatrix"}
 
 # Builtin exception names and the package's own, any of which a class that derives from
 # an exception names among its bases.
@@ -365,24 +370,40 @@ def _option_comparisons(path):
     return found
 
 
-def _restated_sizes(path):
-    """``function: size`` of each public function of ``path`` with a parameter named after a
-    size that another of its parameters carries, by its annotation."""
-    found = []
+def _public_signatures(path):
+    """``(function, parameter names, annotation names)`` of each public function of ``path``."""
     for node in _tree(path).body:
         if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
             continue
         params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
         annotated = {name.id for param in params if param.annotation is not None
                      for name in ast.walk(param.annotation) if isinstance(name, ast.Name)}
-        found += [f"{node.name}: {size}" for size, carriers in SIZE_CARRIERS.items()
-                  if annotated & carriers and size in {param.arg for param in params}]
-    return found
+        yield node.name, {param.arg for param in params}, annotated
+
+
+def _restated_sizes(path):
+    """``function: size`` of each public function of ``path`` with a parameter named after a
+    size that another of its parameters carries, by its annotation."""
+    return [f"{name}: {size}" for name, params, annotated in _public_signatures(path)
+            for size, carriers in SIZE_CARRIERS.items() if annotated & carriers and size in params]
+
+
+def _statistics_beside_rows(path):
+    """``function: statistics`` of each public function of ``path`` annotated with both a
+    dataset and a statistic of its rows."""
+    return [f"{name}: {', '.join(sorted(annotated & ROW_STATISTICS))}"
+            for name, _, annotated in _public_signatures(path)
+            if "LabeledDataset" in annotated and annotated & ROW_STATISTICS]
 
 
 def test_no_size_beside_the_statistic_that_carries_it():
     paths = [ROOT / "src" / "varest" / name for name in SIZE_RULE_MODULES]
     assert [site for path in paths for site in _restated_sizes(path)] == []
+
+
+def test_no_row_statistic_beside_its_dataset():
+    paths = [ROOT / "src" / "varest" / name for name in SIZE_RULE_MODULES]
+    assert [site for path in paths for site in _statistics_beside_rows(path)] == []
 
 
 def test_config_types_check_their_fields():
@@ -565,7 +586,16 @@ def test_rules_catch_violations(tmp_path):
                      "def h(ds: LabeledDataset | None, n, p):\n    pass\n"
                      "def _private(w: WMatrix, n):\n    pass\n"
                      "def fine(beta2, n: int, p: int, model: CovariateModel):\n    pass\n")
-    assert _restated_sizes(sizes) == ["f: n", "g: p", "h: p"]
+    assert _restated_sizes(sizes) == ["f: n", "g: p", "h: n", "h: p"]
+    beside = tmp_path / "selection.py"
+    beside.write_text("def t_gamma(ds: LabeledDataset, w: WMatrix, *, "
+                      "select_w: WMatrix | None = None):\n    pass\n"
+                      "def t_full(ds: LabeledDataset, g: GramMatrix):\n    pass\n"
+                      "def _private(ds: LabeledDataset, w: WMatrix):\n    pass\n"
+                      "def fine(ds: LabeledDataset, *, select: LabeledDataset | None = None,"
+                      " w=None):\n    pass\n"
+                      "def naive(w: WMatrix, g: GramMatrix):\n    pass\n")
+    assert _statistics_beside_rows(beside) == ["t_gamma: WMatrix", "t_full: GramMatrix"]
     eager = tmp_path / "eager"
     eager.mkdir()
     (eager / "eager.py").write_text("import numpy.random\nfrom concurrent.futures import "

@@ -85,8 +85,8 @@ class TestGapSelect:
 
 def _split_t_gamma(ds, fraction=0.5):
     """Split selection: select on the first block of rows, estimate on the second."""
-    select_ds, est_ds = split_rows(ds, fraction)
-    return t_gamma(est_ds, build_w(est_ds), select_w=build_w(select_ds))
+    select, est = split_rows(ds, fraction)
+    return t_gamma(est, select=select)
 
 
 class TestSplitRows:
@@ -103,6 +103,12 @@ class TestSplitRows:
             np.testing.assert_array_equal(block.x[block.rank], x[rows])
             np.testing.assert_array_equal(block.y[block.rank], y[rows])
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5])
+    def test_bad_fraction_named_by_its_parameter(self, fraction):
+        ds = LabeledDataset(x=np.random.default_rng(1).standard_normal((8, 2)), y=np.zeros(8))
+        with pytest.raises(InvalidInput, match=rf"^fraction must be in \(0, 1\), got {fraction}$"):
+            split_rows(ds, fraction)
+
 
 class TestTGamma:
     def _scenario_ds(self, seed=0, n=120, p=30, tau2_b=0.9):
@@ -116,7 +122,7 @@ class TestTGamma:
         x = np.array([[1.0, 1.0], [1.0, 1.0], [-1.0, -1.0], [-1.0, -1.0]])
         y = np.array([1.0, 1.0, -1.0, -1.0])
         ds = LabeledDataset(x=x, y=y)
-        report = t_gamma(ds, build_w(ds))
+        report = t_gamma(ds)
         assert report.aux["selected"] == ()
         assert report.tau2 == naive_tau2(build_w(ds))
 
@@ -124,10 +130,10 @@ class TestTGamma:
         ds = self._scenario_ds(seed=10)
         w = build_w(ds)
         sel = gap_select(beta_squared_estimates(w)).selected
-        report = t_gamma(ds, w)
+        report = t_gamma(ds)
         assert report.aux["selected"] == sel
         expected = naive_tau2(w) - 2.0 * sum(
-            psi_hat(ds, w, j, jp) for j in sel for jp in sel
+            psi_hat(ds, j, jp) for j in sel for jp in sel
         )
         np.testing.assert_allclose(report.tau2, expected, rtol=1e-10)
 
@@ -142,7 +148,7 @@ class TestTGamma:
         w_est = build_w(est)
         sel = report.aux["selected"]
         expected = naive_tau2(w_est) - 2.0 * sum(
-            psi_hat(est, w_est, j, jp) for j in sel for jp in sel
+            psi_hat(est, j, jp) for j in sel for jp in sel
         )
         np.testing.assert_allclose(report.tau2, expected, rtol=1e-10)
 
@@ -156,16 +162,16 @@ class TestTGamma:
         # uncapped, the gap rule selects four columns here: the cap trims them to 2
         ds = self._scenario_ds(seed=31, tau2_b=0.5)
         w = build_w(ds)
-        uncapped = t_gamma(ds, w, cap=None).aux["selected"]
+        uncapped = t_gamma(ds, cap=None).aux["selected"]
         assert len(uncapped) > 2
-        report = t_gamma(ds, w, cap=2)
+        report = t_gamma(ds, cap=2)
         kept = report.aux["selected"]
         assert len(kept) == 2 and list(kept) == sorted(kept) and set(kept) < set(uncapped)
         beta2 = beta_squared_estimates(w)
         assert min(beta2[list(kept)]) > max(beta2[sorted(set(uncapped) - set(kept))])
-        assert report.tau2 == t_b(ds, w, list(kept))
+        assert report.tau2 == t_b(ds, list(kept))
         for cap in (len(uncapped) - 1, len(uncapped)):
-            assert len(t_gamma(ds, w, cap=cap).aux["selected"]) == cap
+            assert len(t_gamma(ds, cap=cap).aux["selected"]) == cap
         stats = DatasetStats(ds, CovariateModel.independent(ds.p, 3.0))
         harness = estimate(stats, "selection", options=HarnessOptions(select_cap=2))
         assert harness.aux["selected"] == kept
@@ -173,7 +179,7 @@ class TestTGamma:
     @pytest.mark.parametrize("call", [
         lambda ds: _split_t_gamma(ds, 1.5),
         lambda ds: _split_t_gamma(ds, 0.0),
-        lambda ds: t_gamma(ds, build_w(ds), cap=-1),
+        lambda ds: t_gamma(ds, cap=-1),
     ], ids=["fraction-above-1", "fraction-0", "negative-cap"])
     def test_bad_option_raises(self, call):
         ds = self._scenario_ds(seed=12, tau2_b=0.5)
@@ -216,7 +222,7 @@ class TestReportInvariant:
         cfg = ScenarioConfig(n=80, p=20, tau2=1.0, tau2_b=0.6, b_size=4,
                              reps=1, seed=55)
         ds = generate_dataset(cfg, build_beta(cfg), 0)
-        full = t_gamma(ds, build_w(ds))
+        full = t_gamma(ds)
         assert full.tau2 + full.sigma2 == pytest.approx(
             sample_variance_y(ds.y), rel=1e-12)
         split = _split_t_gamma(ds)

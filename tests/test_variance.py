@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varest.errors import (
+    DegenerateZeroEstimator,
     DimensionMismatch,
     IndexOutOfRange,
     InvalidInput,
@@ -13,6 +14,7 @@ from varest.errors import (
     UnsupportedDependenceStructure,
 )
 from varest.estimators import (
+    SingleZeroStat,
     build_single_zero,
     dicker_tau2,
     naive_tau2,
@@ -20,9 +22,8 @@ from varest.estimators import (
     t_full,
     t_oracle,
 )
-from varest.harness import DatasetStats
-from varest.kernels import gram
 from varest.model import CoefficientVector, CovariateModel, LabeledDataset, build_w
+from varest.selection import beta_squared_estimates
 from varest.variance import (
     asymptotic_psi,
     var_hat_naive_gaussian,
@@ -58,9 +59,16 @@ def mc_estimates(estimator, reps, n, p, beta, sigma=1.0, tag=0):
         g = np.random.default_rng(np.random.SeedSequence((tag, r)))
         x = g.standard_normal((n, p))
         y = x @ beta + sigma * g.standard_normal(n)
-        ds = LabeledDataset(x=x, y=y)
-        out[r] = estimator(ds, build_w(ds))
+        out[r] = estimator(LabeledDataset(x=x, y=y))
     return out
+
+
+def two_rows(beta2):
+    """A two-row dataset whose per-column estimates beta_j^2-hat are ``beta2``.
+
+    With both responses 1, column j's estimate is the product of its two entries.
+    """
+    return LabeledDataset(x=[beta2, np.ones(len(beta2))], y=[1.0, 1.0])
 
 
 class TestMomentMatrixA:
@@ -156,7 +164,7 @@ class TestVarNaiveTheory:
         g = np.random.default_rng(23)
         beta = g.standard_normal(p) * 0.6
         theory = var_naive_theory(CoefficientVector(beta), 1.0, GAUSS(p), n)
-        vals = mc_estimates(lambda ds, w: naive_tau2(w), reps, n, p, beta, tag=230)
+        vals = mc_estimates(lambda ds: naive_tau2(ds.w), reps, n, p, beta, tag=230)
         emp = vals.var(ddof=1)
         se = emp * np.sqrt(2.0 / (reps - 1))
         assert abs(theory - emp) < 3 * se
@@ -242,7 +250,7 @@ class TestVarTBTheory:
         bv = CoefficientVector(beta)
         model = GAUSS(p)
         vals = mc_estimates(
-            lambda ds, w: t_b(ds, w, range(b_size)), reps, n, p, beta, tag=310
+            lambda ds: t_b(ds, range(b_size)), reps, n, p, beta, tag=310
         )
         emp = vals.var(ddof=1)
         theory = var_t_b_theory(bv, 1.0, model, n, range(b_size))
@@ -295,8 +303,7 @@ class TestVarTFullTheory:
         n, p, reps = 300, 8, 2000
         beta = np.full(p, 1 / np.sqrt(p))
         model = GAUSS(p)
-        vals = mc_estimates(lambda ds, w: t_full(ds, w, gram(ds.x, ds.y)), reps, n, p, beta,
-                            tag=4001)
+        vals = mc_estimates(t_full, reps, n, p, beta, tag=4001)
         emp = vals.var(ddof=1)
         theory = var_t_full_theory(CoefficientVector(beta), 1.0, model, n)
         assert abs(theory - emp) / emp < 0.15
@@ -324,21 +331,29 @@ class TestVarHatNaiveGaussian:
 
 class TestVarHatTGamma:
     def test_checks_columns(self):
-        beta2 = np.array([0.6, 0.4, 0.1, 0.0])
-        assert var_hat_t_gamma(0.05, beta2, np.array([3, 1, 3]), 400) == \
-            var_hat_t_gamma(0.05, beta2, [1, 3], 400)
+        ds = two_rows([0.6, 0.4, 0.1, 0.0])
+        assert var_hat_t_gamma(0.05, ds, np.array([3, 1, 3])) == var_hat_t_gamma(0.05, ds, [1, 3])
         with pytest.raises(IndexOutOfRange):
-            var_hat_t_gamma(0.05, beta2, [-1], 400)
+            var_hat_t_gamma(0.05, ds, [-1])
         with pytest.raises(InvalidInput):
-            var_hat_t_gamma(0.05, beta2, [2.7], 400)
+            var_hat_t_gamma(0.05, ds, [2.7])
 
     def test_empty_set_identity(self):
-        assert var_hat_t_gamma(0.05, np.array([0.1, 0.2]), [], 400) == 0.05
+        assert var_hat_t_gamma(0.05, two_rows([0.1, 0.2]), []) == 0.05
 
     def test_subtracts_8_over_n_tau_b4(self):
-        beta2 = np.array([0.6, 0.4, 0.0])
-        got = var_hat_t_gamma(0.05, beta2, [0, 1], 400)
-        np.testing.assert_allclose(0.05 - got, 8.0 / 400 * 1.0, rtol=1e-12)
+        got = var_hat_t_gamma(0.05, two_rows([0.6, 0.4, 0.0]), [0, 1])
+        np.testing.assert_allclose(0.05 - got, 8.0 / 2 * 1.0, rtol=1e-12)
+
+    def test_reads_estimates_and_n_from_the_dataset(self):
+        g0 = np.random.default_rng(46)
+        x = g0.standard_normal((40, 5))
+        ds = LabeledDataset(x=x, y=x[:, 0] + g0.standard_normal(40))
+        beta2 = beta_squared_estimates(build_w(ds))
+        got = var_hat_t_gamma(0.05, ds, [0, 2])
+        np.testing.assert_allclose(0.05 - got, 8.0 / 40 * (beta2[0] + beta2[2]) ** 2, rtol=1e-12)
+        # the Gaussian fourth moment 3 is the tilde reduction under a Gaussian model
+        assert got == var_tilde_t_gamma(0.05, ds, [0, 2], GAUSS(5))
 
 
 class TestVarTildeNaive:
@@ -346,72 +361,59 @@ class TestVarTildeNaive:
         x = np.eye(4)
         y = np.array([1.0, -2.0, 0.5, 3.0])
         ds = LabeledDataset(x=x, y=y)
-        w = build_w(ds)
-        g = gram(w.w)
         n = 4
-        tau2 = naive_tau2(w)
+        tau2 = naive_tau2(build_w(ds))
         expected = (4.0 * (n - 2) / (n * (n - 1)) + 2.0 / (n * (n - 1))) * (-(tau2 ** 2))
-        np.testing.assert_allclose(var_tilde_naive(w, g), expected, rtol=1e-12)
+        np.testing.assert_allclose(var_tilde_naive(ds), expected, rtol=1e-12)
 
     def test_components_match_loops(self):
         g0 = np.random.default_rng(47)
         x = g0.standard_normal((10, 3))
         y = x @ np.array([0.8, 0.0, -0.3]) + g0.standard_normal(10)
-        w = build_w(LabeledDataset(x=x, y=y))
-        g, g_loop = gram(w.w), gram_loop(w.w)
+        ds = LabeledDataset(x=x, y=y)
+        w = build_w(ds)
+        g_loop = gram_loop(w.w)
         n = 10
         beta_quad_hat = chain_sum_loop(g_loop) / (n * (n - 1) * (n - 2))
         frob_hat = offdiag_square_sum_loop(g_loop) / (n * (n - 1))
         b4 = naive_tau2(w) ** 2
         expected = (4.0 * (n - 2) / (n * (n - 1))) * (beta_quad_hat - b4) \
             + (2.0 / (n * (n - 1))) * (frob_hat - b4)
-        np.testing.assert_allclose(var_tilde_naive(w, g), expected, rtol=1e-11)
+        np.testing.assert_allclose(var_tilde_naive(ds), expected, rtol=1e-11)
 
     def test_row_permutation_invariant(self):
         g0 = np.random.default_rng(48)
         x = g0.standard_normal((12, 4))
         y = g0.standard_normal(12)
-        w1 = build_w(LabeledDataset(x=x, y=y))
         perm = g0.permutation(12)
-        w2 = build_w(LabeledDataset(x=x[perm], y=y[perm]))
         np.testing.assert_allclose(
-            var_tilde_naive(w1, gram(w1.w)),
-            var_tilde_naive(w2, gram(w2.w)),
+            var_tilde_naive(LabeledDataset(x=x, y=y)),
+            var_tilde_naive(LabeledDataset(x=x[perm], y=y[perm])),
             rtol=1e-12,
         )
-
-    def test_gram_of_another_dataset_rejected(self):
-        g0 = np.random.default_rng(49)
-        w = build_w(LabeledDataset(x=g0.standard_normal((10, 3)), y=g0.standard_normal(10)))
-        other = build_w(LabeledDataset(x=g0.standard_normal((12, 3)), y=g0.standard_normal(12)))
-        with pytest.raises(LengthMismatch, match="n = 12, W has n = 10"):
-            var_tilde_naive(w, gram(other.w))
 
 
 class TestVarTildeTGamma:
     def test_checks_columns(self):
-        beta2 = np.array([0.6, 0.4, 0.1, 0.0])
-        args = (0.05, beta2)
-        assert var_tilde_t_gamma(*args, np.array([3, 1, 3]), GAUSS(4), 200) == \
-            var_tilde_t_gamma(*args, [1, 3], GAUSS(4), 200)
+        args = (0.05, two_rows([0.6, 0.4, 0.1, 0.0]))
+        assert var_tilde_t_gamma(*args, np.array([3, 1, 3]), GAUSS(4)) == \
+            var_tilde_t_gamma(*args, [1, 3], GAUSS(4))
         with pytest.raises(IndexOutOfRange):
-            var_tilde_t_gamma(*args, [4], GAUSS(4), 200)
+            var_tilde_t_gamma(*args, [4], GAUSS(4))
         with pytest.raises(InvalidInput):
-            var_tilde_t_gamma(*args, [2.7], GAUSS(4), 200)
+            var_tilde_t_gamma(*args, [2.7], GAUSS(4))
 
     def test_empty_identity(self):
-        assert var_tilde_t_gamma(0.04, np.array([0.5]), [], GAUSS(1), 100) == 0.04
+        assert var_tilde_t_gamma(0.04, two_rows([0.5]), [], GAUSS(1)) == 0.04
 
     @pytest.mark.parametrize("b_set", [[0, 1], []])
     def test_model_of_another_width_rejected(self, b_set):
         with pytest.raises(DimensionMismatch, match="8 fourth moments for 3 squared"):
-            var_tilde_t_gamma(0.05, np.array([0.6, 0.4, 0.1]), b_set, GAUSS(8), 200)
+            var_tilde_t_gamma(0.05, two_rows([0.6, 0.4, 0.1]), b_set, GAUSS(8))
 
     def test_gaussian_single_column_subtraction(self):
-        n = 200
-        beta2 = np.array([1.0, 0.0])
-        got = var_tilde_t_gamma(0.05, beta2, [0], GAUSS(2), n)
-        np.testing.assert_allclose(0.05 - got, 4.0 / n * 2.0, rtol=1e-12)
+        got = var_tilde_t_gamma(0.05, two_rows([1.0, 0.0]), [0], GAUSS(2))
+        np.testing.assert_allclose(0.05 - got, 4.0 / 2 * 2.0, rtol=1e-12)
 
 
 class TestVarTildeTChat:
@@ -440,6 +442,13 @@ class TestVarTildeTChat:
         other = LabeledDataset(x=g0.standard_normal((6, 3)), y=g0.standard_normal(6))
         with pytest.raises(LengthMismatch, match="n = 6, W has n = 8"):
             var_tilde_t_chat(0.1, build_w(ds), build_single_zero(other, GAUSS(3)))
+
+    def test_one_column_rejected_by_p(self):
+        ds = LabeledDataset(x=np.random.default_rng(55).standard_normal((6, 1)), y=np.ones(6))
+        single = SingleZeroStat(g_per_obs=np.zeros(6), g_n=0.0, var_g=1.0)
+        with pytest.raises(DegenerateZeroEstimator,
+                           match=r"^single-correction variance needs p >= 2$"):
+            var_tilde_t_chat(0.1, build_w(ds), single)
 
 
 class TestReductionOrdering:
@@ -483,11 +492,9 @@ class TestExactMoments:
         coef, model = CoefficientVector(beta), CovariateModel(np.ones(len(beta)))
 
         def statistics(ds):
-            stats = DatasetStats(ds, model)
-            w = stats.w
-            return {"naive": naive_tau2(w), "t_b": t_b(ds, w, b_set),
-                    "full": t_full(ds, w, stats.gram), "oracle": t_oracle(ds, w, coef),
-                    "dicker": dicker_tau2(ds, w), "tilde": stats.tilde_base}
+            return {"naive": naive_tau2(ds.w), "t_b": t_b(ds, b_set), "full": t_full(ds),
+                    "oracle": t_oracle(ds, coef), "dicker": dicker_tau2(ds),
+                    "tilde": var_tilde_naive(ds)}
 
         moments = enumerated_moments(*sign_population(beta, sigma), n, statistics)
         tau2 = coef.tau2

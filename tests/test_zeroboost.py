@@ -166,7 +166,6 @@ class TestEmpiricalEstimator:
         model = GAUSS(12)
         cfg = BootstrapConfig(n_boot=25, seed=2, initial_estimator="naive")
         report = empirical_estimator(DatasetStats(ds, model), cfg)
-        assert report.estimator_id == "empirical"
         assert report.aux["n_boot"] == 25
         assert report.aux["initial"] == "naive"
         from varest.model import sample_variance_y
