@@ -29,7 +29,6 @@ from .errors import (
 from .estimators import (
     ESTIMATOR_IDS,
     EstimateReport,
-    SingleZeroStat,
     build_single_zero,
     c_hat_numerator,
     c_hat_star,
@@ -46,7 +45,6 @@ from .estimators import (
 )
 from .harness import (
     INITIAL_IDS,
-    DatasetStats,
     HarnessOptions,
     RepRecord,
     SummaryStats,

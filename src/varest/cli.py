@@ -37,7 +37,6 @@ from .harness import (
     INITIAL_IDS,
     SUMMARY_HEADER,
     VARIANCE_METHODS,
-    DatasetStats,
     HarnessOptions,
     check_estimator_ids,
     csv_rows,
@@ -352,10 +351,9 @@ def _cmd_estimate(args) -> int:
         ds = ds.center_y()
 
     rows, errors = [], []
-    stats = DatasetStats(ds, model)
     for eid in estimators:
         try:
-            report = estimate(stats, eid, options=options, boot_seed=0)
+            report = estimate(ds, model, eid, options=options, boot_seed=0)
             tau2, sigma2 = report.tau2, report.sigma2
             if args.clamp:
                 tau2, sigma2 = max(0.0, tau2), max(0.0, sigma2)

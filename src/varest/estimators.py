@@ -16,9 +16,11 @@ under any i.i.d. law of the rows unless its entry says otherwise.  The family:
     unbiased but noisier than naive when p is comparable to n.
 ``t_b``
     corrects over a fixed index set B only.
-``t_c_hat_star`` (with ``build_single_zero`` / ``c_hat_star``)
-    subtracts a single pairwise-product zero-estimator with an estimated
-    coefficient, biased by O(1/n); ``c_star_oracle`` is its oracle counterpart.
+``t_c_hat_star`` (with ``c_hat_star``)
+    subtracts the mean ``g_n`` of the pairwise-product zero-estimator ``ds.g``
+    (``model.build_single_zero``) with an estimated coefficient, biased by
+    O(1/n); ``c_star_oracle`` is its oracle counterpart.  Both divide by
+    ``Var(g_i)``, which the covariate model fixes (``pairwise_zero_variance``).
 
 Estimators may return negative values; unbiasedness is the contract and
 clamping would break it.  Consumers that need nonnegative reports clamp
@@ -31,21 +33,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateZeroEstimator,
-    DimensionMismatch,
-    IndexOutOfRange,
-    LengthMismatch,
-    TooFewObservations,
-    UnsupportedDependenceStructure,
-)
+from .errors import DimensionMismatch, IndexOutOfRange, TooFewObservations
 from .kernels import chain_sum_distinct, ordered_sum, triple_sum_distinct
-from .model import CoefficientVector, CovariateModel, LabeledDataset, WMatrix, column_set
+from .model import (CoefficientVector, CovariateModel, LabeledDataset, WMatrix,
+                    build_single_zero, column_set, pairwise_zero_variance)
 
 __all__ = [
     "ESTIMATOR_IDS",
     "EstimateReport",
-    "SingleZeroStat",
     "build_single_zero",
     "c_hat_numerator",
     "c_hat_star",
@@ -184,54 +179,6 @@ def t_b(ds: LabeledDataset, b_set) -> float:
     return naive - 2.0 * ordered_sum(terms)
 
 
-@dataclass(frozen=True)
-class SingleZeroStat:
-    """The pairwise-product zero-estimator ``g_i = sum_{j<j'} X_ij X_ij'``.
-
-    ``var_g`` is its per-observation variance taken analytically from the
-    covariate model: p(p-1)/2 for independent whitened columns.
-    """
-
-    g_per_obs: np.ndarray
-    g_n: float
-    var_g: float
-
-    def __post_init__(self):
-        self.g_per_obs.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.g_per_obs.shape[0]
-
-
-def pairwise_zero_variance(p: int, model: CovariateModel) -> float:
-    """``Var(g_i) = p (p - 1) / 2``: g_i sums p(p-1)/2 uncorrelated unit-variance products.
-
-    Requires p >= 2 (the pair sum is empty otherwise), checked first, and an
-    independent-columns model.
-    """
-    if p < 2:
-        raise DegenerateZeroEstimator("the pairwise zero-estimator needs p >= 2")
-    if not model.independent_columns:
-        raise UnsupportedDependenceStructure(
-            "the single-zero-estimator path requires independent whitened columns"
-        )
-    return p * (p - 1) / 2.0
-
-
-def build_single_zero(ds: LabeledDataset, model: CovariateModel) -> SingleZeroStat:
-    """Compute g_i for every observation in O(p) per row.
-
-    ``g_i = ((sum_j X_ij)^2 - sum_j X_ij^2) / 2``; ``var_g`` and the checks
-    on p and the model are :func:`pairwise_zero_variance`'s.
-    """
-    var_g = pairwise_zero_variance(ds.p, model)
-    row_sums = np.sum(ds.x, axis=1)
-    row_sq_sums = np.einsum("ij,ij->i", ds.x, ds.x)
-    g = 0.5 * (row_sums * row_sums - row_sq_sums)
-    return SingleZeroStat(g_per_obs=g, g_n=ordered_sum(g) / ds.n, var_g=var_g)
-
-
 def c_star_oracle(beta: CoefficientVector, model: CovariateModel) -> float:
     """Oracle coefficient ``c* = 2 sum_j beta_j theta_j / Var(g_i)``.
 
@@ -244,7 +191,7 @@ def c_star_oracle(beta: CoefficientVector, model: CovariateModel) -> float:
     return 2.0 * (total * total - beta.tau2) / var_g
 
 
-def c_hat_star(w: WMatrix, single: SingleZeroStat) -> float:
+def c_hat_star(ds: LabeledDataset, model: CovariateModel) -> float:
     """U-statistic estimate of c*.
 
     ``(2 / (n (n-1))) sum_{i1 != i2} sum_j W[i1,j] S[i2,j] / Var(g_i)`` with
@@ -252,24 +199,26 @@ def c_hat_star(w: WMatrix, single: SingleZeroStat) -> float:
     ``sum_i g_i (W_i . C - ||W_i||^2)`` with C the cached column sums, an
     O(np) pass.  Same dataset for W and S, no splitting.
     """
-    if w.n < 2:
-        raise TooFewObservations("c_hat_star needs n >= 2")
-    return c_hat_numerator(w, single) / single.var_g
+    var_g = pairwise_zero_variance(ds.p, model)
+    return c_hat_numerator(ds) / var_g
 
 
-def c_hat_numerator(w: WMatrix, single: SingleZeroStat) -> float:
-    """The bracketed pair sum ``(2/(n(n-1))) sum_{i1 != i2} sum_j W S``; W and g share n."""
-    if single.n != w.n:
-        raise LengthMismatch(f"the single-zero statistic has n = {single.n}, W has n = {w.n}")
+def c_hat_numerator(ds: LabeledDataset) -> float:
+    """The bracketed pair sum ``(2/(n(n-1))) sum_{i1 != i2} sum_j W S`` of ``ds.w`` and ``ds.g``."""
+    w, g = ds.w, ds.g
     per_row = np.einsum("ij,j->i", w.w, w.column_sums) - np.einsum("ij,ij->i", w.w, w.w)
-    return 2.0 * ordered_sum(single.g_per_obs * per_row) / (w.n * (w.n - 1))
+    return 2.0 * ordered_sum(g * per_row) / (w.n * (w.n - 1))
 
 
-def t_c_hat_star(w: WMatrix, single: SingleZeroStat) -> float:
+def t_c_hat_star(ds: LabeledDataset, model: CovariateModel) -> float:
     """Feasible single-correction estimator ``naive - c_hat_star * g_n``.
 
     Biased by O(1/n), as c-hat and g_n are correlated (same rows): at tau^2 =
     sigma^2 = 1 the bias measured -0.248 +- 0.005 at n = 50, p = 20 (38% of
-    its standard error) and -0.026 +- 0.004 at n = p = 400.
+    its standard error) and -0.026 +- 0.004 at n = p = 400.  It reads W,
+    checks the model and then builds g, in that order, so an overflow or a
+    bad model is reported by the step that meets it first.
     """
-    return naive_tau2(w) - c_hat_star(w, single) * single.g_n
+    w, var_g = ds.w, pairwise_zero_variance(ds.p, model)
+    g_n = ordered_sum(ds.g) / ds.n
+    return naive_tau2(w) - c_hat_numerator(ds) / var_g * g_n

@@ -1,16 +1,16 @@
 """Monte Carlo driver: one estimate dispatch, scenario runs and summaries.
 
-``estimate`` runs one estimator by id together with its variance estimate
-(``HarnessOptions.variance_method``).  It reads W, the Gram row statistics
-and ``sigma_Y^2`` from the dataset, and the single-zero statistic and the
-naive variance estimates from one ``DatasetStats`` per dataset, so each is
-built at most once.  Split selection selects on the first row block of
-``split_rows`` and estimates on the second, so its estimate and variance
-read one ``DatasetStats`` of that block instead.  One id -> estimate table
-serves both ``estimate`` and the
-bootstrap's named initials (``INITIAL_IDS``).  Overflow, invalid operations
-and division by zero raise ``NonFiniteResult`` instead of reporting NaN or
-infinity.
+``estimate`` runs one estimator by id on a dataset and its covariate model,
+together with its variance estimate (``HarnessOptions.variance_method``).
+It reads W, the Gram row statistics, the zero-estimator g and ``sigma_Y^2``
+from the dataset, which builds each at most once; the naive variance
+estimates reduce those in O(n + p) and are recomputed on each call.  Split
+selection selects on the first row block of ``split_rows`` and estimates on
+the second, so its estimate and variance read that block instead.  One
+id -> estimate table, each entry a ``(ds, model)`` callable, serves both
+``estimate`` and the bootstrap's named initials (``INITIAL_IDS``).
+Overflow, invalid operations and division by zero raise ``NonFiniteResult``
+instead of reporting NaN or infinity.
 
 ``run_scenario`` maps (scenario, estimator list) to one record per
 (replication, estimator).  Replications are independent — each derives its
@@ -36,7 +36,6 @@ import csv
 import os
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -45,8 +44,6 @@ from .errors import (DimensionMismatch, InsufficientRecords, InvalidInput, NonFi
 from .estimators import (
     ESTIMATOR_IDS,
     EstimateReport,
-    SingleZeroStat,
-    build_single_zero,
     dicker_tau2,
     naive_tau2,
     sigma2_from,
@@ -68,7 +65,6 @@ from .variance import (
 from .zeroboost import BootstrapConfig, empirical_estimator
 
 __all__ = [
-    "DatasetStats",
     "HarnessOptions",
     "INITIAL_IDS",
     "RepRecord",
@@ -150,56 +146,17 @@ class HarnessOptions:
             raise InvalidInput(f"workers must be at least 1, got {self.workers}")
 
 
-@dataclass(frozen=True, eq=False)
-class DatasetStats:
-    """A dataset and the statistics of it that also need the covariate model.
-
-    The dataset keeps its own W, Gram row statistics and ``sigma_Y^2``
-    (``ds.w``, ``ds.gram``, ``ds.sigma_y2``); the members here are the
-    single-zero statistic and the naive variance estimate of each method.
-    Each is built on first use and then kept, so one object serves all
-    estimators on a dataset.  A model whose p is not the dataset's raises
-    ``DimensionMismatch``.
-    """
-
-    ds: LabeledDataset
-    model: CovariateModel
-
-    def __post_init__(self):
-        if self.model.p != self.ds.p:
-            raise DimensionMismatch(
-                f"the covariate model has p = {self.model.p}, the dataset p = {self.ds.p}")
-
-    @cached_property
-    def single(self) -> SingleZeroStat:
-        return build_single_zero(self.ds, self.model)
-
-    @cached_property
-    def plugin_base(self) -> float:
-        ds = self.ds
-        return var_hat_naive_gaussian(naive_tau2(ds.w), ds.sigma_y2, ds.n, ds.p)
-
-    @cached_property
-    def tilde_base(self) -> float:
-        return var_tilde_naive(self.ds)
-
-    def naive_variance(self, method: str | None) -> float | None:
-        """The naive estimator's variance estimate by ``method`` (None: none)."""
-        if method is None:
-            return None
-        return self.plugin_base if method == "gaussian-plugin" else self.tilde_base
-
-
-# The estimators that read nothing but a dataset's statistics, by id.
+# The estimators that read nothing but a dataset and its covariate model, by id.  Each
+# looks its estimator up when called, so a wrapper bound in this module sees the call.
 _TAU2 = {
-    "naive": lambda st: naive_tau2(st.ds.w),
-    "dicker": lambda st: dicker_tau2(st.ds),
-    "full": lambda st: t_full(st.ds),
-    "single": lambda st: t_c_hat_star(st.ds.w, st.single),
+    "naive": lambda ds, model: naive_tau2(ds.w),
+    "dicker": lambda ds, model: dicker_tau2(ds),
+    "full": lambda ds, model: t_full(ds),
+    "single": lambda ds, model: t_c_hat_star(ds, model),
 }
 # The named initials of the bootstrap: selection runs with ``t_gamma``'s
 # defaults, unsplit and capped.
-_INITIALS = {**_TAU2, "selection": lambda st: t_gamma(st.ds).tau2}
+_INITIALS = {**_TAU2, "selection": lambda ds, model: t_gamma(ds).tau2}
 # Identifiers accepted for the initial estimator (the CLI's --initial).
 INITIAL_IDS = tuple(_INITIALS)
 
@@ -214,7 +171,8 @@ def check_estimator_ids(estimator_ids) -> None:
 
 
 def estimate(
-    stats: DatasetStats,
+    ds: LabeledDataset,
+    model: CovariateModel,
     estimator_id: str,
     *,
     beta=None,
@@ -228,12 +186,15 @@ def estimate(
     coefficient vector (simulation reference); ``empirical`` derives its
     bootstrap seed from ``boot_seed``.  Floating-point overflow, invalid
     operations and division by zero raise ``NonFiniteResult``, as does a
-    non-finite reported number; underflow stays quiet.
+    non-finite reported number; underflow stays quiet.  A model whose p is
+    not the dataset's raises ``DimensionMismatch`` before any work.
     """
     check_estimator_ids((estimator_id,))
+    if model.p != ds.p:
+        raise DimensionMismatch(f"the covariate model has p = {model.p}, the dataset p = {ds.p}")
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            report = _estimate(stats, estimator_id, beta, options, boot_seed)
+            report = _estimate(ds, model, estimator_id, beta, options, boot_seed)
     except FloatingPointError as exc:
         raise NonFiniteResult(f"estimator {estimator_id!r}: {exc}") from exc
     numbers = (report.tau2, report.sigma2, report.variance_estimate)
@@ -242,38 +203,44 @@ def estimate(
     return report
 
 
-def _estimate(stats, estimator_id, beta, options, boot_seed) -> EstimateReport:
-    ds, model, method = stats.ds, stats.model, options.variance_method
+def _naive_variance(ds: LabeledDataset, method: str | None) -> float | None:
+    """The naive estimator's variance estimate on ``ds`` by ``method`` (None: none)."""
+    if method is None:
+        return None
+    if method == "gaussian-plugin":
+        return var_hat_naive_gaussian(naive_tau2(ds.w), ds.sigma_y2, ds.n, ds.p)
+    return var_tilde_naive(ds)
+
+
+def _estimate(ds, model, estimator_id, beta, options, boot_seed) -> EstimateReport:
+    method = options.variance_method
     variance = None
     if estimator_id == "selection":
-        est, select = stats, None
+        est, select = ds, None
         if options.select_split is not None:
-            select, est_ds = split_rows(ds, options.select_split)
-            est = DatasetStats(est_ds, model)
-        report = t_gamma(est.ds, select=select, cap=options.select_cap)
+            select, est = split_rows(ds, options.select_split)
+        report = t_gamma(est, select=select, cap=options.select_cap)
         if method is not None:
-            base, selected = est.naive_variance(method), report.aux["selected"]
-            variance = (var_hat_t_gamma(base, est.ds, selected)
+            base, selected = _naive_variance(est, method), report.aux["selected"]
+            variance = (var_hat_t_gamma(base, est, selected)
                         if method == "gaussian-plugin"
-                        else var_tilde_t_gamma(base, est.ds, selected, model))
+                        else var_tilde_t_gamma(base, est, selected, model))
     elif estimator_id == "empirical":
-        entry = _INITIALS[options.initial]
-        initial = "naive" if options.initial == "naive" else (
-            lambda d, m: entry(DatasetStats(d, m)))
-        report = empirical_estimator(stats, BootstrapConfig(
+        initial = "naive" if options.initial == "naive" else _INITIALS[options.initial]
+        report = empirical_estimator(ds, model, BootstrapConfig(
             n_boot=options.boot, seed=boot_seed, initial_estimator=initial))
         report.aux["initial"] = options.initial
     else:
         if estimator_id != "oracle":
-            tau2 = _TAU2[estimator_id](stats)
+            tau2 = _TAU2[estimator_id](ds, model)
         elif beta is None:
             raise InvalidInput("the oracle estimator needs the true beta")
         else:
             tau2 = t_oracle(ds, beta)
         if estimator_id in ("naive", "dicker"):
-            variance = stats.naive_variance(method)
+            variance = _naive_variance(ds, method)
         elif estimator_id == "single" and method == "tilde":
-            variance = var_tilde_t_chat(stats.tilde_base, ds.w, stats.single)
+            variance = var_tilde_t_chat(var_tilde_naive(ds), ds, model)
         report = EstimateReport(tau2=tau2, sigma2=sigma2_from(tau2, ds.sigma_y2))
 
     warned = []
@@ -289,13 +256,13 @@ def _estimate(stats, estimator_id, beta, options, boot_seed) -> EstimateReport:
 
 def _run_rep(args) -> list[RepRecord]:
     cfg, beta, model, estimator_ids, options, rep = args
-    stats = DatasetStats(generate_dataset(cfg, beta, rep), model)
+    ds = generate_dataset(cfg, beta, rep)
     boot_seed = _boot_seed(cfg.seed, rep)
     records = []
     for eid in estimator_ids:
         start = time.perf_counter()
         try:
-            report = estimate(stats, eid, beta=beta, options=options, boot_seed=boot_seed)
+            report = estimate(ds, model, eid, beta=beta, options=options, boot_seed=boot_seed)
         except VarestError as exc:
             report = EstimateReport(tau2=float("nan"), sigma2=float("nan"),
                                     aux={"error": f"{type(exc).__name__}: {exc}"})

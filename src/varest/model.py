@@ -10,8 +10,11 @@ the per-observation products ``W[i, j] = X[i, j] * Y[i]`` (:class:`WMatrix`)
 on which every estimator downstream is built.
 
 A dataset carries the statistics the estimators read of it, ``ds.w``,
-``ds.gram`` (``gram(X, Y)``) and ``ds.sigma_y2``, each built once, on first
-read: an estimator takes the dataset alone, never a statistic of other rows.
+``ds.gram`` (``gram(X, Y)``), ``ds.g`` (the per-row pairwise-product
+zero-estimator) and ``ds.sigma_y2``, each built once, on first read: an
+estimator takes the dataset, and the covariate model where it needs one,
+never a statistic of other rows.  Of the model the zero-estimator needs only
+its variance, :func:`pairwise_zero_variance`.
 
 Every estimator is a U-statistic over distinct observation tuples, so it is
 symmetric in the rows.  :class:`LabeledDataset` stores its rows in a
@@ -35,11 +38,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    DegenerateZeroEstimator,
     DimensionMismatch,
     IndexOutOfRange,
     InvalidInput,
     NearSingularCovariance,
     TooFewObservations,
+    UnsupportedDependenceStructure,
 )
 from .kernels import GramMatrix, gram, ordered_col_sums, ordered_sum
 
@@ -50,10 +55,12 @@ __all__ = [
     "SINGULARITY_RTOL",
     "WMatrix",
     "Whitening",
+    "build_single_zero",
     "build_w",
     "check_fields",
     "column_set",
     "float_array",
+    "pairwise_zero_variance",
     "sample_variance_y",
     "whiten",
 ]
@@ -252,8 +259,9 @@ class LabeledDataset:
     in the order given: two datasets that hold the same multiset of rows have
     byte-identical ``x`` and ``y``.  ``rank[i]`` is the stored position of
     the caller's row ``i``, so ``x[rank]`` gives the rows back in the
-    caller's order.  ``w`` (:func:`build_w`), ``gram`` (``gram(x, y)``) and
-    ``sigma_y2`` (the sample variance of y) are built on first read and kept.
+    caller's order.  ``w`` (:func:`build_w`), ``gram`` (``gram(x, y)``),
+    ``g`` (:func:`build_single_zero`) and ``sigma_y2`` (the sample variance
+    of y) are built on first read and kept.
     """
 
     x: np.ndarray
@@ -293,6 +301,10 @@ class LabeledDataset:
     @cached_property
     def gram(self) -> GramMatrix:
         return gram(self.x, self.y)
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return build_single_zero(self)
 
     @cached_property
     def sigma_y2(self) -> float:
@@ -374,6 +386,35 @@ def build_w(ds: LabeledDataset) -> WMatrix:
     w = ds.x * ds.y[:, None]
     column_sums, column_square_sums = ordered_col_sums(w)
     return WMatrix(w=w, column_sums=column_sums, column_square_sums=column_square_sums)
+
+
+def build_single_zero(ds: LabeledDataset) -> np.ndarray:
+    """The pairwise-product zero-estimator ``g_i = sum_{j<j'} X_ij X_ij'`` of every row.
+
+    ``g_i = ((sum_j X_ij)^2 - sum_j X_ij^2) / 2``, O(p) per row; read-only.
+    """
+    row_sums = np.sum(ds.x, axis=1)
+    row_sq_sums = np.einsum("ij,ij->i", ds.x, ds.x)
+    g = 0.5 * (row_sums * row_sums - row_sq_sums)
+    g.setflags(write=False)
+    return g
+
+
+def pairwise_zero_variance(p: int, model: CovariateModel) -> float:
+    """``Var(g_i) = p (p - 1) / 2``: g_i sums p(p-1)/2 uncorrelated unit-variance products.
+
+    Requires p >= 2 (the pair sum is empty otherwise), checked first, then a
+    model of p columns and an independent-columns model.
+    """
+    if p < 2:
+        raise DegenerateZeroEstimator("the pairwise zero-estimator needs p >= 2")
+    if model.p != p:
+        raise DimensionMismatch(f"the covariate model has p = {model.p}, not {p}")
+    if not model.independent_columns:
+        raise UnsupportedDependenceStructure(
+            "the single-zero-estimator path requires independent whitened columns"
+        )
+    return p * (p - 1) / 2.0
 
 
 def sample_variance_y(y) -> float:

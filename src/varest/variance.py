@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (DegenerateZeroEstimator, DimensionMismatch, TooFewObservations,
-                     UnsupportedDependenceStructure)
-from .estimators import (SingleZeroStat, c_hat_numerator, c_star_oracle, naive_tau2,
-                         pairwise_zero_variance)
+from .errors import DimensionMismatch, TooFewObservations, UnsupportedDependenceStructure
+from .estimators import c_hat_numerator, c_star_oracle, naive_tau2
 from .kernels import chain_sum_distinct, offdiag_square_sum, ordered_sum
-from .model import CoefficientVector, CovariateModel, LabeledDataset, WMatrix, column_set
+from .model import (CoefficientVector, CovariateModel, LabeledDataset, column_set,
+                    pairwise_zero_variance)
 from .selection import beta_squared_estimates
 
 __all__ = [
@@ -161,11 +160,13 @@ def var_t_cstar_theory(
     """Variance of the oracle single-correction estimator T_{c*}.
 
     Subtracts ``c*^2 Var(g_i) / n``, with c* from :func:`c_star_oracle` and
-    ``Var(g_i)`` from :func:`pairwise_zero_variance`.
+    ``Var(g_i)`` from :func:`pairwise_zero_variance`.  The naive variance is
+    taken first, so a beta and a model of different widths are reported as
+    :func:`var_naive_theory` reports them.
     """
+    naive = var_naive_theory(beta, sigma2, model, n)
     c_star = c_star_oracle(beta, model)
-    reduction = c_star * c_star * pairwise_zero_variance(beta.p, model) / n
-    return var_naive_theory(beta, sigma2, model, n) - reduction
+    return naive - c_star * c_star * pairwise_zero_variance(beta.p, model) / n
 
 
 def var_t_full_theory(
@@ -265,8 +266,8 @@ def var_tilde_t_gamma(
                     ds.n)
 
 
-def var_tilde_t_chat(var_tilde: float, w: WMatrix, single: SingleZeroStat) -> float:
-    """Distribution-free variance estimate of the single-correction estimator, n = ``w.n``.
+def var_tilde_t_chat(var_tilde: float, ds: LabeledDataset, model: CovariateModel) -> float:
+    """Distribution-free variance estimate of the single-correction estimator on ``ds``.
 
     Subtracts ``[(2/(n(n-1))) sum_{i1 != i2} sum_j W S]^2 / (n Var(g_i))``,
     reusing the pair sums of the c*-hat numerator.  The n in the denominator
@@ -275,7 +276,6 @@ def var_tilde_t_chat(var_tilde: float, w: WMatrix, single: SingleZeroStat) -> fl
     n zero-estimators).  The squared bracket is biased up by its own variance,
     so the estimate reads low beyond ``var_tilde``'s bias.
     """
-    if w.p < 2:
-        raise DegenerateZeroEstimator("single-correction variance needs p >= 2")
-    bracket = c_hat_numerator(w, single)
-    return var_tilde - bracket * bracket / (w.n * single.var_g)
+    var_g = pairwise_zero_variance(ds.p, model)
+    bracket = c_hat_numerator(ds)
+    return var_tilde - bracket * bracket / (ds.n * var_g)

@@ -7,7 +7,7 @@ form for estimators defined only algorithmically.  The empirical estimator
 approximates that covariance from bootstrap resamples:
 
 1. compute the initial estimate and g_n on the full data (the dataset holds
-   W and ``sigma_Y^2``, the caller's ``DatasetStats`` g);
+   W, the per-row g and ``sigma_Y^2``);
 2. for b = 1..B, resample n rows with replacement and recompute both;
 3. ``c = Cov-hat(initial*, g_n*) / Var(g_n)`` with Var(g_n) = Var(g_i)/n
    known analytically from the covariate model;
@@ -54,16 +54,14 @@ on that, serially.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Union
+from typing import Callable, Union
 
 import numpy as np
 
 from .errors import InitialEstimatorFailure, InvalidInput
 from .estimators import EstimateReport, naive_tau2, sigma2_from
-from .model import CovariateModel, LabeledDataset, check_fields
-
-if TYPE_CHECKING:
-    from .harness import DatasetStats
+from .kernels import ordered_sum
+from .model import CovariateModel, LabeledDataset, check_fields, pairwise_zero_variance
 
 __all__ = ["BootstrapConfig", "empirical_estimator"]
 
@@ -274,34 +272,38 @@ def _rebuilt_stars(
     return tau_stars, g_stars
 
 
-def empirical_estimator(stats: DatasetStats, cfg: BootstrapConfig) -> EstimateReport:
+def empirical_estimator(
+    ds: LabeledDataset, model: CovariateModel, cfg: BootstrapConfig
+) -> EstimateReport:
     """Run the bootstrap-coefficient correction around an initial estimator.
 
-    ``stats`` holds the dataset, which keeps its W and ``sigma_Y^2``, and the
-    single-zero statistic g.  The ``naive`` initial reads the dataset's W and
-    is evaluated on all resamples from the count matrix (see the module
-    docstring).  A callable initial is called on the dataset and then on
-    each rebuilt resample in index order, and a failure there raises
-    :class:`InitialEstimatorFailure` carrying the resample index.  Returns a
-    report with ``aux`` recording the fitted coefficient, the bootstrap
-    count, and the initial: ``"naive"`` or ``"custom"``.
+    The dataset keeps its W, its per-row zero-estimator g and ``sigma_Y^2``;
+    the model gives ``Var(g_i)`` (``pairwise_zero_variance``, which also
+    checks p and the model) and is passed to a callable initial.  The
+    ``naive`` initial reads the dataset's W and is evaluated on all resamples
+    from the count matrix (see the module docstring).  A callable initial is
+    called on the dataset and then on each rebuilt resample in index order,
+    and a failure there raises :class:`InitialEstimatorFailure` carrying the
+    resample index.  Returns a report with ``aux`` recording the fitted
+    coefficient, the bootstrap count, and the initial: ``"naive"`` or
+    ``"custom"``.
     """
-    ds, model, single = stats.ds, stats.model, stats.single
+    var_g, g, n = pairwise_zero_variance(ds.p, model), ds.g, ds.n
+    g_n = ordered_sum(g) / n
     initial = cfg.initial_estimator
-    n = ds.n
 
     if callable(initial):
         tau2_init = initial(ds, model)
-        tau_stars, g_stars = _rebuilt_stars(ds, model, cfg, initial, single.g_per_obs)
+        tau_stars, g_stars = _rebuilt_stars(ds, model, cfg, initial, g)
     else:
         tau2_init = naive_tau2(ds.w)
-        tau_stars, g_stars = _naive_stars(ds.w.w, ds.rank, cfg, single.g_per_obs)
+        tau_stars, g_stars = _naive_stars(ds.w.w, ds.rank, cfg, g)
 
     cov = float(np.cov(tau_stars, g_stars, ddof=1)[0, 1])
-    var_g_n = single.var_g / n
+    var_g_n = var_g / n
     c_tilde = cov / var_g_n
 
-    tau2 = tau2_init - c_tilde * single.g_n
+    tau2 = tau2_init - c_tilde * g_n
     return EstimateReport(
         tau2=tau2,
         sigma2=sigma2_from(tau2, ds.sigma_y2),

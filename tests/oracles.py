@@ -232,14 +232,14 @@ def gap_select_loop(beta2):
 
 def _named_initial(name):
     """The library calls behind each named bootstrap initial, as the README documents them."""
-    from varest.estimators import build_single_zero, dicker_tau2, naive_tau2, t_c_hat_star, t_full
+    from varest.estimators import dicker_tau2, naive_tau2, t_c_hat_star, t_full
     from varest.model import build_w
     from varest.selection import t_gamma
 
     return {
         "naive": lambda d, m: naive_tau2(build_w(d)),
         "dicker": lambda d, m: dicker_tau2(d),
-        "single": lambda d, m: t_c_hat_star(build_w(d), build_single_zero(d, m)),
+        "single": lambda d, m: t_c_hat_star(d, m),
         "full": lambda d, m: t_full(d),
         "selection": lambda d, m: t_gamma(d).tau2,
     }[name]
@@ -254,13 +254,13 @@ def empirical_loop(ds, model, cfg, initial=None):
     a named initial or a callable ``(ds, model) -> float``; by default
     ``cfg.initial_estimator``.  Returns ``(tau2, c_tilde)``.
     """
-    from varest.estimators import build_single_zero
-    from varest.model import LabeledDataset
+    from varest.kernels import ordered_sum
+    from varest.model import LabeledDataset, build_single_zero, pairwise_zero_variance
 
     initial = cfg.initial_estimator if initial is None else initial
     if isinstance(initial, str):
         initial = _named_initial(initial)
-    single = build_single_zero(ds, model)
+    g, var_g = build_single_zero(ds), pairwise_zero_variance(ds.p, model)
     n = ds.n
     tau_stars = np.empty(cfg.n_boot)
     g_stars = np.empty(cfg.n_boot)
@@ -269,9 +269,9 @@ def empirical_loop(ds, model, cfg, initial=None):
         idx = ds.rank[rng.integers(0, n, size=n)]
         resampled = LabeledDataset(ds.x[idx], ds.y[idx])
         tau_stars[b] = initial(resampled, model)
-        g_stars[b] = np.mean(single.g_per_obs[idx])
-    c_tilde = float(np.cov(tau_stars, g_stars, ddof=1)[0, 1]) / (single.var_g / n)
-    return initial(ds, model) - c_tilde * single.g_n, c_tilde
+        g_stars[b] = np.mean(g[idx])
+    c_tilde = float(np.cov(tau_stars, g_stars, ddof=1)[0, 1]) / (var_g / n)
+    return initial(ds, model) - c_tilde * (ordered_sum(g) / n), c_tilde
 
 
 def sign_population(beta, sigma):

@@ -32,7 +32,6 @@ import pytest
 
 from varest.errors import VarestError
 from varest.estimators import (
-    build_single_zero,
     c_hat_star,
     c_star_oracle,
     dicker_tau2,
@@ -42,11 +41,12 @@ from varest.estimators import (
     t_full,
     t_oracle,
 )
-from varest.harness import DatasetStats, HarnessOptions, run_scenario, summarize
+from varest.harness import HarnessOptions, run_scenario, summarize
 from varest.kernels import (
     chain_sum_distinct,
     gram,
     offdiag_square_sum,
+    ordered_sum,
     pair_sum_distinct,
     triple_sum_distinct,
 )
@@ -127,7 +127,6 @@ def test_c01_kernel_oracle_equivalence():
         close(chain_sum_distinct(gm), oracles.chain_sum_loop(g_loop),
               float(np.sum(np.abs(g_loop))) ** 2)
 
-        model = GAUSS(p)
         j = int(rng.integers(0, p))
         jp = int(rng.integers(0, p))
         npairs = n * (n - 1) * (n - 2)
@@ -135,9 +134,7 @@ def test_c01_kernel_oracle_equivalence():
         close(psi_hat(ds, j, jp), oracles.psi_loop(ds.x, w.w, j, jp),
               np.abs(w.w[:, j]).sum() * np.abs(w.w[:, jp]).sum() / npairs * n)
         if p >= 2:
-            single = build_single_zero(ds, model)
-            close(c_hat_numerator(w, single),
-                  oracles.chat_numerator_loop(w.w, single.g_per_obs),
+            close(c_hat_numerator(ds), oracles.chat_numerator_loop(w.w, ds.g),
                   np.abs(w.w).sum() ** 2 / (n * (n - 1)))
         # beta'A-beta-hat and ||A||F^2-hat are the chain / offdiag kernels
         # normalized; covered above at unnormalized scale.
@@ -217,11 +214,10 @@ def mc200():
     for r in range(reps):
         ds = gaussian_data(405, r, n, p, beta)
         w = ds.w
-        single = build_single_zero(ds, model)
         out["naive"][r] = naive_tau2(w)
         out["oracle"][r] = t_oracle(ds, bv)
-        out["tcstar"][r] = out["naive"][r] - c_star * single.g_n
-        out["chat"][r] = c_hat_star(w, single)
+        out["tcstar"][r] = out["naive"][r] - c_star * (ordered_sum(ds.g) / n)
+        out["chat"][r] = c_hat_star(ds, model)
     out["n"] = n
     out["reps"] = reps
     out["c_star"] = c_star
@@ -398,15 +394,14 @@ def test_c10_variance_estimator_consistency():
         ds = gaussian_data(1025, r, n, p, beta.beta)
         w = ds.w
         naive_vals[r] = naive_tau2(w)
-        single = build_single_zero(ds, model)
-        tchat_vals[r] = t_c_hat_star(w, single)
+        tchat_vals[r] = t_c_hat_star(ds, model)
         rep_sel = t_gamma(ds, cap=None)
         tg_vals[r] = rep_sel.tau2
         plugin[r] = var_hat_naive_gaussian(naive_vals[r], ds.sigma_y2, n, p)
         tn = var_tilde_naive(ds)
         tilde_naive[r] = tn
         tilde_tg[r] = var_tilde_t_gamma(tn, ds, rep_sel.aux["selected"], model)
-        tilde_tchat[r] = var_tilde_t_chat(tn, w, single)
+        tilde_tchat[r] = var_tilde_t_chat(tn, ds, model)
     checks = [
         ("gaussian-plugin naive", plugin.mean(), naive_vals.var(ddof=1), 0.10),
         ("tilde naive", tilde_naive.mean(), naive_vals.var(ddof=1), 0.20),
@@ -442,7 +437,7 @@ def test_c11_bootstrap_non_degradation():
         ds = generate_dataset(cfg, beta, r)
         naive_vals[r] = naive_tau2(build_w(ds))
         bcfg = BootstrapConfig(n_boot=200, seed=1000 + r, initial_estimator="naive")
-        emp = empirical_estimator(DatasetStats(ds, model), bcfg)
+        emp = empirical_estimator(ds, model, bcfg)
         emp_vals[r] = emp.tau2
         c_tildes[r] = emp.aux["c_tilde"]
     ratio = emp_vals.std(ddof=1) / naive_vals.std(ddof=1)
@@ -452,8 +447,8 @@ def test_c11_bootstrap_non_degradation():
     # is the same-row-pair inflation described in the module docstring
     c_star = c_star_oracle(beta, model)
     bcfg = BootstrapConfig(n_boot=200, seed=1000, initial_estimator="naive")
-    first = empirical_estimator(DatasetStats(ds0, model), bcfg)
-    second = empirical_estimator(DatasetStats(ds0, model), bcfg)
+    first = empirical_estimator(ds0, model, bcfg)
+    second = empirical_estimator(ds0, model, bcfg)
     loop_tau2, loop_c = oracles.empirical_loop(ds0, model, bcfg)
     deterministic = (first.tau2 == second.tau2
                      and first.aux["c_tilde"] == second.aux["c_tilde"]

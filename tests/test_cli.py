@@ -246,10 +246,10 @@ class TestFailedReplications:
     def test_counts_only_the_failed_replications(self, tmp_path, capsys, monkeypatch):
         naive_reps = iter(range(3))
 
-        def fail_second_naive(stats, eid, **kwargs):
+        def fail_second_naive(ds, model, eid, **kwargs):
             if eid == "naive" and next(naive_reps) == 1:
                 raise NonFiniteResult("estimator 'naive': stub")
-            return estimate(stats, eid, **kwargs)
+            return estimate(ds, model, eid, **kwargs)
 
         monkeypatch.setattr(harness, "estimate", fail_second_naive)
         assert self.simulate(tmp_path, "1", "0.4") == 0

@@ -8,7 +8,6 @@ from varest.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidInput,
-    LengthMismatch,
     TooFewObservations,
     UnsupportedDependenceStructure,
 )
@@ -27,6 +26,7 @@ from varest.estimators import (
     t_full,
     t_oracle,
 )
+from varest.kernels import ordered_sum
 from varest.model import (
     CoefficientVector,
     CovariateModel,
@@ -36,6 +36,7 @@ from varest.model import (
 )
 from varest.simgen import ScenarioConfig, build_beta, generate_dataset
 from varest.variance import var_tilde_t_chat
+from varest.zeroboost import BootstrapConfig, empirical_estimator
 
 from oracles import chat_numerator_loop, naive_loop, psi_loop, single_zero_loop
 
@@ -257,35 +258,31 @@ class TestTB:
 class TestSingleZero:
     def test_hand_pair(self):
         ds = LabeledDataset(x=[[1.0, 1.0], [0.0, 0.0]], y=[1.0, 1.0])
-        single = build_single_zero(ds, GAUSS(2))
-        assert single.g_per_obs[ds.rank[0]] == 1.0
+        assert build_single_zero(ds)[ds.rank[0]] == 1.0
 
     def test_hand_triple(self):
         ds = LabeledDataset(x=[[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]], y=[1.0, 1.0])
-        single = build_single_zero(ds, GAUSS(3))
-        assert single.g_per_obs[ds.rank[0]] == 11.0
+        assert build_single_zero(ds)[ds.rank[0]] == 11.0
 
     def test_matches_loop(self):
         ds, _ = make_data(15, 9, 6)
-        single = build_single_zero(ds, GAUSS(6))
-        np.testing.assert_allclose(single.g_per_obs, single_zero_loop(ds.x), rtol=1e-11)
+        np.testing.assert_allclose(build_single_zero(ds), single_zero_loop(ds.x), rtol=1e-11)
 
     def test_var_g_closed_form(self):
         ds, _ = make_data(16, 5, 7)
-        single = build_single_zero(ds, GAUSS(7))
-        assert single.var_g == 21.0
-        assert single.g_n == pytest.approx(single.g_per_obs.mean(), rel=1e-12)
+        assert pairwise_zero_variance(ds.p, GAUSS(7)) == 21.0
+        assert ordered_sum(ds.g) / ds.n == pytest.approx(ds.g.mean(), rel=1e-12)
 
     def test_degenerate_p1(self):
         ds, _ = make_data(17, 5, 1)
         with pytest.raises(DegenerateZeroEstimator):
-            build_single_zero(ds, GAUSS(1))
+            t_c_hat_star(ds, GAUSS(1))
 
     def test_dependent_columns_rejected(self):
         ds, _ = make_data(18, 5, 3)
         model = CovariateModel(np.full(3, 3.0), independent_columns=False)
         with pytest.raises(UnsupportedDependenceStructure):
-            build_single_zero(ds, model)
+            t_c_hat_star(ds, model)
 
 
 class TestPairwiseZeroVariance:
@@ -305,6 +302,26 @@ class TestPairwiseZeroVariance:
         with pytest.raises(UnsupportedDependenceStructure):
             c_star_oracle(CoefficientVector(np.ones(3)),
                           CovariateModel(np.full(3, 3.0), independent_columns=False))
+
+    def test_model_of_another_width_rejected(self):
+        # p < 2 is checked first and the model's independence last
+        with pytest.raises(DimensionMismatch, match="model has p = 3, not 6"):
+            pairwise_zero_variance(6, GAUSS(3))
+        with pytest.raises(DegenerateZeroEstimator):
+            pairwise_zero_variance(1, GAUSS(3))
+        with pytest.raises(DimensionMismatch):
+            pairwise_zero_variance(2, CovariateModel(np.full(3, 3.0), independent_columns=False))
+
+    @pytest.mark.parametrize("statistic", [
+        lambda ds, model: c_star_oracle(CoefficientVector(np.ones(ds.p)), model),
+        t_c_hat_star,
+        lambda ds, model: var_tilde_t_chat(0.5, ds, model),
+        lambda ds, model: empirical_estimator(ds, model, BootstrapConfig(n_boot=5)),
+    ], ids=["c_star_oracle", "t_c_hat_star", "var_tilde_t_chat", "empirical_estimator"])
+    def test_three_column_model_on_six_columns_rejected(self, statistic):
+        ds, _ = make_data(19, 40, 6)
+        with pytest.raises(DimensionMismatch, match="model has p = 3, not 6"):
+            statistic(ds, GAUSS(3))
 
 
 class TestCStar:
@@ -335,9 +352,7 @@ class TestCHatStar:
     def test_zero_response(self):
         ds = LabeledDataset(x=np.random.default_rng(2).standard_normal((6, 3)),
                             y=np.zeros(6))
-        w = ds.w
-        single = build_single_zero(ds, GAUSS(3))
-        assert c_hat_star(w, single) == 0.0
+        assert c_hat_star(ds, GAUSS(3)) == 0.0
 
     def test_matches_loop(self):
         # several shapes, p = 2 and a constant column included
@@ -348,10 +363,8 @@ class TestCHatStar:
             if constant:
                 x[:, -1] = 1.5
             ds = LabeledDataset(x=x, y=x[:, 0] - 0.5 * x[:, 1] + g.standard_normal(n))
-            w = ds.w
-            single = build_single_zero(ds, GAUSS(p))
-            expected = chat_numerator_loop(w.w, single.g_per_obs) / single.var_g
-            np.testing.assert_allclose(c_hat_star(w, single), expected, rtol=1e-11)
+            expected = chat_numerator_loop(ds.w.w, ds.g) / (p * (p - 1) / 2)
+            np.testing.assert_allclose(c_hat_star(ds, GAUSS(p)), expected, rtol=1e-11)
 
     def test_consistency_small_mc(self):
         # mean of c-hat* near c* = 4/p over replications
@@ -364,16 +377,9 @@ class TestCHatStar:
             x = g.standard_normal((n, p))
             y = x @ beta.beta + g.standard_normal(n)
             ds = LabeledDataset(x=x, y=y)
-            vals[r] = c_hat_star(build_w(ds), build_single_zero(ds, GAUSS(p)))
+            vals[r] = c_hat_star(ds, GAUSS(p))
         se = vals.std(ddof=1) / np.sqrt(reps)
         assert abs(vals.mean() - 4.0 / p) < 3 * se
-
-    @pytest.mark.parametrize("statistic", [c_hat_numerator, c_hat_star, t_c_hat_star])
-    def test_single_of_another_dataset_rejected(self, statistic):
-        ds, w = make_data(26, 80, 4)
-        other, _ = make_data(27, 40, 4)
-        with pytest.raises(LengthMismatch, match="n = 40, W has n = 80"):
-            statistic(w, build_single_zero(other, GAUSS(4)))
 
 
 class TestSingleRowPermutation:
@@ -386,14 +392,13 @@ class TestSingleRowPermutation:
         x = g.standard_normal((n, p))
         y = x @ np.full(p, 1.0 / np.sqrt(p)) + g.standard_normal(n)
         ds = LabeledDataset(x=x, y=y)
-        w, single = build_w(ds), build_single_zero(ds, GAUSS(p))
         for _ in range(4):
             perm = g.permutation(n)
             ds2 = LabeledDataset(x=x[perm], y=y[perm])
-            w2, single2 = build_w(ds2), build_single_zero(ds2, GAUSS(p))
-            assert single2.g_per_obs.tobytes() == single.g_per_obs.tobytes()
-            assert t_c_hat_star(w2, single2) == t_c_hat_star(w, single)
-            assert var_tilde_t_chat(0.5, w2, single2) == var_tilde_t_chat(0.5, w, single)
+            assert ds2.g.tobytes() == ds.g.tobytes()
+            assert c_hat_numerator(ds2) == c_hat_numerator(ds)
+            assert t_c_hat_star(ds2, GAUSS(p)) == t_c_hat_star(ds, GAUSS(p))
+            assert var_tilde_t_chat(0.5, ds2, GAUSS(p)) == var_tilde_t_chat(0.5, ds, GAUSS(p))
 
 
 class TestTCHatStar:
@@ -402,15 +407,12 @@ class TestTCHatStar:
         x = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])
         y = np.array([0.3, 1.0, -0.4, 0.8])
         ds = LabeledDataset(x=x, y=y)
-        single = build_single_zero(ds, GAUSS(2))
-        assert single.g_n == -1.0  # g_i = -1 for every row here
+        assert ds.g.tolist() == [-1.0] * 4  # so g_n = -1
         # with nonzero g_n the estimator differs from naive; force g_n = 0
         x2 = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         ds2 = LabeledDataset(x=x2, y=y)
-        single2 = build_single_zero(ds2, GAUSS(2))
-        assert single2.g_n == 0.0
-        w2 = build_w(ds2)
-        assert t_c_hat_star(w2, single2) == naive_tau2(w2)
+        assert ordered_sum(ds2.g) == 0.0
+        assert t_c_hat_star(ds2, GAUSS(2)) == naive_tau2(build_w(ds2))
 
 
 class TestZeroEstimatorNeutrality:
@@ -423,9 +425,7 @@ class TestZeroEstimatorNeutrality:
             x = g.standard_normal((n, p))
             y = x @ beta + g.standard_normal(n)
             ds = LabeledDataset(x=x, y=y)
-            w = ds.w
-            single = build_single_zero(ds, model)
-            out[r] = c_hat_star(w, single) * single.g_n
+            out[r] = c_hat_star(ds, model) * (ordered_sum(ds.g) / n)
         return out
 
     def test_exact_corrections_mean_zero(self):

@@ -19,7 +19,6 @@ from varest.errors import (
 from varest.estimators import (
     ESTIMATOR_IDS,
     EstimateReport,
-    build_single_zero,
     dicker_tau2,
     naive_tau2,
     sigma2_from,
@@ -31,7 +30,6 @@ from varest.estimators import (
 from varest.harness import (
     INITIAL_IDS,
     VARIANCE_METHODS,
-    DatasetStats,
     HarnessOptions,
     RepRecord,
     SummaryStats,
@@ -174,7 +172,7 @@ class TestRunScenario:
         # force an error by requesting oracle without beta through estimate()
         ds = generate_dataset(cfg_bad, build_beta(cfg_bad), 0)
         with pytest.raises(VarestError):
-            estimate(DatasetStats(ds, covariate_model_for(cfg_bad)), "oracle")
+            estimate(ds, covariate_model_for(cfg_bad), "oracle")
 
     def test_variance_attached_when_requested(self):
         records = run_scenario(small_cfg(reps=2), ["naive"],
@@ -182,21 +180,20 @@ class TestRunScenario:
         assert all(r.variance_estimate is not None for r in records)
 
 
-class TestDatasetStats:
-    def test_model_of_another_width_rejected(self):
-        # an 8-column dataset whose strong columns 5 and 6 lie past a 3-column model
+class TestEstimateModel:
+    def test_model_of_another_width_rejected(self, monkeypatch):
+        # an 8-column dataset whose strong columns 5 and 6 lie past a 3-column model,
+        # rejected by every estimator before any statistic of the rows is built
+        calls = TestEstimateDispatch._count_builds(monkeypatch)
         g = np.random.default_rng(1)
         x = g.standard_normal((200, 8))
         ds = LabeledDataset(x=x, y=x @ np.array([0, 0, 0, 0, 0, 3.0, 3.2, 0])
                             + g.standard_normal(200))
-        with pytest.raises(DimensionMismatch, match="model has p = 3, the dataset p = 8"):
-            DatasetStats(ds, CovariateModel.independent(3, 3.0, gaussian=True))
-
-    def test_keeps_no_statistic_of_the_rows(self):
-        # W, the Gram statistics and sigma_Y^2 live on the dataset alone
-        cfg = small_cfg(reps=1)
-        stats = DatasetStats(generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg))
-        assert [name for name in ("w", "gram", "sigma_y2") if hasattr(stats, name)] == []
+        model = CovariateModel.independent(3, 3.0, gaussian=True)
+        for eid in ESTIMATOR_IDS:
+            with pytest.raises(DimensionMismatch, match="model has p = 3, the dataset p = 8"):
+                estimate(ds, model, eid, beta=CoefficientVector(np.ones(8)))
+        assert calls == {"build_w": 0, "gram": 0, "build_single_zero": 0}
 
 
 def two_step(ds, model, eid, beta, options, boot_seed):
@@ -212,14 +209,14 @@ def two_step(ds, model, eid, beta, options, boot_seed):
     if eid == "selection":
         report = t_gamma(ds, select=select, cap=options.select_cap)
     elif eid == "empirical":
-        report = empirical_estimator(DatasetStats(ds, model), BootstrapConfig(
+        report = empirical_estimator(ds, model, BootstrapConfig(
             n_boot=options.boot, seed=boot_seed, initial_estimator=options.initial))
     else:
         tau2 = {
             "naive": lambda: naive_tau2(w),
             "dicker": lambda: dicker_tau2(ds),
             "full": lambda: t_full(ds),
-            "single": lambda: t_c_hat_star(w, build_single_zero(ds, model)),
+            "single": lambda: t_c_hat_star(ds, model),
             "oracle": lambda: t_oracle(ds, beta),
         }[eid]()
         report = EstimateReport(tau2, sigma2_from(tau2, sample_variance_y(ds.y)))
@@ -243,7 +240,7 @@ def two_step(ds, model, eid, beta, options, boot_seed):
         elif eid == "selection":
             value = var_tilde_t_gamma(base, ds, selected, model)
         elif eid == "single":
-            value = var_tilde_t_chat(base, w, build_single_zero(ds, model))
+            value = var_tilde_t_chat(base, ds, model)
     if value is not None and value < 0.0:
         warned.append("negative variance estimate (reported raw)")
     if warned:
@@ -276,7 +273,7 @@ def assert_matches_two_step(eid, method, x_dist, select_split):
     beta, model = build_beta(cfg), covariate_model_for(cfg)
     ds = generate_dataset(cfg, beta, 0)
     options = HarnessOptions(variance_method=method, boot=20, select_split=select_split)
-    got = estimate(DatasetStats(ds, model), eid, beta=beta, options=options, boot_seed=7)
+    got = estimate(ds, model, eid, beta=beta, options=options, boot_seed=7)
     want = two_step(ds, model, eid, beta, options, boot_seed=7)
     assert (got.tau2, got.sigma2, got.variance_estimate, got.aux) == \
         (want.tau2, want.sigma2, want.variance_estimate, want.aux)
@@ -300,12 +297,11 @@ class TestEstimateDispatch:
     def _count_builds(monkeypatch):
         """Count the calls of every function that builds a per-dataset statistic, through
         every module of the package that binds it."""
-        import varest.estimators as estimators
         import varest.kernels as kernels
         import varest.model as model
 
         calls = {"build_w": 0, "gram": 0, "build_single_zero": 0}
-        for fn in (model.build_w, kernels.gram, estimators.build_single_zero):
+        for fn in (model.build_w, kernels.gram, model.build_single_zero):
             def counted(*args, _fn=fn):
                 calls[_fn.__name__] += 1
                 return _fn(*args)
@@ -318,9 +314,10 @@ class TestEstimateDispatch:
         calls = self._count_builds(monkeypatch)
         cfg = small_cfg(reps=1)
         beta = build_beta(cfg)
-        stats = DatasetStats(generate_dataset(cfg, beta, 0), covariate_model_for(cfg))
+        ds, model = generate_dataset(cfg, beta, 0), covariate_model_for(cfg)
         for eid in ESTIMATOR_IDS:
-            estimate(stats, eid, beta=beta, options=HarnessOptions(variance_method="tilde", boot=5))
+            estimate(ds, model, eid, beta=beta,
+                     options=HarnessOptions(variance_method="tilde", boot=5))
         assert calls == {"build_w": 1, "gram": 1, "build_single_zero": 1}
 
     @pytest.mark.parametrize("method", [None, "tilde"])
@@ -328,9 +325,8 @@ class TestEstimateDispatch:
         # one W per row block; the full data's W is not read
         calls = self._count_builds(monkeypatch)
         cfg = small_cfg(reps=1)
-        stats = DatasetStats(generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg))
-        estimate(stats, "selection",
-                 options=HarnessOptions(variance_method=method, select_split=0.5))
+        estimate(generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg),
+                 "selection", options=HarnessOptions(variance_method=method, select_split=0.5))
         assert calls["build_w"] == 2
 
     @pytest.mark.parametrize("method", ["gaussian-plugin", "tilde"])
@@ -339,7 +335,7 @@ class TestEstimateDispatch:
         beta, model = build_beta(cfg), covariate_model_for(cfg)
         ds = generate_dataset(cfg, beta, 0)
         options = HarnessOptions(variance_method=method, select_split=0.5)
-        got = estimate(DatasetStats(ds, model), "selection", options=options)
+        got = estimate(ds, model, "selection", options=options)
         selected, k = got.aux["selected"], got.aux["n_select_rows"]
         assert selected and 0 < k < ds.n
 
@@ -367,10 +363,11 @@ class TestEstimateDispatch:
             return ordered_col_sums(a)
         monkeypatch.setattr(model, "ordered_col_sums", counted)
         cfg = small_cfg(reps=1)
-        stats = DatasetStats(generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg))
-        assert stats.ds.w.n == cfg.n and calls == [(cfg.n, cfg.p)]
+        ds = generate_dataset(cfg, build_beta(cfg), 0)
+        assert ds.w.n == cfg.n and calls == [(cfg.n, cfg.p)]
         calls.clear()
-        estimate(stats, "single", options=HarnessOptions(variance_method=method))
+        estimate(ds, covariate_model_for(cfg), "single",
+                 options=HarnessOptions(variance_method=method))
         assert calls == []
 
     def test_one_column_pass_per_matrix(self, monkeypatch):
@@ -400,9 +397,9 @@ class TestEstimateDispatch:
         # full and the tilde variances read the one product gram(X, Y)
         calls = self._count_builds(monkeypatch)
         cfg = small_cfg(reps=1)
-        stats = DatasetStats(generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg))
+        ds, model = generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg)
         for eid in ids.split(","):
-            estimate(stats, eid, options=HarnessOptions(variance_method=method))
+            estimate(ds, model, eid, options=HarnessOptions(variance_method=method))
         assert calls["gram"] == products
 
     def test_cli_estimate_makes_one_gram_product(self, monkeypatch, tmp_path, capsys):
@@ -425,9 +422,9 @@ class TestEstimateDispatch:
     def test_accepts_every_estimator_id(self):
         cfg = small_cfg(reps=1)
         beta = build_beta(cfg)
-        stats = DatasetStats(generate_dataset(cfg, beta, 0), covariate_model_for(cfg))
+        ds, model = generate_dataset(cfg, beta, 0), covariate_model_for(cfg)
         for eid in ESTIMATOR_IDS:
-            report = estimate(stats, eid, beta=beta if eid == "oracle" else None,
+            report = estimate(ds, model, eid, beta=beta if eid == "oracle" else None,
                               options=HarnessOptions(boot=5))
             assert math.isfinite(report.tau2), eid
 
@@ -437,9 +434,9 @@ class TestEstimateDispatch:
     ])
     def test_bad_request_is_invalid_input(self, eid, message):
         cfg = small_cfg(reps=1)
-        stats = DatasetStats(generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg))
+        ds, model = generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg)
         with pytest.raises(InvalidInput, match=re.escape(message)):
-            estimate(stats, eid)
+            estimate(ds, model, eid)
 
     def test_initials_are_estimator_ids(self):
         assert "naive" in INITIAL_IDS
@@ -448,9 +445,9 @@ class TestEstimateDispatch:
     @pytest.mark.parametrize("initial", ["oracle", "empirical", "custom"])
     def test_unknown_initial_rejected(self, initial):
         cfg = small_cfg(reps=1)
-        stats = DatasetStats(generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg))
+        ds, model = generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg)
         with pytest.raises(InvalidInput, match="unknown initial estimator"):
-            estimate(stats, "empirical", options=HarnessOptions(boot=5, initial=initial))
+            estimate(ds, model, "empirical", options=HarnessOptions(boot=5, initial=initial))
 
     def test_keeps_both_variance_warnings(self):
         # a negative plug-in variance on a non-gaussian model carries both warnings
@@ -466,9 +463,9 @@ class TestEstimateDispatch:
 
     def test_unknown_variance_method(self):
         cfg = small_cfg(reps=1)
-        stats = DatasetStats(generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg))
+        ds, model = generate_dataset(cfg, build_beta(cfg), 0), covariate_model_for(cfg)
         with pytest.raises(VarestError, match="variance method"):
-            estimate(stats, "full", options=HarnessOptions(variance_method="bogus"))
+            estimate(ds, model, "full", options=HarnessOptions(variance_method="bogus"))
 
 
 class TestScaling:
@@ -484,12 +481,12 @@ class TestScaling:
             cfg = small_cfg(x_dist=x_dist, reps=1, **DISPATCH_CASES[x_dist])
             beta, model = build_beta(cfg), covariate_model_for(cfg)
             ds = generate_dataset(cfg, beta, 0)
-            base = estimate(DatasetStats(ds, model), eid, beta=beta, options=options,
+            base = estimate(ds, model, eid, beta=beta, options=options,
                             boot_seed=7)
             for k in (-3, 5, 40):
                 # in the generated row order, which split blocks and resamples index
                 scaled = LabeledDataset(x=ds.x[ds.rank], y=ds.y[ds.rank] * 2.0**k)
-                got = estimate(DatasetStats(scaled, model), eid,
+                got = estimate(scaled, model, eid,
                                beta=CoefficientVector(beta.beta * 2.0**k), options=options,
                                boot_seed=7)
                 assert (got.tau2, got.sigma2) == (base.tau2 * 4.0**k, base.sigma2 * 4.0**k)
@@ -536,8 +533,8 @@ class TestRowPermutation:
     def test_table(self, permuted_datasets, eid, method):
         options = HarnessOptions(variance_method=method)
         for beta, model, ds, permuted in permuted_datasets:
-            want = estimate(DatasetStats(ds, model), eid, beta=beta, options=options)
-            got = estimate(DatasetStats(permuted, model), eid, beta=beta, options=options)
+            want = estimate(ds, model, eid, beta=beta, options=options)
+            got = estimate(permuted, model, eid, beta=beta, options=options)
             assert (got.tau2, got.sigma2, got.variance_estimate) == \
                 (want.tau2, want.sigma2, want.variance_estimate)
 
@@ -614,16 +611,16 @@ def _outcome(call):
     return tuple(None if v is None else float(v).hex() for v in numbers)
 
 
-def _report_numbers(stats, eid, beta, method):
-    report = estimate(stats, eid, beta=beta, options=HarnessOptions(variance_method=method))
+def _report_numbers(ds, model, eid, beta, method):
+    report = estimate(ds, model, eid, beta=beta, options=HarnessOptions(variance_method=method))
     return report.tau2, report.sigma2, report.variance_estimate
 
 
-def _t_b(stats, columns):
+def _t_b(ds, columns):
     # the harness's floating-point rule: overflow or an invalid operation is an error
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            tau2 = t_b(stats.ds, columns)
+            tau2 = t_b(ds, columns)
     except FloatingPointError as exc:
         raise NonFiniteResult(str(exc)) from exc
     return (tau2,)
@@ -645,10 +642,9 @@ class TestOracleProperty:
         model, beta = CovariateModel.standard_gaussian(ds.p), CoefficientVector(beta)
         outcomes = []
         for data in (ds, LabeledDataset(x=x[perm], y=y[perm])):
-            stats = DatasetStats(data, model)
-            got = {(eid, method): _outcome(lambda: _report_numbers(stats, eid, beta, method))
+            got = {(eid, method): _outcome(lambda: _report_numbers(data, model, eid, beta, method))
                    for eid in ORACLE_PROPERTY_IDS for method in (None, *VARIANCE_METHODS)}
-            got["t_b"] = _outcome(lambda: _t_b(stats, columns))
+            got["t_b"] = _outcome(lambda: _t_b(data, columns))
             outcomes.append(got)
         assert outcomes[0] == outcomes[1]
         got = {eid: outcomes[0][(eid, None)] for eid in ("naive", "full", "single")}
@@ -689,13 +685,13 @@ class TestFiniteOut:
     @pytest.mark.parametrize("method", [None, "gaussian-plugin", "tilde"])
     @pytest.mark.parametrize("eid", ESTIMATOR_IDS)
     def test_finite_or_varest_error(self, eid, method, kind):
-        stats = DatasetStats(self._dataset(kind), CovariateModel.standard_gaussian(3))
+        ds, model = self._dataset(kind), CovariateModel.standard_gaussian(3)
         beta = CoefficientVector(np.full(3, 0.5))
         options = HarnessOptions(variance_method=method, boot=10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                report = estimate(stats, eid, beta=beta, options=options)
+                report = estimate(ds, model, eid, beta=beta, options=options)
             except VarestError:
                 return
         numbers = (report.tau2, report.sigma2, report.variance_estimate)

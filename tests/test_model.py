@@ -22,6 +22,7 @@ from varest.model import (
     CovariateModel,
     LabeledDataset,
     Whitening,
+    build_single_zero,
     build_w,
     check_fields,
     column_set,
@@ -282,7 +283,8 @@ class TestLabeledDataset:
     def test_statistics_are_its_own_and_kept(self):
         g = np.random.default_rng(7)
         x = g.standard_normal((9, 4))
-        ds = LabeledDataset(x=x, y=x[:, 1] + g.standard_normal(9))
+        y = x[:, 1] + g.standard_normal(9)
+        ds = LabeledDataset(x=x, y=y)
         w, want = ds.w, build_w(ds)
         assert ds.w is w
         for got, ref in ((w.w, want.w), (w.column_sums, want.column_sums),
@@ -293,6 +295,13 @@ class TestLabeledDataset:
         assert ds.gram.row_sums_offdiag.tobytes() == ref.row_sums_offdiag.tobytes()
         assert ds.gram.row_square_sums_offdiag.tobytes() == ref.row_square_sums_offdiag.tobytes()
         assert ds.sigma_y2 == sample_variance_y(ds.y)
+        # the zero-estimator g_i = sum_{j<j'} x_ij x_ij', by the formula it has always had
+        assert ds.g is ds.g and not ds.g.flags.writeable
+        row_sums = np.sum(ds.x, axis=1)
+        zero = 0.5 * (row_sums * row_sums - np.einsum("ij,ij->i", ds.x, ds.x))
+        assert ds.g.tobytes() == build_single_zero(ds).tobytes() == zero.tobytes()
+        perm = g.permutation(9)
+        assert LabeledDataset(x=x[perm], y=y[perm]).g.tobytes() == ds.g.tobytes()
         # a centered copy is a dataset of its own, with statistics of its own rows
         assert ds.center_y().sigma_y2 == pytest.approx(ds.sigma_y2, rel=1e-12)
         assert ds.center_y().w is not w

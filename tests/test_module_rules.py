@@ -45,12 +45,12 @@
   field checker.  ``cli.py`` compares none of the flags in ``OPTION_FLAGS``
   against a bound or a set, so the CLI keeps no copy of an option's rule.
 * No public function of ``SIZE_RULE_MODULES`` takes a size beside a statistic
-  that carries it (``SIZE_CARRIERS``): one that is given a dataset, W, a Gram
-  matrix or the single-zero statistic reads n from it, and one that is given
-  beta, W or a dataset reads p from it, so no wrong size can be passed.
-* No public function of ``SIZE_RULE_MODULES`` takes a dataset beside W or a
-  Gram matrix (``ROW_STATISTICS``): a dataset carries its own, so a statistic
-  of other rows cannot be passed with it.
+  that carries it (``SIZE_CARRIERS``): one that is given a dataset, W or a
+  Gram matrix reads n from it, and one that is given beta, W or a dataset
+  reads p from it, so no wrong size can be passed.
+* No public function of ``SIZE_RULE_MODULES`` takes two of a dataset, W and a
+  Gram matrix (``ROW_CARRIERS``): a dataset carries its own statistics, so two
+  of them may come from different rows.
 """
 
 import ast
@@ -106,11 +106,11 @@ CONFIG_TYPES = {("model.py", "CovariateModel"), ("simgen.py", "ScenarioConfig"),
 # The ``args`` attributes whose values only ``HarnessOptions`` checks.
 OPTION_FLAGS = ("boot", "initial", "select_split", "select_cap")
 # Size parameter -> the annotations of the statistics that carry it.
-SIZE_CARRIERS = {"n": {"LabeledDataset", "WMatrix", "GramMatrix", "SingleZeroStat"},
+SIZE_CARRIERS = {"n": {"LabeledDataset", "WMatrix", "GramMatrix"},
                  "p": {"CoefficientVector", "WMatrix", "LabeledDataset"}}
 SIZE_RULE_MODULES = ("estimators.py", "selection.py", "variance.py")
-# The statistics of a dataset's rows that the dataset carries itself.
-ROW_STATISTICS = {"WMatrix", "GramMatrix"}
+# A dataset and the statistics of its rows that it carries itself.
+ROW_CARRIERS = {"LabeledDataset", "WMatrix", "GramMatrix"}
 
 # Builtin exception names and the package's own, any of which a class that derives from
 # an exception names among its bases.
@@ -389,11 +389,11 @@ def _restated_sizes(path):
 
 
 def _statistics_beside_rows(path):
-    """``function: statistics`` of each public function of ``path`` annotated with both a
-    dataset and a statistic of its rows."""
-    return [f"{name}: {', '.join(sorted(annotated & ROW_STATISTICS))}"
+    """``function: types`` of each public function of ``path`` annotated with two or more
+    of ``ROW_CARRIERS``."""
+    return [f"{name}: {', '.join(sorted(annotated & ROW_CARRIERS))}"
             for name, _, annotated in _public_signatures(path)
-            if "LabeledDataset" in annotated and annotated & ROW_STATISTICS]
+            if len(annotated & ROW_CARRIERS) >= 2]
 
 
 def test_no_size_beside_the_statistic_that_carries_it():
@@ -593,9 +593,11 @@ def test_rules_catch_violations(tmp_path):
                       "def t_full(ds: LabeledDataset, g: GramMatrix):\n    pass\n"
                       "def _private(ds: LabeledDataset, w: WMatrix):\n    pass\n"
                       "def fine(ds: LabeledDataset, *, select: LabeledDataset | None = None,"
-                      " w=None):\n    pass\n"
-                      "def naive(w: WMatrix, g: GramMatrix):\n    pass\n")
-    assert _statistics_beside_rows(beside) == ["t_gamma: WMatrix", "t_full: GramMatrix"]
+                      " w=None, model: CovariateModel):\n    pass\n"
+                      "def t_chat(w: WMatrix, g: GramMatrix):\n    pass\n")
+    assert _statistics_beside_rows(beside) == ["t_gamma: LabeledDataset, WMatrix",
+                                               "t_full: GramMatrix, LabeledDataset",
+                                               "t_chat: GramMatrix, WMatrix"]
     eager = tmp_path / "eager"
     eager.mkdir()
     (eager / "eager.py").write_text("import numpy.random\nfrom concurrent.futures import "

@@ -3,7 +3,7 @@ import pytest
 
 from varest.errors import InvalidInput, TooFewColumns, TooFewObservations
 from varest.estimators import naive_tau2, psi_hat, t_b
-from varest.harness import DatasetStats, HarnessOptions, estimate
+from varest.harness import HarnessOptions, estimate
 from varest.kernels import ordered_sum
 from varest.model import CovariateModel, LabeledDataset, build_w
 from varest.selection import beta_squared_estimates, gap_select, split_rows, t_gamma
@@ -172,8 +172,8 @@ class TestTGamma:
         assert report.tau2 == t_b(ds, list(kept))
         for cap in (len(uncapped) - 1, len(uncapped)):
             assert len(t_gamma(ds, cap=cap).aux["selected"]) == cap
-        stats = DatasetStats(ds, CovariateModel.independent(ds.p, 3.0))
-        harness = estimate(stats, "selection", options=HarnessOptions(select_cap=2))
+        model = CovariateModel.independent(ds.p, 3.0)
+        harness = estimate(ds, model, "selection", options=HarnessOptions(select_cap=2))
         assert harness.aux["selected"] == kept
 
     @pytest.mark.parametrize("call", [

@@ -10,12 +10,9 @@ from varest.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InvalidInput,
-    LengthMismatch,
     UnsupportedDependenceStructure,
 )
 from varest.estimators import (
-    SingleZeroStat,
-    build_single_zero,
     dicker_tau2,
     naive_tau2,
     t_b,
@@ -420,35 +417,23 @@ class TestVarTildeTChat:
     def test_zero_w_identity(self):
         ds = LabeledDataset(x=np.random.default_rng(1).standard_normal((6, 3)),
                             y=np.zeros(6))
-        w = build_w(ds)
-        single = build_single_zero(ds, GAUSS(3))
-        assert var_tilde_t_chat(0.03, w, single) == 0.03
+        assert var_tilde_t_chat(0.03, ds, GAUSS(3)) == 0.03
 
     def test_bracket_matches_loop(self):
         g0 = np.random.default_rng(53)
         x = g0.standard_normal((8, 3))
         y = x @ np.array([1.0, 0.5, 0.0]) + g0.standard_normal(8)
         ds = LabeledDataset(x=x, y=y)
-        w = build_w(ds)
-        single = build_single_zero(ds, GAUSS(3))
-        bracket = chat_numerator_loop(w.w, single.g_per_obs)
-        expected = 0.1 - bracket ** 2 / (8 * single.var_g)
-        np.testing.assert_allclose(var_tilde_t_chat(0.1, w, single), expected,
+        bracket = chat_numerator_loop(build_w(ds).w, ds.g)
+        expected = 0.1 - bracket ** 2 / (8 * 3.0)  # Var(g_i) = 3 at p = 3
+        np.testing.assert_allclose(var_tilde_t_chat(0.1, ds, GAUSS(3)), expected,
                                    rtol=1e-11)
-
-    def test_single_of_another_dataset_rejected(self):
-        g0 = np.random.default_rng(54)
-        ds = LabeledDataset(x=g0.standard_normal((8, 3)), y=g0.standard_normal(8))
-        other = LabeledDataset(x=g0.standard_normal((6, 3)), y=g0.standard_normal(6))
-        with pytest.raises(LengthMismatch, match="n = 6, W has n = 8"):
-            var_tilde_t_chat(0.1, build_w(ds), build_single_zero(other, GAUSS(3)))
 
     def test_one_column_rejected_by_p(self):
         ds = LabeledDataset(x=np.random.default_rng(55).standard_normal((6, 1)), y=np.ones(6))
-        single = SingleZeroStat(g_per_obs=np.zeros(6), g_n=0.0, var_g=1.0)
         with pytest.raises(DegenerateZeroEstimator,
-                           match=r"^single-correction variance needs p >= 2$"):
-            var_tilde_t_chat(0.1, build_w(ds), single)
+                           match=r"^the pairwise zero-estimator needs p >= 2$"):
+            var_tilde_t_chat(0.1, ds, GAUSS(1))
 
 
 class TestReductionOrdering:

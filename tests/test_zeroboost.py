@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from varest.errors import DegenerateZeroEstimator, InitialEstimatorFailure, InvalidInput
-from varest.estimators import build_single_zero, c_star_oracle
-from varest.harness import DatasetStats, HarnessOptions, estimate
+from varest.estimators import c_star_oracle
+from varest.harness import HarnessOptions, estimate
+from varest.kernels import ordered_sum
 from varest.model import CoefficientVector, CovariateModel, LabeledDataset
 from varest.simgen import ScenarioConfig, build_beta, generate_dataset
 from varest import harness, zeroboost
@@ -59,7 +60,7 @@ class TestEmpiricalEstimator:
         model = GAUSS(12)
         cfg = BootstrapConfig(n_boot=20, seed=5,
                               initial_estimator=lambda d, m: 0.7)
-        report = empirical_estimator(DatasetStats(ds, model), cfg)
+        report = empirical_estimator(ds, model, cfg)
         assert abs(report.aux["c_tilde"]) < 1e-12
         assert abs(report.tau2 - 0.7) < 1e-12
 
@@ -69,8 +70,8 @@ class TestEmpiricalEstimator:
         ds = make_ds(2)
         model = GAUSS(12)
         cfg = BootstrapConfig(n_boot=40, seed=9, initial_estimator="naive")
-        first = empirical_estimator(DatasetStats(ds, model), cfg)
-        second = empirical_estimator(DatasetStats(ds, model), cfg)
+        first = empirical_estimator(ds, model, cfg)
+        second = empirical_estimator(ds, model, cfg)
         assert first.tau2 == second.tau2
         assert first.aux["c_tilde"] == second.aux["c_tilde"]
         tau2, c_tilde = empirical_loop(ds, model, cfg)
@@ -89,8 +90,8 @@ class TestEmpiricalEstimator:
                              b_size=5, reps=1, seed=1111)
         beta, model = build_beta(cfg), GAUSS(400)
         for rep, (tau2, c_tilde) in enumerate(pinned):
-            stats = DatasetStats(generate_dataset(cfg, beta, rep), model)
-            report = empirical_estimator(stats, BootstrapConfig(n_boot=200, seed=1000 + rep))
+            report = empirical_estimator(generate_dataset(cfg, beta, rep), model,
+                                         BootstrapConfig(n_boot=200, seed=1000 + rep))
             assert report.tau2 == pytest.approx(tau2, rel=1e-12, abs=0)
             assert report.aux["c_tilde"] == pytest.approx(c_tilde, rel=1e-12, abs=0)
 
@@ -98,7 +99,7 @@ class TestEmpiricalEstimator:
         g = np.random.default_rng(0)
         ds = LabeledDataset(x=g.standard_normal((10, 1)), y=g.standard_normal(10))
         with pytest.raises(DegenerateZeroEstimator):
-            empirical_estimator(DatasetStats(ds, GAUSS(1)), BootstrapConfig(n_boot=5, seed=0))
+            empirical_estimator(ds, GAUSS(1), BootstrapConfig(n_boot=5, seed=0))
 
     def test_initial_failure_carries_resample_index(self):
         ds = make_ds(3)
@@ -115,7 +116,7 @@ class TestEmpiricalEstimator:
 
         cfg = BootstrapConfig(n_boot=5, seed=0, initial_estimator=flaky)
         with pytest.raises(InitialEstimatorFailure) as err:
-            empirical_estimator(DatasetStats(ds, model), cfg)
+            empirical_estimator(ds, model, cfg)
         assert err.value.resample_index == 0
 
     def test_c_tilde_tracks_oracle_coefficient(self):
@@ -140,7 +141,7 @@ class TestEmpiricalEstimator:
             ds = LabeledDataset(x=x, y=y)
             naive_vals[r] = naive_tau2(build_w(ds))
             cfg = BootstrapConfig(n_boot=n_boot, seed=r, initial_estimator="naive")
-            report = empirical_estimator(DatasetStats(ds, model), cfg)
+            report = empirical_estimator(ds, model, cfg)
             vals[r] = report.aux["c_tilde"]
             emp_vals[r] = report.tau2
         c_star = c_star_oracle(beta, model)
@@ -157,7 +158,7 @@ class TestEmpiricalEstimator:
         for r in range(reps):
             cfg = ScenarioConfig(n=60, p=12, tau2=1.0, tau2_b=0.5, seed=600 + r)
             ds = generate_dataset(cfg, build_beta(cfg), 0)
-            vals[r] = build_single_zero(ds, model).g_n
+            vals[r] = ordered_sum(ds.g) / ds.n
         se = vals.std(ddof=1) / np.sqrt(reps)
         assert abs(vals.mean()) < 3 * se
 
@@ -165,7 +166,7 @@ class TestEmpiricalEstimator:
         ds = make_ds(4)
         model = GAUSS(12)
         cfg = BootstrapConfig(n_boot=25, seed=2, initial_estimator="naive")
-        report = empirical_estimator(DatasetStats(ds, model), cfg)
+        report = empirical_estimator(ds, model, cfg)
         assert report.aux["n_boot"] == 25
         assert report.aux["initial"] == "naive"
         from varest.model import sample_variance_y
@@ -221,7 +222,7 @@ class TestCountForms:
         ds = make_ds(seed, n=n, p=p)
         model = GAUSS(p)
         cfg = BootstrapConfig(n_boot=n_boot, seed=seed + 3, initial_estimator="naive")
-        report = empirical_estimator(DatasetStats(ds, model), cfg)
+        report = empirical_estimator(ds, model, cfg)
         tau2, c_tilde = empirical_loop(ds, model, cfg)
         assert report.tau2 == pytest.approx(tau2, rel=1e-12, abs=0)
         assert report.aux["c_tilde"] == pytest.approx(c_tilde, rel=1e-12, abs=0)
@@ -234,7 +235,7 @@ class TestCountForms:
         model = GAUSS(10)
         monkeypatch.setattr(zeroboost, "_BLOCK_ELEMS", per_block * ds.n)
         cfg = BootstrapConfig(n_boot=20, seed=2, initial_estimator="naive")
-        report = empirical_estimator(DatasetStats(ds, model), cfg)
+        report = empirical_estimator(ds, model, cfg)
         tau2, c_tilde = empirical_loop(ds, model, cfg)
         assert report.tau2 == pytest.approx(tau2, rel=1e-12, abs=0)
         assert report.aux["c_tilde"] == pytest.approx(c_tilde, rel=1e-12, abs=0)
@@ -244,12 +245,11 @@ class TestCountForms:
         ("full", True), ("selection", True), ("custom", True),
     ])
     def test_which_initials_run_per_resample(self, monkeypatch, initial, per_resample):
-        # naive is never called: its full-data value reads the stats' W and
+        # naive is never called: its full-data value reads the dataset's W and
         # its resamples come from the count matrix; every other initial is
         # called on the full data and once more per rebuilt resample
         ds = make_ds(5, n=40, p=8)
         model = GAUSS(8)
-        stats = DatasetStats(ds, model)
         cfg = BootstrapConfig(n_boot=6, seed=1)
         calls = []
         if initial == "custom":
@@ -257,18 +257,18 @@ class TestCountForms:
                 calls.append(d.n)
                 return float(d.y[0] ** 2)
 
-            report = empirical_estimator(stats, replace(cfg, initial_estimator=custom))
+            report = empirical_estimator(ds, model, replace(cfg, initial_estimator=custom))
             initial = custom
         else:
             entry = harness._INITIALS[initial]
 
-            def counted(st):
-                calls.append(st.ds.n)
-                return entry(st)
+            def counted(d, m):
+                calls.append(d.n)
+                return entry(d, m)
 
             monkeypatch.setitem(harness._INITIALS, initial, counted)
             options = HarnessOptions(boot=cfg.n_boot, initial=initial)
-            report = estimate(stats, "empirical", options=options, boot_seed=cfg.seed)
+            report = estimate(ds, model, "empirical", options=options, boot_seed=cfg.seed)
             assert report.aux["initial"] == initial
         assert len(calls) == (1 + cfg.n_boot if per_resample else 0)
         tau2, c_tilde = empirical_loop(ds, model, cfg, initial)
