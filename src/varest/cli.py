@@ -15,6 +15,11 @@ omitting it is an error, never silent entropy.  Every number the CLI writes or p
 through ``format_value`` (6 significant digits), and both ``simulate`` and
 ``summarize`` summarize a records file through one function, so the printed
 table shows the summary CSV's values; ``simulate`` also warns of failed replications.
+
+On glibc, :func:`main` first sets one allocator policy for its process
+(``_keep_heap``): freed heap is kept for reuse instead of being returned to
+the OS, so a replication's n x p arrays land on pages that are already
+resident.  The library sets no allocator policy of its own.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import functools
 import json
@@ -55,6 +61,32 @@ from .simgen import ScenarioConfig
 _SCENARIO_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioConfig))
 _OPTION_KEYS = tuple(f.name for f in dataclasses.fields(HarnessOptions))
 _COLUMN = len(format_value(-np.finfo(float).max)) + 1  # a summary column fits any float
+# glibc's ``mallopt`` parameters and the values ``_keep_heap`` gives them.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 * 2**20  # glibc's 64-bit maximum: larger blocks are still mapped per use
+_TRIM_THRESHOLD = 128 * 2**20  # freed heap kept before any is returned to the OS
+
+
+@functools.cache
+def _keep_heap() -> None:
+    """Keep this process's freed heap for reuse, on glibc; elsewhere do nothing.
+
+    By default glibc adjusts both thresholds as blocks are freed and returns
+    freed heap above the trim threshold to the OS, so each replication
+    faults its n x p arrays in again, page by page.  Setting either value
+    stops the adjustment of both, and either one set alone faults more than
+    the defaults, so the trim threshold is set only once the mmap threshold
+    has been accepted.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):  # no confstr, or no such name here
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1:
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 @functools.cache
@@ -85,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--summary-out", default="summary.csv")
     sim.add_argument("--variance", dest="variance_method", help=" | ".join(VARIANCE_METHODS))
     sim.add_argument("--workers", type=int, default=1,
-                     help="worker processes (capped at the CPU count)")
+                     help="worker processes (capped at the CPUs this process may use)")
     _add_selection_flags(sim)
     _add_empirical_flags(sim)
 
@@ -384,6 +416,12 @@ def _cmd_summarize(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one CLI command on ``argv`` (default ``sys.argv[1:]``) and return its exit code.
+
+    The first call in a process applies ``_keep_heap``'s allocator policy,
+    which stays for the life of the process, in-process callers included.
+    """
+    _keep_heap()
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a bad flag or value, 0 after --help

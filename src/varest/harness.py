@@ -298,7 +298,9 @@ def run_scenario(
     check_estimator_ids(estimator_ids)
     beta, model = build_beta(cfg), covariate_model_for(cfg)
     jobs = [(cfg, beta, model, estimator_ids, options, rep) for rep in range(cfg.reps)]
-    workers = max(1, min(options.workers, os.cpu_count() or 1))
+    # The CPUs this process may run on: a process pinned to one core runs serially.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = max(1, min(options.workers, cpus or 1))
     if workers > 1 and cfg.reps > 1:
         # Imported here: the process pool loads multiprocessing, which serial runs never use.
         from concurrent.futures import ProcessPoolExecutor

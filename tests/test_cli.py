@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -828,6 +829,77 @@ class TestEntryPoint:
             fresh.append((proc.returncode, proc.stdout))
         assert in_process == fresh
         assert in_process[0] == in_process[-1] and in_process[0] != in_process[1]
+
+    @pytest.mark.skipif(not hasattr(os, "confstr") or not os.confstr("CS_GNU_LIBC_VERSION"),
+                        reason="the allocator policy is set on glibc only")
+    def test_replications_reuse_resident_heap(self, tmp_path):
+        # glibc's defaults return freed heap to the OS after each 400 x 400
+        # replication, which then faults about 600 pages in again
+        code = (
+            "import contextlib, io, resource, sys\n"
+            "from varest.cli import main\n"
+            "argv = sys.argv[1:]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(argv) == 0\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    assert main(argv) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        argv = ["simulate", "--n", "400", "--p", "400", "--tau2", "2", "--tau2b", "1.32",
+                "--reps", "4", "--seed", "3", "--records-out", str(tmp_path / "r.csv"),
+                "--summary-out", str(tmp_path / "s.csv")]
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, check=True)
+        assert int(proc.stdout) / 4 < 50
+
+
+class _FakeLibc:
+    """A libc whose ``mallopt`` records its calls and returns ``result``."""
+
+    def __init__(self, result):
+        self.calls = []
+        self.mallopt = lambda param, value: self.calls.append((param, value)) or result
+
+
+class TestKeepHeap:
+    @pytest.fixture(autouse=True)
+    def fresh_policy(self):
+        cli._keep_heap.cache_clear()
+        yield
+        cli._keep_heap.cache_clear()
+
+    def _run(self, monkeypatch, libc, tmp_path):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        return main(["simulate", "--n", "10", "--p", "3", "--tau2", "1", "--tau2b", "0.5",
+                     "--b-size", "1", "--reps", "2", "--seed", "1",
+                     "--records-out", str(tmp_path / "r.csv"),
+                     "--summary-out", str(tmp_path / "s.csv")])
+
+    def test_sets_both_thresholds_once(self, monkeypatch, tmp_path, capsys):
+        libc = _FakeLibc(1)
+        monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36")
+        assert self._run(monkeypatch, libc, tmp_path) == 0
+        assert self._run(monkeypatch, libc, tmp_path) == 0
+        assert libc.calls == [(-3, 32 * 2**20), (-1, 128 * 2**20)]
+
+    @pytest.mark.parametrize("confstr", [ValueError, OSError, AttributeError, None, ""],
+                             ids=["ValueError", "OSError", "AttributeError", "None", "empty"])
+    def test_no_glibc_runs_without_mallopt(self, monkeypatch, tmp_path, capsys, confstr):
+        def fake_confstr(name):
+            if isinstance(confstr, type):
+                raise confstr(name)
+            return confstr
+
+        libc = _FakeLibc(1)
+        monkeypatch.setattr(cli.os, "confstr", fake_confstr)
+        assert self._run(monkeypatch, libc, tmp_path) == 0
+        assert libc.calls == []
+
+    def test_refused_mmap_threshold_leaves_trim_alone(self, monkeypatch, tmp_path, capsys):
+        libc = _FakeLibc(0)
+        monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36")
+        assert self._run(monkeypatch, libc, tmp_path) == 0
+        assert libc.calls == [(-3, 32 * 2**20)]
 
 
 class TestEstimateWhitening:

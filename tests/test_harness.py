@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 import re
 import sys
 import warnings
@@ -153,6 +155,18 @@ class TestRunScenario:
         key = lambda r: (r.rep_index, r.estimator_id)
         assert sorted([(key(r), r.tau2_hat) for r in serial]) == \
             sorted([(key(r), r.tau2_hat) for r in parallel])
+
+    def test_workers_capped_at_the_cpus_this_process_may_use(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pinned to one CPU built a pool")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = small_cfg(reps=3)
+        pinned = run_scenario(cfg, ["naive"], HarnessOptions(workers=4))
+        assert [(r.rep_index, r.tau2_hat) for r in pinned] == \
+            [(r.rep_index, r.tau2_hat) for r in run_scenario(cfg, ["naive"])]
 
     def test_all_requested_estimators_present(self):
         ids = ["naive", "dicker", "oracle", "full", "single", "selection"]

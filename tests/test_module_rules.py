@@ -44,6 +44,8 @@
   its ``__post_init__`` starts with ``check_fields(self, ...)``, the one
   field checker.  ``cli.py`` compares none of the flags in ``OPTION_FLAGS``
   against a bound or a set, so the CLI keeps no copy of an option's rule.
+* Only ``cli.py`` imports or names ``ctypes`` or ``mallopt``: the allocator
+  policy is the CLI process's, so a caller of the library keeps its own.
 * No public function of ``SIZE_RULE_MODULES`` takes a size beside a statistic
   that carries it (``SIZE_CARRIERS``): one that is given a dataset, W or a
   Gram matrix reads n from it, and one that is given beta, W or a dataset
@@ -105,6 +107,9 @@ CONFIG_TYPES = {("model.py", "CovariateModel"), ("simgen.py", "ScenarioConfig"),
                 ("harness.py", "HarnessOptions"), ("zeroboost.py", "BootstrapConfig")}
 # The ``args`` attributes whose values only ``HarnessOptions`` checks.
 OPTION_FLAGS = ("boot", "initial", "select_split", "select_cap")
+# The names of a process-wide allocator policy, which only ``ALLOCATOR_POLICY_MODULES`` use.
+ALLOCATOR_NAMES = ("ctypes", "mallopt")
+ALLOCATOR_POLICY_MODULES = ["cli.py"]
 # Size parameter -> the annotations of the statistics that carry it.
 SIZE_CARRIERS = {"n": {"LabeledDataset", "WMatrix", "GramMatrix"},
                  "p": {"CoefficientVector", "WMatrix", "LabeledDataset"}}
@@ -415,6 +420,26 @@ def test_cli_keeps_no_option_rule():
     assert _option_comparisons(ROOT / "src" / "varest" / "cli.py") == []
 
 
+def _allocator_names(path):
+    """``line: name`` of each ``ctypes`` or ``mallopt`` that ``path`` imports or names, as a
+    name, an attribute or a string."""
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [(node.module or "").split(".")[0], *(alias.name for alias in node.names)]
+        else:
+            names = [getattr(node, "id", None) or getattr(node, "attr", None)
+                     or getattr(node, "value", None)]
+        found += [(node.lineno, name) for name in names if name in ALLOCATOR_NAMES]
+    return [f"{line}: {name}" for line, name in sorted(set(found))]
+
+
+def test_only_the_cli_sets_an_allocator_policy():
+    assert [path.name for path in MODULES if _allocator_names(path)] == ALLOCATOR_POLICY_MODULES
+
+
 def _traced_targets(path):
     for node in _tree(path).body:
         if (isinstance(node, ast.Assign)
@@ -598,6 +623,12 @@ def test_rules_catch_violations(tmp_path):
     assert _statistics_beside_rows(beside) == ["t_gamma: LabeledDataset, WMatrix",
                                                "t_full: GramMatrix, LabeledDataset",
                                                "t_chat: GramMatrix, WMatrix"]
+    allocator = tmp_path / "harness.py"
+    allocator.write_text("import ctypes.util\nfrom ctypes import CDLL\n"
+                         "def f(libc):\n    libc.mallopt(-3, 1)\n"
+                         "    return getattr(libc, 'mallopt'), 'ctypes'\n")
+    assert _allocator_names(allocator) == ["1: ctypes", "2: ctypes", "4: mallopt", "5: ctypes",
+                                           "5: mallopt"]
     eager = tmp_path / "eager"
     eager.mkdir()
     (eager / "eager.py").write_text("import numpy.random\nfrom concurrent.futures import "
